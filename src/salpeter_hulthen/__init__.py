@@ -3,7 +3,6 @@ generalized Hulthen potential family, cross-validated against an
 independent numerical eigenvalue oracle."""
 
 from . import errors, nu_engine, oracle, potentials, special_functions, spectra, wavefunctions
-from ._kernels import active_backend
 from .potentials import (
     DegenerateForm,
     MassConfig,
@@ -37,7 +36,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "errors", "nu_engine", "oracle", "potentials", "special_functions",
-    "spectra", "wavefunctions", "active_backend",
+    "spectra", "wavefunctions",
     "DegenerateForm", "MassConfig", "PotentialParams", "Regime", "SymmetryVerdict",
     "check_pt_symmetry", "degenerate_form", "evaluate", "params_from_json",
     "short_range_expansion",

@@ -1,125 +1,30 @@
-"""Fixed-step RK4 shooting kernels.
+"""Fixed-step RK4 shooting kernel.
 
-The sweep over trial energies is the only hot loop in the package. Two
-interchangeable implementations exist:
-
-* a numba @njit kernel (parallel over energies), used when numba imports
-  and the environment does not say otherwise;
-* a pure-numpy fallback that vectorizes the same arithmetic over the
-  energy batch.
-
-Selection: environment variable SALPETER_BACKEND in {"auto", "numba",
-"numpy"} (default auto). SALPETER_THREADS caps the numba thread count
-(0 or unset = auto). Both paths perform identical per-element arithmetic;
-benchmarks/shooting_benchmark.py compares them.
+The sweep over trial energies is the only hot loop in the package. It is a
+numpy loop over the steps, vectorized over the energy batch, so a batch of
+240 energies costs little more than a single one.
 """
 
 import math
-import os
-import warnings
 
 import numpy as np
-
-try:
-    import numba
-    from numba import njit, prange
-
-    # stale TBB builds downgrade the threading layer with a warning at the
-    # first parallel launch; the fallback layer is fine, keep stderr quiet
-    warnings.filterwarnings("ignore", message=".*TBB.*",
-                            category=numba.NumbaWarning)
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - environment without numba
-    HAVE_NUMBA = False
 
 OVERFLOW_GUARD = 1e100
 
 
-def requested_backend() -> str:
-    return os.environ.get("SALPETER_BACKEND", "auto").strip().lower()
+def rk4_sweep(g0s, g1s, g2, q, alpha, x0s, u0s, v0s, h, nsteps):
+    """Integrate psi'' + g psi = 0 outward for a batch of energies.
 
-
-def active_backend() -> str:
-    """Resolve the backend actually used for the next sweep."""
-    choice = requested_backend()
-    if choice == "numpy":
-        return "numpy"
-    if choice == "numba":
-        if not HAVE_NUMBA:
-            raise RuntimeError("SALPETER_BACKEND=numba but numba is not importable")
-        return "numba"
-    return "numba" if HAVE_NUMBA else "numpy"
-
-
-def _apply_thread_cap():
-    cap = os.environ.get("SALPETER_THREADS", "0")
-    try:
-        cap = int(cap)
-    except ValueError:
-        return
-    if cap > 0 and HAVE_NUMBA:
-        try:
-            numba.set_num_threads(min(cap, numba.config.NUMBA_NUM_THREADS))
-        except ValueError:
-            pass
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True, fastmath=False)
-    def _rk4_single(g0, g1, g2, q, alpha, x0, u0, v0, h, nsteps):
-        u = u0
-        v = v0
-        x = x0
-        peak = abs(u)
-        s = math.exp(-alpha * x)
-        r = s / (1.0 - q * s)
-        g_lo = g0 + g1 * r + g2 * r * r
-        for _ in range(nsteps):
-            s = math.exp(-alpha * (x + 0.5 * h))
-            r = s / (1.0 - q * s)
-            g_mid = g0 + g1 * r + g2 * r * r
-            s = math.exp(-alpha * (x + h))
-            r = s / (1.0 - q * s)
-            g_hi = g0 + g1 * r + g2 * r * r
-            k1u = v
-            k1v = -g_lo * u
-            k2u = v + 0.5 * h * k1v
-            k2v = -g_mid * (u + 0.5 * h * k1u)
-            k3u = v + 0.5 * h * k2v
-            k3v = -g_mid * (u + 0.5 * h * k2u)
-            k4u = v + h * k3v
-            k4v = -g_hi * (u + h * k3u)
-            u = u + h / 6.0 * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-            v = v + h / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-            x += h
-            g_lo = g_hi
-            au = abs(u)
-            if au > peak:
-                peak = au
-            m = max(au, abs(v))
-            if m > OVERFLOW_GUARD:
-                u /= m
-                v /= m
-                peak /= m
-        if peak == 0.0:
-            return u
-        return u / peak
-
-    @njit(cache=True, parallel=True, fastmath=False)
-    def _rk4_sweep_numba(g0s, g1s, g2, q, alpha, x0s, u0s, v0s, h, nsteps):
-        out = np.empty(g0s.shape[0])
-        for i in prange(g0s.shape[0]):
-            out[i] = _rk4_single(g0s[i], g1s[i], g2, q, alpha,
-                                 x0s[i], u0s[i], v0s[i], h, nsteps)
-        return out
-
-
-def _rk4_sweep_numpy(g0s, g1s, g2, q, alpha, x0s, u0s, v0s, h, nsteps):
-    # same stepping, vectorized over the energy batch
+    g = g0 + g1 r + g2 r^2 with r = s/(1 - q s), s = exp(-alpha x); each
+    energy has its own (g0, g1) and start state (x0, psi, psi'). Returns
+    (psi, psi') at x0 + nsteps * h, both divided by the running peak of |psi|.
+    """
+    g0s = np.asarray(g0s, dtype=float)
+    g1s = np.asarray(g1s, dtype=float)
     u = np.array(u0s, dtype=float)
     v = np.array(v0s, dtype=float)
     x = np.array(x0s, dtype=float)
+    g2, q, alpha, h = float(g2), float(q), float(alpha), float(h)
     peak = np.abs(u)
 
     def g_at(xv):
@@ -128,7 +33,7 @@ def _rk4_sweep_numpy(g0s, g1s, g2, q, alpha, x0s, u0s, v0s, h, nsteps):
         return g0s + g1s * r + g2 * r * r
 
     g_lo = g_at(x)
-    for _ in range(nsteps):
+    for _ in range(int(nsteps)):
         g_mid = g_at(x + 0.5 * h)
         g_hi = g_at(x + h)
         k1u = v
@@ -151,23 +56,7 @@ def _rk4_sweep_numpy(g0s, g1s, g2, q, alpha, x0s, u0s, v0s, h, nsteps):
             v[mask] /= m[mask]
             peak[mask] /= m[mask]
     safe = np.where(peak == 0.0, 1.0, peak)
-    return u / safe
-
-
-def rk4_sweep(g0s, g1s, g2, q, alpha, x0s, u0s, v0s, h, nsteps, backend=None):
-    """Dispatch the RK4 shooting sweep to the selected backend."""
-    g0s = np.ascontiguousarray(g0s, dtype=float)
-    g1s = np.ascontiguousarray(g1s, dtype=float)
-    x0s = np.ascontiguousarray(x0s, dtype=float)
-    u0s = np.ascontiguousarray(u0s, dtype=float)
-    v0s = np.ascontiguousarray(v0s, dtype=float)
-    chosen = backend or active_backend()
-    if chosen == "numba":
-        _apply_thread_cap()
-        return _rk4_sweep_numba(g0s, g1s, float(g2), float(q), float(alpha),
-                                x0s, u0s, v0s, float(h), int(nsteps))
-    return _rk4_sweep_numpy(g0s, g1s, float(g2), float(q), float(alpha),
-                            x0s, u0s, v0s, float(h), int(nsteps))
+    return u / safe, v / safe
 
 
 # ---------------------------------------------------------------------------

@@ -333,9 +333,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="salpeter",
         description="Spectra and wavefunctions of the generalized-Hulthen spinless "
-                    "Salpeter problem (hbar = c = 1).",
-        epilog="Environment: SALPETER_THREADS caps oracle parallelism (0 = auto); "
-               "SALPETER_BACKEND selects the shooting kernel (auto|numba|numpy).")
+                    "Salpeter problem (hbar = c = 1).")
     parser.add_argument("--config", required=True, help="JSON parameter document")
     parser.add_argument("--command", choices=_COMMANDS, default=None)
     parser.add_argument("--out", default=None, help="output path (default stdout)")

@@ -4,10 +4,12 @@ Two solvers, deliberately unrelated to the closed forms:
 
 * a symmetric finite-difference eigensolver for the linear nonrelativistic
   problem, Richardson-extrapolated over two grids;
-* a shooting integrator for the full energy-nonlinear reduced equation,
-  with bracketing and bisection on the far-boundary mismatch (bisection is
-  unconditionally convergent, which no fixed-point linearization of the
-  E-nonlinearity guarantees).
+* a shooting integrator for the full energy-nonlinear reduced equation. Its
+  far end is matched to the exact decaying tail, the Robin condition
+  psi'(x_max) + kappa(E) psi(x_max) = 0 with kappa = sqrt(-g0(E)), so a
+  shallow level needs no longer domain (asymptotic matching, Cooley,
+  Math. Comp. 15 (1961) 363). Roots of the Robin residual are bracketed by
+  a scan and polished with Brent's method.
 
 Only the Real regime is handled here; complex regimes are checked through
 algebraic identities instead (see the spectra tests).
@@ -17,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
+from scipy.optimize import brentq
 
 from . import potentials
 from ._kernels import frobenius_start, g_laurent_q1, rk4_sweep
@@ -31,8 +34,7 @@ from .errors import (
 from .potentials import MassConfig, PotentialParams, Regime
 
 FROBENIUS_ORDER = 16
-DECAY_EXPONENT = 16.0          # kappa * x_max at the adaptive refinement stage
-X_MAX_CAP_ALPHA = 2000.0       # hard cap on alpha * x_max
+ROOT_XTOL = 1e-12              # absolute energy tolerance of the Brent polish
 
 
 @dataclass(frozen=True)
@@ -137,7 +139,8 @@ def fd_eigenvalues(params: PotentialParams, mu: float, count: int,
     return list((4.0 * fine - coarse) / 3.0)
 
 
-def _mismatch_batch(problem: EffectiveProblem, energies, backend=None):
+def _shoot(problem: EffectiveProblem, energies):
+    """(g0, psi, psi') at x_max per energy, psi and psi' over the peak of |psi|."""
     energies = np.atleast_1d(np.asarray(energies, dtype=float))
     n = energies.size
     g0s = np.empty(n)
@@ -150,42 +153,37 @@ def _mismatch_batch(problem: EffectiveProblem, energies, backend=None):
         g0s[i], g1s[i], g2 = problem.g_coefficients(e)
         x0s[i], u0s[i], v0s[i] = problem.start_state(e)
     nsteps = int(round((problem.x_max - x0s[0]) / problem.h))
-    out = rk4_sweep(g0s, g1s, g2, problem.params.q, problem.params.alpha,
-                    x0s, u0s, v0s, problem.h, nsteps, backend=backend)
-    if not np.all(np.isfinite(out)):
+    u, v = rk4_sweep(g0s, g1s, g2, problem.params.q, problem.params.alpha,
+                     x0s, u0s, v0s, problem.h, nsteps)
+    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
         raise ShootingOverflowError("non-finite shooting mismatch")
-    return out
+    return g0s, u, v
+
+
+def _robin_residual(problem: EffectiveProblem, energies):
+    """psi' + kappa psi at x_max; zero when only the decaying tail is present."""
+    g0s, u, v = _shoot(problem, energies)
+    return v + np.sqrt(-g0s) * u
 
 
 def shooting_mismatch(params: PotentialParams, masses: MassConfig, energy: float,
-                      h: float = 0.0, x_max: float = 0.0, backend=None) -> float:
+                      h: float = 0.0, x_max: float = 0.0) -> float:
     """psi(x_max) for the outward integration, rescaled by its running maximum."""
     problem = EffectiveProblem(params, masses, x_max=x_max, h=h)
-    return float(_mismatch_batch(problem, [energy], backend=backend)[0])
-
-
-def _bisect(problem, lo, hi, f_lo, backend, iters=90, xtol=1e-12):
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        f_mid = float(_mismatch_batch(problem, [mid], backend=backend)[0])
-        if np.sign(f_mid) == np.sign(f_lo):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
-        if hi - lo < xtol * max(1.0, abs(mid)):
-            break
-    return 0.5 * (lo + hi)
+    return float(_shoot(problem, [energy])[1][0])
 
 
 def salpeter_levels(params: PotentialParams, masses: MassConfig, window=None,
-                    scan_points: int = 240, h: float = 0.0, x_max: float = 0.0,
-                    backend=None, refine: bool = True):
+                    scan_points: int = 240, h: float = 0.0, x_max: float = 0.0):
     """Eigenvalues of the energy-nonlinear reduced equation inside the window.
 
-    Scans the shooting mismatch, brackets its sign changes, bisects each
-    bracket, then re-bisects with a domain extended to kappa * x_max >= 16
-    so shallow levels are not shifted by the Dirichlet truncation. Returns
-    the sorted roots.
+    Scans the Robin residual psi' + kappa psi at x_max over scan_points
+    energies and polishes each sign change with Brent's method. The residual
+    is continuous in E and Brent keeps a sign-change bracket at every step,
+    falling back to bisection whenever interpolation does not shrink it fast
+    enough, so the polish converges whatever the shape of the residual.
+    The window must lie inside (-2 m_tilde, 0), where g0 < 0 and the tail
+    decays. Returns the roots in ascending order.
     """
     if scan_points < 100:
         raise ValidationError("scan_points must be >= 100")
@@ -195,51 +193,26 @@ def salpeter_levels(params: PotentialParams, masses: MassConfig, window=None,
         delta = 1e-8 * max(1.0, edge)
         window = (-edge + delta, -delta)
     lo, hi = window
-    if not lo < hi < 0.0:
-        raise ValidationError("window must satisfy lo < hi < 0")
+    if not -2.0 * mt < lo < hi < 0.0:
+        raise ValidationError("window must satisfy -2 m_tilde < lo < hi < 0")
     problem = EffectiveProblem(params, masses, x_max=x_max, h=h)
     energies = np.linspace(lo, hi, scan_points)
-    values = _mismatch_batch(problem, energies, backend=backend)
+    values = _robin_residual(problem, energies)
+
+    def residual(energy):
+        return float(_robin_residual(problem, [energy])[0])
+
     roots = []
     for i in range(scan_points - 1):
         if values[i] == 0.0:
-            roots.append((energies[i], energies[i], energies[i + 1]))
-            continue
-        if np.sign(values[i]) * np.sign(values[i + 1]) < 0:
-            root = _bisect(problem, energies[i], energies[i + 1], values[i], backend)
-            roots.append((root, energies[i], energies[i + 1]))
-    if not refine:
-        return sorted(r for r, _, _ in roots)
-
-    refined = []
-    alpha = params.alpha
-    for root, blo, bhi in roots:
-        g0 = problem.g_coefficients(root)[0]
-        kappa = np.sqrt(max(-g0, 1e-30))
-        needed = DECAY_EXPONENT / kappa
-        x_big = min(max(problem.x_max, needed), X_MAX_CAP_ALPHA / alpha)
-        if x_big <= problem.x_max * (1.0 + 1e-12):
-            refined.append(root)
-            continue
-        big = EffectiveProblem(params, masses, x_max=x_big, h=problem.h)
-        width = max(4.0 * (bhi - blo), 1e-3 * abs(root), 1e-9)
-        wlo, whi = root - width, min(root + width, hi)
-        f_lo, f_hi = _mismatch_batch(big, [wlo, whi], backend=backend)
-        attempts = 0
-        while np.sign(f_lo) == np.sign(f_hi) and attempts < 4:
-            width *= 4.0
-            wlo, whi = root - width, min(root + width, hi)
-            f_lo, f_hi = _mismatch_batch(big, [wlo, whi], backend=backend)
-            attempts += 1
-        if np.sign(f_lo) == np.sign(f_hi):
-            refined.append(root)   # keep the coarse-domain estimate
-            continue
-        refined.append(_bisect(big, wlo, whi, float(f_lo), backend))
-    return sorted(refined)
+            roots.append(float(energies[i]))
+        elif np.sign(values[i]) * np.sign(values[i + 1]) < 0:
+            roots.append(brentq(residual, energies[i], energies[i + 1], xtol=ROOT_XTOL))
+    return roots
 
 
 def mismatch_sweep(params: PotentialParams, masses: MassConfig, energies,
-                   h: float = 0.0, x_max: float = 0.0, backend=None):
-    """Batch mismatch evaluation (exposed for scans and the backend benchmark)."""
+                   h: float = 0.0, x_max: float = 0.0):
+    """Batch Dirichlet mismatch psi(x_max)/peak, the quantity shooting_mismatch returns."""
     problem = EffectiveProblem(params, masses, x_max=x_max, h=h)
-    return _mismatch_batch(problem, energies, backend=backend)
+    return _shoot(problem, energies)[1]

@@ -55,7 +55,7 @@ def findings():
 def reference_rk4_trajectory(g_of_x, x0, u0, v0, h, nsteps):
     """Plain-python RK4 for psi'' + g psi = 0, keeping the whole trajectory.
 
-    Independent of the package kernels; used to cross-check backends and to
+    Independent of the package kernel; used to cross-check it and to
     count nodes of shooting solutions.
     """
     xs = np.empty(nsteps + 1)
