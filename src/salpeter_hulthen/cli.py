@@ -9,6 +9,7 @@ level, 4 oracle non-convergence.
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -48,6 +49,15 @@ class RunConfig:
     scan: tuple | None = None   # (param, start, stop, points)
 
 
+def _number(value, name: str, low=-math.inf, integral: bool = False):
+    """value as a finite float (or int when integral) >= low; bools and strings are rejected."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value) or (integral and value != round(value)) or value < low):
+        kind = "an integer" if integral else "a finite number"
+        raise ValidationError(f"{name} must be {kind} >= {low}, got {value!r}")
+    return int(value) if integral else float(value)
+
+
 def build_config(doc: dict, overrides: dict | None = None) -> RunConfig:
     """Validate the merged JSON document and produce a RunConfig."""
     unknown = set(doc) - _CONFIG_KEYS
@@ -65,17 +75,11 @@ def build_config(doc: dict, overrides: dict | None = None) -> RunConfig:
     mode = merged.get("mode", "salpeter")
     if mode not in ("salpeter", "nonrelativistic"):
         raise ValidationError("mode must be 'salpeter' or 'nonrelativistic'")
-    n_max = int(merged.get("n_max", 0))
-    if n_max < 0:
-        raise ValidationError("n_max must be >= 0")
-    grid_points = int(merged.get("grid_points", 200))
-    if grid_points <= 0:
-        raise ValidationError("grid_points must be positive")
-    x_max = float(merged.get("x_max", 0.0))
-    if x_max < 0:
-        raise ValidationError("x_max must be nonnegative")
-    tolerance = float(merged.get("tolerance", 1e-10))
-    if tolerance <= 0:
+    n_max = _number(merged.get("n_max", 0), "n_max", 0, integral=True)
+    grid_points = _number(merged.get("grid_points", 200), "grid_points", 1, integral=True)
+    x_max = _number(merged.get("x_max", 0.0), "x_max", 0.0)
+    tolerance = _number(merged.get("tolerance", 1e-10), "tolerance", 0.0)
+    if tolerance == 0.0:
         raise ValidationError("tolerance must be positive")
     fmt = merged.get("format", "json")
     if fmt not in ("json", "csv"):
@@ -87,9 +91,8 @@ def build_config(doc: dict, overrides: dict | None = None) -> RunConfig:
             raise ValidationError(f"scan block must have exactly the keys {sorted(_SCAN_KEYS)}")
         if sdoc["param"] not in ("V0", "alpha", "q"):
             raise ValidationError("scan.param must be one of V0, alpha, q")
-        if int(sdoc["points"]) < 2:
-            raise ValidationError("scan.points must be >= 2")
-        scan = (sdoc["param"], float(sdoc["start"]), float(sdoc["stop"]), int(sdoc["points"]))
+        scan = (sdoc["param"], _number(sdoc["start"], "scan.start"),
+                _number(sdoc["stop"], "scan.stop"), _number(sdoc["points"], "scan.points", 2, True))
     return RunConfig(command=command, params=params, masses=masses, mode=mode,
                      n_max=n_max, grid_points=grid_points, x_max=x_max,
                      tolerance=tolerance, format=fmt, scan=scan)

@@ -64,8 +64,8 @@ class EffectiveProblem:
         if self.params.q > 1.0:
             raise PoleOnGridError("potential pole inside the integration domain for q > 1")
 
-    def g_coefficients(self, energy: float):
-        """(g0, g1, g2) of g = g0 + g1 r + g2 r^2, r = s/(1 - q s)."""
+    def g_coefficients(self, energy):
+        """(g0, g1, g2) of g = g0 + g1 r + g2 r^2, r = s/(1 - q s); energy may be an array."""
         mu, mt = self.masses.mu, self.masses.m_tilde
         v0 = self.params.v0
         g0 = 2.0 * mu * (energy + energy * energy / (2.0 * mt))
@@ -80,25 +80,25 @@ class EffectiveProblem:
         w = v - energy
         return 2.0 * mu * (-w + w * w / (2.0 * mt))
 
-    def start_state(self, energy: float):
-        """Initial (x0, psi, psi') honoring psi(0) = 0.
+    def start_state(self, energy):
+        """Initial (x0, psi, psi') honoring psi(0) = 0, for a float or an array.
 
+        x0 is shared by every energy; psi and psi' take the shape of energy.
         For q = 1 the origin is a pole of the potential and the regular
         solution behaves like x^nu; the integration then starts from a
         Frobenius series evaluated at x0 = 0.5/alpha.
         """
-        if self.params.q == 1.0:
-            g0, g1, g2 = self.g_coefficients(energy)
-            coeffs = g_laurent_q1(g0, g1, g2, self.params.alpha, FROBENIUS_ORDER)
-            x0 = 0.5 / self.params.alpha
-            try:
-                u0, v0 = frobenius_start(coeffs, x0, FROBENIUS_ORDER)
-            except ValueError as exc:
-                raise NonConvergentError(
-                    "supercritical attractive 1/x^2 tail at the origin; "
-                    "the Dirichlet spectrum is not well defined") from exc
-            return x0, u0, v0
-        return 0.0, 0.0, 1.0
+        if self.params.q != 1.0:
+            return 0.0, np.zeros(np.shape(energy)), np.ones(np.shape(energy))
+        coeffs = g_laurent_q1(*self.g_coefficients(energy), self.params.alpha, FROBENIUS_ORDER)
+        x0 = 0.5 / self.params.alpha
+        try:
+            u0, v0 = frobenius_start(coeffs, x0, FROBENIUS_ORDER)
+        except ValueError as exc:
+            raise NonConvergentError(
+                "supercritical attractive 1/x^2 tail at the origin; "
+                "the Dirichlet spectrum is not well defined") from exc
+        return x0, u0, v0
 
 
 def fd_eigenvalues(params: PotentialParams, mu: float, count: int,
@@ -142,19 +142,11 @@ def fd_eigenvalues(params: PotentialParams, mu: float, count: int,
 def _shoot(problem: EffectiveProblem, energies):
     """(g0, psi, psi') at x_max per energy, psi and psi' over the peak of |psi|."""
     energies = np.atleast_1d(np.asarray(energies, dtype=float))
-    n = energies.size
-    g0s = np.empty(n)
-    g1s = np.empty(n)
-    x0s = np.empty(n)
-    u0s = np.empty(n)
-    v0s = np.empty(n)
-    g2 = 0.0
-    for i, e in enumerate(energies):
-        g0s[i], g1s[i], g2 = problem.g_coefficients(e)
-        x0s[i], u0s[i], v0s[i] = problem.start_state(e)
-    nsteps = int(round((problem.x_max - x0s[0]) / problem.h))
+    g0s, g1s, g2 = problem.g_coefficients(energies)
+    x0, u0s, v0s = problem.start_state(energies)
+    nsteps = int(round((problem.x_max - x0) / problem.h))
     u, v = rk4_sweep(g0s, g1s, g2, problem.params.q, problem.params.alpha,
-                     x0s, u0s, v0s, problem.h, nsteps)
+                     x0, u0s, v0s, problem.h, nsteps)
     if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
         raise ShootingOverflowError("non-finite shooting mismatch")
     return g0s, u, v

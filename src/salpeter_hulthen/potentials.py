@@ -62,6 +62,8 @@ class PotentialParams:
     regime: Regime = Regime.REAL
 
     def __post_init__(self):
+        if not np.all(np.isfinite((self.v0, self.alpha, self.q))):
+            raise ValidationError("V0, alpha and q must be finite")
         if self.alpha == 0.0:
             raise ValidationError("alpha must be nonzero")
         if self.q == 0.0 and self.regime is not Regime.REAL:
@@ -90,8 +92,8 @@ class MassConfig:
     m2: float
 
     def __post_init__(self):
-        if self.m1 <= 0 or self.m2 <= 0:
-            raise ValidationError("masses must be positive")
+        if not (0 < self.m1 < np.inf and 0 < self.m2 < np.inf):
+            raise ValidationError("masses must be positive and finite")
 
     @classmethod
     def equal(cls, m):

@@ -62,6 +62,16 @@ def test_bad_values_exit_2(tmp_path):
     assert code == 2
     code, _ = run(tmp_path, {**BASE, "regime": "Nope"}, "--command", "spectrum")
     assert code == 2
+    scan = {"param": "V0", "start": 0.85, "stop": 0.95, "points": 3}
+    bad = [{"n_max": "x"}, {"n_max": 2.7}, {"n_max": True}, {"grid_points": "a"},
+           {"x_max": "a"}, {"x_max": float("nan")}, {"tolerance": float("inf")},
+           {"scan": {**scan, "start": "a"}}, {"scan": {**scan, "points": 2.5}},
+           {"V0": float("nan")}, {"V0": float("inf")}, {"alpha": float("nan")},
+           {"alpha": float("inf")}, {"m1": float("nan")}]
+    for fields in bad:
+        command = "scan" if "scan" in fields else "spectrum"
+        code, _ = run(tmp_path, {**BASE, **fields}, "--command", command)
+        assert code == 2, fields
 
 
 def test_wavefunction_csv_schema(tmp_path):

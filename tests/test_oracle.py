@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from conftest import reference_rk4_trajectory
 from salpeter_hulthen import MassConfig, PotentialParams, Regime, bound_states
@@ -192,26 +193,25 @@ def test_shooting_agrees_with_fd_on_linear_problem():
         u0, v0 = frobenius_start(coeffs, x0, 16)
         nsteps = int((60.0 - x0) / 0.004)
         u, _ = rk4_sweep(np.array([g0]), np.array([g1]), g2, p.q, p.alpha,
-                         np.array([x0]), np.array([u0]), np.array([v0]), 0.004, nsteps)
+                         x0, np.array([u0]), np.array([v0]), 0.004, nsteps)
         return u[0]
 
-    lo, hi = -0.26, -0.24
-    flo = mismatch(lo)
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        fm = mismatch(mid)
-        if np.sign(fm) == np.sign(flo):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    shoot = 0.5 * (lo + hi)
+    shoot = brentq(mismatch, -0.26, -0.24, xtol=1e-10)
     assert shoot == pytest.approx(fd, abs=1e-7)
 
 
-def test_backend_against_reference_integrator():
-    # third, dependency-free integrator as arbiter
-    p = PotentialParams(0.7, 1.0, 0.5)
-    e = -0.2
+@pytest.mark.parametrize("q, v0, level", [(0.5, 1.5, -0.0189), (1.0, 0.9, -0.0150)],
+                         ids=["0.5", "1.0"])
+def test_backend_against_reference_integrator(q, v0, level):
+    # third, dependency-free integrator as arbiter; at q = 1 both start from
+    # the batched Frobenius series at x0 = 0.5/alpha. The energies sit around
+    # a shallow level, where psi(x_max)/peak is not pinned at +-1 by a
+    # growing tail, so the values test the integration itself.
+    p = PotentialParams(v0, 1.0, q)
+    energies = level * np.array([1.05, 1.0, 0.95])
+    vals = oracle.mismatch_sweep(p, MC1, energies)
+    assert np.all(np.abs(vals) < 0.99)
+    e = energies[1]
     prob = oracle.EffectiveProblem(p, MC1)
     g0, g1, g2 = prob.g_coefficients(e)
 
@@ -220,11 +220,14 @@ def test_backend_against_reference_integrator():
         r = s / (1 - p.q * s)
         return g0 + g1 * r + g2 * r * r
 
-    nsteps = int(prob.x_max / prob.h)
-    _, us = reference_rk4_trajectory(g_of_x, 0.0, 0.0, 1.0, prob.h, nsteps)
+    x0, u0, v0 = prob.start_state(e)
+    nsteps = int(round((prob.x_max - x0) / prob.h))
+    _, us = reference_rk4_trajectory(g_of_x, x0, u0, v0, prob.h, nsteps)
     ref = us[-1] / np.max(np.abs(us))
-    val = oracle.shooting_mismatch(p, MC1, e)
-    assert val == pytest.approx(ref, rel=1e-10)
+    assert vals[1] == pytest.approx(ref, rel=1e-10)
+    # each batch row is the same computation as that energy on its own
+    singles = [oracle.shooting_mismatch(p, MC1, energy) for energy in energies]
+    np.testing.assert_array_equal(vals, singles)
 
 
 def test_scan_points_validation():
