@@ -33,6 +33,10 @@ _CONFIG_KEYS = {"V0", "alpha", "q", "regime", "m1", "m2",
                 "tolerance", "format", "scan"}
 _COMMANDS = ("spectrum", "wavefunction", "verify", "scan", "count")
 _SCAN_KEYS = {"param", "start", "stop", "points"}
+# Highest accepted n_max: every command loops over n = 0..n_max, and the
+# Rodrigues construction of a wavefunction divides by n!, which leaves the
+# float range at n = 171.
+N_MAX_CAP = 100
 
 
 @dataclass(frozen=True)
@@ -76,6 +80,8 @@ def build_config(doc: dict, overrides: dict | None = None) -> RunConfig:
     if mode not in ("salpeter", "nonrelativistic"):
         raise ValidationError("mode must be 'salpeter' or 'nonrelativistic'")
     n_max = _number(merged.get("n_max", 0), "n_max", 0, integral=True)
+    if n_max > N_MAX_CAP:
+        raise ValidationError(f"n_max must be <= {N_MAX_CAP}, got {n_max}")
     grid_points = _number(merged.get("grid_points", 200), "grid_points", 1, integral=True)
     x_max = _number(merged.get("x_max", 0.0), "x_max", 0.0)
     tolerance = _number(merged.get("tolerance", 1e-10), "tolerance", 0.0)

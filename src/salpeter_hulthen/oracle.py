@@ -9,7 +9,10 @@ Two solvers, deliberately unrelated to the closed forms:
   psi'(x_max) + kappa(E) psi(x_max) = 0 with kappa = sqrt(-g0(E)), so a
   shallow level needs no longer domain (asymptotic matching, Cooley,
   Math. Comp. 15 (1961) 363). Roots of the Robin residual are bracketed by
-  a scan and polished with Brent's method.
+  a scan and polished all at once by a batched multisection: each pass
+  integrates POLISH_POINTS - 1 interior energies of every open bracket in
+  one kernel call and keeps a subinterval over which the residual changes
+  sign.
 
 Only the Real regime is handled here; complex regimes are checked through
 algebraic identities instead (see the spectra tests).
@@ -19,7 +22,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
-from scipy.optimize import brentq
 
 from . import potentials
 from ._kernels import frobenius_start, g_laurent_q1, rk4_sweep
@@ -34,7 +36,8 @@ from .errors import (
 from .potentials import MassConfig, PotentialParams, Regime
 
 FROBENIUS_ORDER = 16
-ROOT_XTOL = 1e-12              # absolute energy tolerance of the Brent polish
+ROOT_XTOL = 1e-12              # absolute energy tolerance of the polish
+POLISH_POINTS = 128            # subintervals per bracket and polish pass
 
 
 @dataclass(frozen=True)
@@ -165,15 +168,61 @@ def shooting_mismatch(params: PotentialParams, masses: MassConfig, energy: float
     return float(_shoot(problem, [energy])[1][0])
 
 
+def _polish(residual, lo, hi):
+    """Midpoints of the brackets [lo, hi] of a continuous residual, narrowed together.
+
+    residual maps an energy array to an array of values, and each bracket
+    holds a sign change (or lo == hi, a known root). Every pass evaluates the
+    POLISH_POINTS - 1 interior energies of all open brackets in one call and
+    keeps, per bracket, the first subinterval whose ends differ in sign; an
+    interior value of exactly zero is the root itself. Before that
+    subinterval every value has the sign of the lower end, so that sign is
+    evaluated once, with the first pass. A bracket closes at ROOT_XTOL wide,
+    or at 4 eps |E| where that is wider (a few ulps: near |E| = 1e4 one ulp
+    exceeds ROOT_XTOL, and rounding would stall the bracket); until then
+    each pass shrinks it about POLISH_POINTS-fold.
+    """
+    lo = np.array(lo, dtype=float)
+    hi = np.array(hi, dtype=float)
+    inner = np.arange(1, POLISH_POINTS) / POLISH_POINTS
+    sign_lo = None
+    while True:
+        width = hi - lo
+        tol = ROOT_XTOL + 4.0 * np.finfo(float).eps * np.maximum(np.abs(lo), np.abs(hi))
+        todo = np.flatnonzero(width > tol)
+        if todo.size == 0:
+            return 0.5 * (lo + hi)
+        grid = lo[todo, None] + width[todo, None] * inner
+        if sign_lo is None:
+            values = residual(np.concatenate((lo[todo], grid.ravel())))
+            sign_lo = np.zeros(lo.shape)
+            sign_lo[todo] = np.sign(values[:todo.size])
+            values = values[todo.size:]
+        else:
+            values = residual(grid.ravel())
+        # column k holds the value at edges[k + 1]; the upper end's is not
+        # evaluated (NaN), so its subinterval is kept when no interior value
+        # leaves the lower end's sign
+        padded = np.hstack((values.reshape(grid.shape), np.full((todo.size, 1), np.nan)))
+        k = np.argmax((padded == 0.0) | (np.sign(padded) != sign_lo[todo, None]), axis=1)
+        rows = np.arange(todo.size)
+        edges = np.column_stack((lo[todo], grid, hi[todo]))
+        hi[todo] = edges[rows, k + 1]
+        lo[todo] = np.where(padded[rows, k] == 0.0, hi[todo], edges[rows, k])
+
+
 def salpeter_levels(params: PotentialParams, masses: MassConfig, window=None,
                     scan_points: int = 240, h: float = 0.0, x_max: float = 0.0):
     """Eigenvalues of the energy-nonlinear reduced equation inside the window.
 
     Scans the Robin residual psi' + kappa psi at x_max over scan_points
-    energies and polishes each sign change with Brent's method. The residual
-    is continuous in E and Brent keeps a sign-change bracket at every step,
-    falling back to bisection whenever interpolation does not shrink it fast
-    enough, so the polish converges whatever the shape of the residual.
+    energies and polishes every sign change at once with a batched
+    multisection (`_polish`): each pass integrates POLISH_POINTS - 1 interior
+    energies of every bracket in one kernel call and keeps a subinterval
+    whose ends differ in sign. The residual is continuous in E, so each kept
+    subinterval still holds a root, and the polish converges whatever the
+    shape of the residual, a step-like one on deep levels included. From the
+    default window that takes five passes, however many roots there are.
     The window must lie inside (-2 m_tilde, 0), where g0 < 0 and the tail
     decays. Returns the roots in ascending order.
     """
@@ -190,17 +239,12 @@ def salpeter_levels(params: PotentialParams, masses: MassConfig, window=None,
     problem = EffectiveProblem(params, masses, x_max=x_max, h=h)
     energies = np.linspace(lo, hi, scan_points)
     values = _robin_residual(problem, energies)
-
-    def residual(energy):
-        return float(_robin_residual(problem, [energy])[0])
-
-    roots = []
-    for i in range(scan_points - 1):
-        if values[i] == 0.0:
-            roots.append(float(energies[i]))
-        elif np.sign(values[i]) * np.sign(values[i + 1]) < 0:
-            roots.append(brentq(residual, energies[i], energies[i + 1], xtol=ROOT_XTOL))
-    return roots
+    # a scan value of exactly zero is a root: a bracket of zero width
+    zero = values[:-1] == 0.0
+    keep = zero | (np.sign(values[:-1]) * np.sign(values[1:]) < 0)
+    lo = energies[:-1][keep]
+    hi = np.where(zero[keep], lo, energies[1:][keep])
+    return _polish(lambda e: _robin_residual(problem, e), lo, hi).tolist()
 
 
 def mismatch_sweep(params: PotentialParams, masses: MassConfig, energies,

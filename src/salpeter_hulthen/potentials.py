@@ -49,7 +49,8 @@ class PotentialParams:
     v0 : float
         Coupling constant (energy units, hbar = c = 1).
     alpha : float
-        Screening (range) parameter, inverse length. Must be nonzero.
+        Screening (range) parameter, inverse length. Must be nonzero, and
+        positive in the Real regime, where the well decays with x.
     q : float
         Deformation parameter. q = 0 is allowed only in the real regime.
     regime : Regime
@@ -66,6 +67,8 @@ class PotentialParams:
             raise ValidationError("V0, alpha and q must be finite")
         if self.alpha == 0.0:
             raise ValidationError("alpha must be nonzero")
+        if self.alpha < 0.0 and self.regime is Regime.REAL:
+            raise ValidationError("alpha must be positive in the Real regime")
         if self.q == 0.0 and self.regime is not Regime.REAL:
             raise ValidationError("q = 0 is only allowed in the Real regime")
 

@@ -67,7 +67,8 @@ def test_bad_values_exit_2(tmp_path):
            {"x_max": "a"}, {"x_max": float("nan")}, {"tolerance": float("inf")},
            {"scan": {**scan, "start": "a"}}, {"scan": {**scan, "points": 2.5}},
            {"V0": float("nan")}, {"V0": float("inf")}, {"alpha": float("nan")},
-           {"alpha": float("inf")}, {"m1": float("nan")}]
+           {"alpha": float("inf")}, {"m1": float("nan")}, {"alpha": -1.0},
+           {"n_max": cli.N_MAX_CAP + 1}, {"n_max": 100000000}]
     for fields in bad:
         command = "scan" if "scan" in fields else "spectrum"
         code, _ = run(tmp_path, {**BASE, **fields}, "--command", command)
@@ -140,6 +141,12 @@ def test_scan_command(tmp_path):
     # the scan block survives the config-echo round trip
     rebuilt = cli.build_config(payload["metadata"]["config_echo"])
     assert rebuilt == cli.build_config({**doc, "command": "scan", "n_max": 0})
+    # a scan point outside the Real domain (alpha <= 0) is a row error, not an exit
+    doc = {**BASE, "scan": {"param": "alpha", "start": -1.0, "stop": 1.0, "points": 3}}
+    code, text = run(tmp_path, doc, "--command", "scan", "--n-max", "0")
+    assert code == 0
+    surface = json.loads(text)["surface"]
+    assert ["error" in e for e in surface] == [True, True, False]
 
 
 def test_command_from_config_document(tmp_path):

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from conftest import reference_rk4_trajectory
@@ -186,18 +190,84 @@ def test_shooting_agrees_with_fd_on_linear_problem():
     mu = 0.5
     fd = oracle.fd_eigenvalues(p, mu, 1, h=0.0025)[0]
 
-    def mismatch(e):
-        g0, g1, g2 = 2 * mu * e, 2 * mu * p.v0, 0.0
+    def mismatch(energies):
+        g0, g1, g2 = 2 * mu * energies, np.full_like(energies, 2 * mu * p.v0), 0.0
         coeffs = g_laurent_q1(g0, g1, g2, p.alpha, 16)
         x0 = 0.5 / p.alpha
         u0, v0 = frobenius_start(coeffs, x0, 16)
         nsteps = int((60.0 - x0) / 0.004)
-        u, _ = rk4_sweep(np.array([g0]), np.array([g1]), g2, p.q, p.alpha,
-                         x0, np.array([u0]), np.array([v0]), 0.004, nsteps)
-        return u[0]
+        u, _ = rk4_sweep(g0, g1, g2, p.q, p.alpha, x0, u0, v0, 0.004, nsteps)
+        return u
 
-    shoot = brentq(mismatch, -0.26, -0.24, xtol=1e-10)
+    shoot = oracle._polish(mismatch, [-0.26], [-0.24])[0]
     assert shoot == pytest.approx(fd, abs=1e-7)
+
+
+def test_polish_is_one_kernel_call_per_pass(monkeypatch):
+    # the scan, then one batched call per polish pass for all brackets at once
+    calls = []
+    sweep = oracle.rk4_sweep
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[0]))
+        return sweep(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "rk4_sweep", counted)
+    roots = oracle.salpeter_levels(PotentialParams(0.1425, 0.15, 1.0), MC1)
+    assert len(roots) == 2
+    width = (2.0 - 4e-8) / 239                 # scan step of the default window
+    passes = math.ceil(math.log(width / oracle.ROOT_XTOL) / math.log(oracle.POLISH_POINTS))
+    assert passes == 5
+    assert len(calls) == 1 + passes
+
+
+def test_polish_on_closed_form_residuals():
+    # both roots sit on the first pass's grid: an exact zero is the root itself
+    roots = oracle._polish(lambda e: (e + 0.75) * (e + 0.25), [-1.0, -0.5], [-0.5, 0.0])
+    assert roots.tolist() == [-0.75, -0.25]
+    # near |E| = 1e4 one ulp (1.8e-12) is wider than ROOT_XTOL and no double is
+    # an exact zero; the bracket still closes
+    root = oracle._polish(lambda e: (e + 12345.678) - 4e-13, [-2e4], [-5e3])[0]
+    assert root == pytest.approx(-12345.678, abs=1e-11)
+
+
+@pytest.mark.parametrize("v0, alpha, q", [(0.9, 1.0, 1.0), (0.1425, 0.15, 1.0),
+                                          (3.8, 1.0, 0.5), (6.2, 1.0, -1.0)])
+def test_polish_matches_brent_on_the_scan_brackets(v0, alpha, q):
+    p = PotentialParams(v0, alpha, q)
+    h = 0.049 / alpha
+    window = (-2.0 + 2e-8, -2e-8)              # the default window at unit masses
+    roots = oracle.salpeter_levels(p, MC1, window=window, h=h)
+    problem = oracle.EffectiveProblem(p, MC1, h=h)
+    energies = np.linspace(*window, 240)
+    values = oracle._robin_residual(problem, energies)
+    brackets = np.flatnonzero(np.sign(values[:-1]) * np.sign(values[1:]) < 0)
+
+    def residual(energy):
+        return oracle._robin_residual(problem, [energy])[0]
+
+    reference = [brentq(residual, energies[i], energies[i + 1], xtol=oracle.ROOT_XTOL)
+                 for i in brackets]
+    assert len(reference) >= 1
+    assert len(roots) == len(reference)
+    np.testing.assert_allclose(roots, reference, rtol=0, atol=2 * oracle.ROOT_XTOL)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(alpha=st.floats(0.6, 1.1), ratio=st.floats(0.86, 0.96))
+def test_every_root_is_bracketed_and_physical(alpha, ratio):
+    # criterion-5's single-level box: V0/alpha in [0.86, 0.96], q = 1
+    p = PotentialParams(ratio * alpha, alpha, 1.0)
+    roots = oracle.salpeter_levels(p, MC1)
+    assert roots
+    problem = oracle.EffectiveProblem(p, MC1)
+    physical = [state.energy.real for n in range(8)
+                for state in bound_states(p, MC1, n) if state.physical]
+    for root in roots:
+        below, above = oracle._robin_residual(
+            problem, [root - oracle.ROOT_XTOL, root + oracle.ROOT_XTOL])
+        assert np.sign(below) * np.sign(above) < 0
+        assert min(abs(e - root) for e in physical) <= 1e-4 * abs(root)
 
 
 @pytest.mark.parametrize("q, v0, level", [(0.5, 1.5, -0.0189), (1.0, 0.9, -0.0150)],

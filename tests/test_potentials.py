@@ -141,6 +141,9 @@ def test_param_invariants():
     with pytest.raises(ValidationError):
         PotentialParams(1.0, 0.0, 1.0)
     with pytest.raises(ValidationError):
+        PotentialParams(0.9, -1.0, 1.0)          # a Real well decays only for alpha > 0
+    PotentialParams(0.9, -1.0, 1.0, Regime.COMPLEX_ALPHA)
+    with pytest.raises(ValidationError):
         PotentialParams(1.0, 1.0, 0.0, Regime.COMPLEX_ALPHA)
     with pytest.raises(ValidationError):
         MassConfig(1.0, -1.0)
