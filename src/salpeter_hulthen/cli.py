@@ -3,8 +3,10 @@
 Commands: spectrum, wavefunction, verify, scan, count. Parameters come from
 a JSON config document; flags override config values. All output is
 deterministic: sorted keys, 17-significant-digit floats, fixed row order.
-Exit codes: 0 ok, 2 validation failure, 3 no bound state for any requested
-level, 4 oracle non-convergence.
+Exit codes: 0 ok, 2 validation failure (an overflow or a division by zero
+in a closed form at extreme inputs included), 3 no bound state for any
+requested level, 4 oracle non-convergence. Every nonzero exit writes a JSON
+error object to stderr.
 """
 
 import argparse
@@ -37,6 +39,12 @@ _SCAN_KEYS = {"param", "start", "stop", "points"}
 # Rodrigues construction of a wavefunction divides by n!, which leaves the
 # float range at n = 171.
 N_MAX_CAP = 100
+# Highest accepted grid_points: the JSON wavefunction writes about 80 bytes
+# per point, 8 MB at the cap.
+GRID_POINTS_CAP = 100_000
+# Highest accepted scan.points: every point solves the n_max + 1 levels, so a
+# scan is at most SCAN_POINTS_CAP * (N_MAX_CAP + 1) closed-form solves.
+SCAN_POINTS_CAP = 1_000
 
 
 @dataclass(frozen=True)
@@ -53,12 +61,13 @@ class RunConfig:
     scan: tuple | None = None   # (param, start, stop, points)
 
 
-def _number(value, name: str, low=-math.inf, integral: bool = False):
-    """value as a finite float (or int when integral) >= low; bools and strings are rejected."""
+def _number(value, name: str, low=-math.inf, high=math.inf, integral: bool = False):
+    """value as a finite float (or int when integral) in [low, high]; bools and strings are rejected."""
     if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not math.isfinite(value) or (integral and value != round(value)) or value < low):
+            or not math.isfinite(value) or (integral and value != round(value))
+            or not low <= value <= high):
         kind = "an integer" if integral else "a finite number"
-        raise ValidationError(f"{name} must be {kind} >= {low}, got {value!r}")
+        raise ValidationError(f"{name} must be {kind} in [{low}, {high}], got {value!r}")
     return int(value) if integral else float(value)
 
 
@@ -79,10 +88,9 @@ def build_config(doc: dict, overrides: dict | None = None) -> RunConfig:
     mode = merged.get("mode", "salpeter")
     if mode not in ("salpeter", "nonrelativistic"):
         raise ValidationError("mode must be 'salpeter' or 'nonrelativistic'")
-    n_max = _number(merged.get("n_max", 0), "n_max", 0, integral=True)
-    if n_max > N_MAX_CAP:
-        raise ValidationError(f"n_max must be <= {N_MAX_CAP}, got {n_max}")
-    grid_points = _number(merged.get("grid_points", 200), "grid_points", 1, integral=True)
+    n_max = _number(merged.get("n_max", 0), "n_max", 0, N_MAX_CAP, integral=True)
+    grid_points = _number(merged.get("grid_points", 200), "grid_points", 1, GRID_POINTS_CAP,
+                          integral=True)
     x_max = _number(merged.get("x_max", 0.0), "x_max", 0.0)
     tolerance = _number(merged.get("tolerance", 1e-10), "tolerance", 0.0)
     if tolerance == 0.0:
@@ -98,7 +106,8 @@ def build_config(doc: dict, overrides: dict | None = None) -> RunConfig:
         if sdoc["param"] not in ("V0", "alpha", "q"):
             raise ValidationError("scan.param must be one of V0, alpha, q")
         scan = (sdoc["param"], _number(sdoc["start"], "scan.start"),
-                _number(sdoc["stop"], "scan.stop"), _number(sdoc["points"], "scan.points", 2, True))
+                _number(sdoc["stop"], "scan.stop"),
+                _number(sdoc["points"], "scan.points", 2, SCAN_POINTS_CAP, True))
     return RunConfig(command=command, params=params, masses=masses, mode=mode,
                      n_max=n_max, grid_points=grid_points, x_max=x_max,
                      tolerance=tolerance, format=fmt, scan=scan)
@@ -377,9 +386,13 @@ def main(argv=None) -> int:
         return _error_exit(exc, 4)
     except NoBoundStateError as exc:
         return _error_exit(exc, 3)
-    except SalpeterError as exc:
+    except (SalpeterError, ArithmeticError) as exc:
         return _error_exit(exc, 2)
     _emit(payload, config, args.out)
+    if code:
+        # a handler's nonzero code means no requested level is bound; the
+        # payload holds the per-level errors
+        return _error_exit(NoBoundStateError("no bound state for any requested level"), code)
     return code
 
 

@@ -6,6 +6,7 @@ implementation (Lanczos-class accuracy, better than 1e-12 on the strip the
 normalization integrals need).
 """
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -20,8 +21,14 @@ _INT_TOL = 1e-12
 
 
 def _nonpos_int_order(z) -> int | None:
-    """Return m >= 0 when z is (numerically) the nonpositive integer -m."""
+    """Return m >= 0 when z is (numerically) the nonpositive integer -m.
+
+    Every Gamma, Beta and 2F1 parameter passes through here, so a parameter
+    that left the float range upstream is rejected here.
+    """
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise ValidationError(f"special-function parameter {z} is not finite")
     if abs(z.imag) > _INT_TOL * (1.0 + abs(z)):
         return None
     r = round(z.real)
@@ -67,7 +74,9 @@ def _series_sum(a, b, c, z, tol, max_terms):
     raise NonConvergentError("2F1 series did not meet the tail bound")
 
 
-def _terminating_sum(a, b, c, z, n_stop) -> complex:
+def _terminating_sum(a, b, c, z, n_stop, max_terms) -> complex:
+    if n_stop > max_terms:
+        raise NonConvergentError(f"terminating 2F1 series of {n_stop} terms exceeds {max_terms}")
     a, b, c, z = complex(a), complex(b), complex(c), complex(z)
     term = 1.0 + 0j
     total = term
@@ -91,7 +100,7 @@ def gauss_2f1(a, b, c, z, tol: float = 1e-14, max_terms: int = 200000) -> comple
     na, nb = _nonpos_int_order(a), _nonpos_int_order(b)
     if na is not None or nb is not None:
         n_stop = min(m for m in (na, nb) if m is not None)
-        return _terminating_sum(a, b, c, z, n_stop)
+        return _terminating_sum(a, b, c, z, n_stop, max_terms)
     if z == 0:
         return 1.0 + 0j
     if abs(z) > 1.0 + 1e-14:
@@ -109,7 +118,7 @@ def gauss_2f1(a, b, c, z, tol: float = 1e-14, max_terms: int = 200000) -> comple
     naa, nbb = _nonpos_int_order(aa), _nonpos_int_order(bb)
     if naa is not None or nbb is not None:
         n_stop = min(m for m in (naa, nbb) if m is not None)
-        return prefactor * _terminating_sum(aa, bb, c, z, n_stop)
+        return prefactor * _terminating_sum(aa, bb, c, z, n_stop, max_terms)
     return prefactor * _series_sum(aa, bb, c, z, tol, max_terms)
 
 

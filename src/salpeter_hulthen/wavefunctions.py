@@ -67,6 +67,9 @@ def rodrigues_polynomial(n: int, eps, b_over_q, q) -> JacobiPoly:
     """
     if n < 0:
         raise ValidationError("n must be nonnegative")
+    if n > 170:
+        # the 1/n! below needs n! as a float, and 171! exceeds the float range
+        raise ValidationError(f"rodrigues_polynomial needs n <= 170, got {n}")
     eps, w, q = complex(eps), complex(b_over_q), complex(q)
     if q == 0:
         raise ValidationError("rodrigues_polynomial needs q != 0 (use the q=0 confluent form)")

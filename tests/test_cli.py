@@ -1,6 +1,12 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from salpeter_hulthen import cli
 
@@ -40,9 +46,11 @@ def test_config_echo_round_trip(tmp_path):
     assert rebuilt == original
 
 
-def test_spectrum_zero_coupling_exits_3(tmp_path):
-    code, _ = run(tmp_path, {**BASE, "V0": 0.0}, "--command", "spectrum")
+def test_spectrum_zero_coupling_exits_3(tmp_path, capsys):
+    code, text = run(tmp_path, {**BASE, "V0": 0.0}, "--command", "spectrum")
     assert code == 3
+    assert json.loads(text)["levels"][0]["error"] == "NoBoundStateError"
+    assert json.loads(capsys.readouterr().err)["error"] == "NoBoundStateError"
 
 
 def test_spectrum_limit_value(tmp_path):
@@ -68,7 +76,11 @@ def test_bad_values_exit_2(tmp_path):
            {"scan": {**scan, "start": "a"}}, {"scan": {**scan, "points": 2.5}},
            {"V0": float("nan")}, {"V0": float("inf")}, {"alpha": float("nan")},
            {"alpha": float("inf")}, {"m1": float("nan")}, {"alpha": -1.0},
-           {"n_max": cli.N_MAX_CAP + 1}, {"n_max": 100000000}]
+           {"n_max": cli.N_MAX_CAP + 1}, {"n_max": 100000000},
+           {"grid_points": cli.GRID_POINTS_CAP + 1},
+           {"scan": {**scan, "points": cli.SCAN_POINTS_CAP + 1}},
+           # the closed form overflows a float: a JSON error, not a traceback
+           {"V0": -0.557, "alpha": 6.4e-142, "q": 0.217, "m1": 2.0, "m2": 3.0}]
     for fields in bad:
         command = "scan" if "scan" in fields else "spectrum"
         code, _ = run(tmp_path, {**BASE, **fields}, "--command", command)
@@ -164,3 +176,53 @@ def test_float_formatting_17g(tmp_path):
     value = 0.1234567890123456789
     rendered = cli.dumps_canonical({"x": value})
     assert format(value, ".17g") in rendered
+
+
+_JUNK = st.one_of(st.none(), st.booleans(), st.integers(-10**12, 10**12), st.floats(),
+                  st.text(max_size=3), st.lists(st.integers(), max_size=2),
+                  st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
+_SCAN = st.fixed_dictionaries({"param": st.sampled_from(["V0", "alpha", "q"]),
+                               "start": st.floats(-2.0, 2.0), "stop": st.floats(-2.0, 2.0),
+                               "points": st.integers(2, 4)})
+_FIELDS = {
+    "V0": st.floats(-1.0, 3.0), "alpha": st.floats(0.3, 2.0), "q": st.floats(-1.0, 1.0),
+    "regime": st.sampled_from(["Real", "ComplexAlpha", "ComplexV0Q", "AllComplex"]),
+    "m1": st.floats(0.3, 3.0), "m2": st.floats(0.3, 3.0),
+    "command": st.sampled_from(["spectrum", "wavefunction", "verify", "scan", "count"]),
+    "mode": st.sampled_from(["salpeter", "nonrelativistic"]), "n_max": st.integers(0, 3),
+    "grid_points": st.integers(1, 20), "x_max": st.floats(0.0, 50.0),
+    "tolerance": st.floats(1e-12, 1e-3), "format": st.sampled_from(["json", "csv"]),
+    "scan": _SCAN,
+}
+
+
+@st.composite
+def _config_documents(draw):
+    """A document of in-range values, with at most one field dropped, replaced or added."""
+    doc = {key: draw(value) for key, value in _FIELDS.items()}
+    if draw(st.booleans()):
+        doc["m2"] = doc["m1"]                  # complex regimes need equal masses
+    change = draw(st.sampled_from(["none", "none", "none", "drop", "junk", "extra"]))
+    key = draw(st.sampled_from(sorted(_FIELDS)))
+    if change == "drop":
+        del doc[key]
+    elif change == "junk":
+        doc[key] = draw(_JUNK)
+    elif change == "extra":
+        doc[draw(st.text(max_size=4))] = draw(_JUNK)
+    return doc
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(doc=_config_documents())
+def test_any_config_exits_with_a_documented_code(doc):
+    # never a traceback: 0, or 2/3/4 with a JSON error object on stderr
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.main(["--config", str(cfg), "--out", str(Path(tmp) / "out")])
+    assert code in (0, 2, 3, 4)
+    if code:
+        assert set(json.loads(err.getvalue())) == {"error", "message"}

@@ -9,7 +9,13 @@ from scipy.optimize import brentq
 from conftest import reference_rk4_trajectory
 from salpeter_hulthen import MassConfig, PotentialParams, Regime, bound_states
 from salpeter_hulthen import oracle
-from salpeter_hulthen._kernels import frobenius_start, frobenius_values, g_laurent_q1, rk4_sweep
+from salpeter_hulthen._kernels import (
+    OVERFLOW_GUARD,
+    frobenius_start,
+    frobenius_values,
+    g_laurent_q1,
+    rk4_sweep,
+)
 from salpeter_hulthen.errors import (
     NonConvergentError,
     NotConvergedError,
@@ -20,6 +26,15 @@ from salpeter_hulthen.errors import (
 from salpeter_hulthen.spectra import nonrelativistic_energy
 
 MC1 = MassConfig.equal(1.0)
+
+
+def _g_of_x(g0, g1, g2, alpha, q):
+    """g(x) = g0 + g1 r + g2 r^2 for one energy, for the reference integrator."""
+    def g_of_x(x):
+        s = np.exp(-alpha * x)
+        r = s / (1 - q * s)
+        return g0 + g1 * r + g2 * r * r
+    return g_of_x
 
 
 def test_effective_problem_defaults():
@@ -129,12 +144,7 @@ def test_salpeter_levels_two_states_sturm_order():
     nodes = []
     for root in roots:
         g0, g1, g2 = prob.g_coefficients(root)
-
-        def g_of_x(x):
-            s = np.exp(-p.alpha * x)
-            r = s / (1 - p.q * s)
-            return g0 + g1 * r + g2 * r * r
-
+        g_of_x = _g_of_x(g0, g1, g2, p.alpha, p.q)
         kappa = np.sqrt(-g0)
         x_stop = min(prob.x_max, 10.0 / kappa)
         x0, u0, v0 = prob.start_state(root)
@@ -253,7 +263,7 @@ def test_polish_matches_brent_on_the_scan_brackets(v0, alpha, q):
     np.testing.assert_allclose(roots, reference, rtol=0, atol=2 * oracle.ROOT_XTOL)
 
 
-@settings(max_examples=12, deadline=None, derandomize=True)
+@settings(max_examples=40, deadline=None, derandomize=True)
 @given(alpha=st.floats(0.6, 1.1), ratio=st.floats(0.86, 0.96))
 def test_every_root_is_bracketed_and_physical(alpha, ratio):
     # criterion-5's single-level box: V0/alpha in [0.86, 0.96], q = 1
@@ -284,12 +294,7 @@ def test_backend_against_reference_integrator(q, v0, level):
     e = energies[1]
     prob = oracle.EffectiveProblem(p, MC1)
     g0, g1, g2 = prob.g_coefficients(e)
-
-    def g_of_x(x):
-        s = np.exp(-p.alpha * x)
-        r = s / (1 - p.q * s)
-        return g0 + g1 * r + g2 * r * r
-
+    g_of_x = _g_of_x(g0, g1, g2, p.alpha, p.q)
     x0, u0, v0 = prob.start_state(e)
     nsteps = int(round((prob.x_max - x0) / prob.h))
     _, us = reference_rk4_trajectory(g_of_x, x0, u0, v0, prob.h, nsteps)
@@ -298,6 +303,74 @@ def test_backend_against_reference_integrator(q, v0, level):
     # each batch row is the same computation as that energy on its own
     singles = [oracle.shooting_mismatch(p, MC1, energy) for energy in energies]
     np.testing.assert_array_equal(vals, singles)
+
+
+@pytest.mark.parametrize("v0, q", [(0.9, 1.0), (1.5, 0.5)])
+def test_wide_sweep_against_reference_integrator(v0, q):
+    # a growing tail is its own running peak, so almost every value of a
+    # default-window sweep is exactly +-1; the few that are not test the kernel
+    p = PotentialParams(v0, 1.0, q)
+    energies = np.linspace(-2.0 + 2e-8, -2e-8, 2000)
+    vals = oracle.mismatch_sweep(p, MC1, energies)
+    probes = np.flatnonzero(np.abs(vals) != 1.0)
+    assert probes.size >= 4
+    prob = oracle.EffectiveProblem(p, MC1)
+    for i in probes:
+        g0, g1, g2 = prob.g_coefficients(energies[i])
+        x0, u0, du0 = prob.start_state(energies[i])
+        nsteps = int(round((prob.x_max - x0) / prob.h))
+        _, us = reference_rk4_trajectory(_g_of_x(g0, g1, g2, p.alpha, q), x0, u0, du0,
+                                         prob.h, nsteps)
+        assert vals[i] == pytest.approx(us[-1] / np.max(np.abs(us)), rel=1e-10)
+        assert vals[i] == oracle.shooting_mismatch(p, MC1, energies[i])
+
+
+@pytest.mark.parametrize("nsteps", [0, 1, 15, 16, 17])
+def test_kernel_step_counts_against_reference_integrator(nsteps):
+    # no step, one step, and block boundaries (BLOCK_STEPS = 16) with an
+    # oscillating g, so psi/peak is not pinned at +-1
+    g0s = np.array([30.0, 200.0, 400.0])
+    g1s = np.array([1.0, -2.0, 0.5])
+    g2, q, alpha, x0, h = 0.3, 0.5, 1.0, 0.2, 0.05
+    u0s, v0s = np.array([0.3, -0.2, 1.0]), np.array([1.0, 2.0, -1.0])
+    u, _ = rk4_sweep(g0s, g1s, g2, q, alpha, x0, u0s, v0s, h, nsteps)
+    for j in range(3):
+        _, us = reference_rk4_trajectory(_g_of_x(g0s[j], g1s[j], g2, alpha, q),
+                                         x0, u0s[j], v0s[j], h, nsteps)
+        assert u[j] == pytest.approx(us[-1] / np.max(np.abs(us)), rel=1e-10)
+        alone, _ = rk4_sweep(g0s[j:j + 1], g1s[j:j + 1], g2, q, alpha, x0,
+                             u0s[j:j + 1], v0s[j:j + 1], h, nsteps)
+        assert alone[0] == u[j]
+    if nsteps >= 15:
+        assert np.all(np.abs(u) < 1.0)
+
+
+def test_overflow_rescale_keeps_the_tail_slope():
+    # kappa * x_max ~ 290: psi grows past OVERFLOW_GUARD and is rescaled on
+    # the way; two legs of half the domain each stay below the guard
+    p = PotentialParams(0.9, 1.0, 1.0)
+    prob = oracle.EffectiveProblem(p, MC1, x_max=300.0, h=0.05)
+    energies = np.array([-1.5, -1.2, -0.9])
+    g0s, g1s, g2 = prob.g_coefficients(energies)
+    x0, u0s, v0s = prob.start_state(energies)
+    nsteps = int(round((prob.x_max - x0) / prob.h))
+    half = nsteps // 2
+    kappa = np.sqrt(-g0s[0])
+    assert kappa * (prob.x_max - x0) > math.log(OVERFLOW_GUARD)
+    assert kappa * (nsteps - half) * prob.h < 0.7 * math.log(OVERFLOW_GUARD)
+
+    def sweep(sl, x_start, u_start, v_start, steps):
+        return rk4_sweep(g0s[sl], g1s[sl], g2, p.q, p.alpha, x_start, u_start, v_start,
+                         prob.h, steps)
+
+    u, v = sweep(slice(None), x0, u0s, v0s, nsteps)
+    u1, v1 = sweep(slice(0, 1), x0, u0s[:1], v0s[:1], half)
+    u2, v2 = sweep(slice(0, 1), x0 + half * prob.h, u1, v1, nsteps - half)
+    assert v[0] / u[0] == pytest.approx(v2[0] / u2[0], rel=1e-10)
+    # each batch row is the same computation as that energy on its own
+    for j in range(3):
+        alone = sweep(slice(j, j + 1), x0, u0s[j:j + 1], v0s[j:j + 1], nsteps)
+        assert (alone[0][0], alone[1][0]) == (u[j], v[j])
 
 
 def test_scan_points_validation():

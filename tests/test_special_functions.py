@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from salpeter_hulthen.errors import NonConvergentError, ParameterPoleError
+from salpeter_hulthen.errors import NonConvergentError, ParameterPoleError, ValidationError
 from salpeter_hulthen.special_functions import (
     beta_fn,
     gamma_fn,
@@ -72,6 +72,19 @@ def test_2f1_terminating_exact():
         term *= (a + k) * (b + k) * z / ((c + k) * (k + 1))
     explicit += term
     assert gauss_2f1(a, b, c, z) == pytest.approx(explicit, rel=1e-15)
+    # a terminating series longer than max_terms is refused, not summed: a
+    # wavefunction at q ~ 1e-132 asked for ~1e131 terms and never returned
+    with pytest.raises(NonConvergentError):
+        gauss_2f1(-1e6, b, c, 0.3)
+
+
+def test_non_finite_parameters_rejected():
+    # round() of a NaN or inf parameter raised a raw ValueError/OverflowError
+    for z in (float("nan"), float("inf"), complex(1.0, float("nan"))):
+        with pytest.raises(ValidationError):
+            gamma_fn(z)
+    with pytest.raises(ValidationError):
+        gauss_2f1(float("nan"), 1.0, 2.0, 0.3)
 
 
 def test_2f1_against_mpmath(rng):

@@ -9,6 +9,7 @@ from salpeter_hulthen.errors import (
     ConvergenceViolationError,
     PoleOnGridError,
     RegimeMismatchError,
+    ValidationError,
 )
 from salpeter_hulthen.special_functions import beta_fn, jacobi_coefficients
 
@@ -41,6 +42,16 @@ def test_rodrigues_small_orders():
     jac3 = jacobi_coefficients(3, 0.74, 1.21)
     zs = np.linspace(-0.9, 0.9, 20)
     np.testing.assert_allclose(rod3(zs) / jac3(zs), np.ones_like(zs), rtol=1e-9)
+
+
+def test_rodrigues_order_beyond_float_factorial():
+    # 1/n! needs n! as a float: 170! fits, 171! raised a raw OverflowError
+    assert wfp.rodrigues_polynomial(170, 0.4, 0.7, 1.0).n == 170
+    with pytest.raises(ValidationError):
+        wfp.rodrigues_polynomial(171, 0.4, 0.7, 1.0)
+    p = PotentialParams(0.9, 1.0, 1.0)
+    with pytest.raises(ValidationError):
+        wfp.assemble(p, MC1, bound_states(p, MC1, 171)[1])
 
 
 def _state(params, n, branch="plus"):
