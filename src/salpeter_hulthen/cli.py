@@ -4,9 +4,9 @@ Commands: spectrum, wavefunction, verify, scan, count. Parameters come from
 a JSON config document; flags override config values. All output is
 deterministic: sorted keys, 17-significant-digit floats, fixed row order.
 Exit codes: 0 ok, 2 validation failure (an overflow or a division by zero
-in a closed form at extreme inputs included), 3 no bound state for any
-requested level, 4 oracle non-convergence. Every nonzero exit writes a JSON
-error object to stderr.
+in a closed form, or a non-finite wavefunction, at extreme inputs included),
+3 no bound state for any requested level, 4 oracle non-convergence. Every
+nonzero exit writes a JSON error object to stderr.
 """
 
 import argparse
@@ -230,6 +230,9 @@ def _cmd_wavefunction(config: RunConfig):
     x_max = config.x_max if config.x_max > 0 else 25.0 / config.params.alpha
     xs = np.linspace(0.0, x_max, config.grid_points)
     psi = evaluate_on_grid(wf, xs)
+    if not np.all(np.isfinite(psi)):
+        # a recorded normalization error alone leaves psi finite and exits 0
+        raise ValidationError("wavefunction is not finite on the grid at these parameters")
     if config.format == "csv":
         rows = ["x,re_psi,im_psi"]
         for x, p in zip(xs, psi):

@@ -54,7 +54,7 @@ class ParameterPoleError(SalpeterError):
 
 
 class NonConvergentError(SalpeterError):
-    """Hypergeometric series outside its convergence domain."""
+    """A series (hypergeometric, Frobenius or Jost) outside its convergence domain."""
 
 
 class ConvergenceViolationError(SalpeterError):

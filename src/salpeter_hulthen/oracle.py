@@ -4,24 +4,29 @@ Two solvers, deliberately unrelated to the closed forms:
 
 * a symmetric finite-difference eigensolver for the linear nonrelativistic
   problem, Richardson-extrapolated over two grids;
-* a shooting integrator for the full energy-nonlinear reduced equation. Its
-  far end is matched to the exact decaying tail, the Robin condition
-  psi'(x_max) + kappa(E) psi(x_max) = 0 with kappa = sqrt(-g0(E)), so a
-  shallow level needs no longer domain (asymptotic matching, Cooley,
-  Math. Comp. 15 (1961) 363). Roots of the Robin residual are bracketed by
-  a scan and polished all at once by a batched multisection: each pass
-  integrates POLISH_POINTS - 1 interior energies of every open bracket in
-  one kernel call and keeps a subinterval over which the residual changes
-  sign.
+* a shooting integrator for the full energy-nonlinear reduced equation. It
+  integrates outward from the origin only to a matching point x_m a few
+  decay lengths of the potential out, and matches there to the exact
+  decaying tail: with s = exp(-alpha x), the Jost solution
+  psi_J = exp(-kappa x) sum_k c_k s^k, kappa = sqrt(-g0(E)), of
+  exponential-type potentials (Bargmann, Rev. Mod. Phys. 21 (1949) 488;
+  Newton, Scattering Theory of Waves and Particles, 1982). The residual is
+  psi' - (psi_J'/psi_J) psi at x_m; its k = 0 term alone is the Robin
+  condition psi' + kappa psi = 0 of asymptotic matching (Cooley, Math. Comp.
+  15 (1961) 363), which needs a far longer domain. Roots of the residual
+  are bracketed by a scan and polished all at once by a batched
+  multisection: each pass integrates POLISH_POINTS - 1 interior energies of
+  every open bracket in one kernel call and keeps a subinterval over which
+  the residual changes sign.
 
 Only the Real regime is handled here; complex regimes are checked through
 algebraic identities instead (see the spectra tests).
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
 
 from . import potentials
 from ._kernels import frobenius_start, g_laurent_q1, rk4_sweep
@@ -38,6 +43,8 @@ from .potentials import MassConfig, PotentialParams, Regime
 FROBENIUS_ORDER = 16
 ROOT_XTOL = 1e-12              # absolute energy tolerance of the polish
 POLISH_POINTS = 128            # subintervals per bracket and polish pass
+JOST_TERMS = 24                # terms c_1..c_K of the Jost series after c_0 = 1
+JOST_TOL = 1e-14               # largest last term K c_K s^K next to the series sum
 
 
 @dataclass(frozen=True)
@@ -46,7 +53,11 @@ class EffectiveProblem:
 
     g(x; E) = 2 mu [ (E - V(x)) + (V(x) - E)^2 / (2 m_tilde) ] with V taken
     from the potentials module (single source of truth). Defaults keep
-    alpha * x_max >= 25 and alpha * h <= 0.01.
+    alpha * x_max >= 25 and alpha * h <= 0.01. The long default box serves
+    the Dirichlet mismatch psi(x_max)/peak of shooting_mismatch and
+    mismatch_sweep, which brackets a level only where the growing tail has
+    swamped everything else; salpeter_levels instead passes its matching
+    point (`matching_point`), a fifth of that length.
     """
 
     params: PotentialParams
@@ -121,6 +132,7 @@ def fd_eigenvalues(params: PotentialParams, mu: float, count: int,
         x_max = 25.0 / alpha
     if h <= 0.0:
         h = 0.01 / alpha
+    from scipy.linalg import eigvalsh_tridiagonal   # 0.2 s to import; used only here
 
     def eigs(step):
         npts = int(round(x_max / step))
@@ -143,22 +155,64 @@ def fd_eigenvalues(params: PotentialParams, mu: float, count: int,
 
 
 def _shoot(problem: EffectiveProblem, energies):
-    """(g0, psi, psi') at x_max per energy, psi and psi' over the peak of |psi|."""
+    """((g0, g1, g2), psi, psi', x_end) per energy at the end of the integration.
+
+    psi and psi' are divided by the peak of |psi|. x_end = x0 + nsteps h is
+    where the fixed steps really stop, which is x_max only to within h/2.
+    """
     energies = np.atleast_1d(np.asarray(energies, dtype=float))
-    g0s, g1s, g2 = problem.g_coefficients(energies)
+    g = problem.g_coefficients(energies)
     x0, u0s, v0s = problem.start_state(energies)
     nsteps = int(round((problem.x_max - x0) / problem.h))
-    u, v = rk4_sweep(g0s, g1s, g2, problem.params.q, problem.params.alpha,
+    u, v = rk4_sweep(*g, problem.params.q, problem.params.alpha,
                      x0, u0s, v0s, problem.h, nsteps)
     if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
         raise ShootingOverflowError("non-finite shooting mismatch")
-    return g0s, u, v
+    return g, u, v, x0 + nsteps * problem.h
 
 
-def _robin_residual(problem: EffectiveProblem, energies):
-    """psi' + kappa psi at x_max; zero when only the decaying tail is present."""
-    g0s, u, v = _shoot(problem, energies)
-    return v + np.sqrt(-g0s) * u
+def jost_log_derivative(g0s, g1s, g2, q, alpha, x):
+    """psi_J'/psi_J at x of the decaying solution, for a batch of energies.
+
+    With s = exp(-alpha x), g - g0 = sum_j G_j s^j where
+    G_j = g1 q^(j-1) + g2 (j-1) q^(j-2), and psi_J = exp(-kappa x) sum_k c_k s^k
+    with c_0 = 1 and c_k k alpha (2 kappa + k alpha) = -sum_{j=1..k} G_j c_{k-j}.
+    The recursion runs on the terms t_k = c_k s^k, whose products carry
+    (q s)^j and never overflow where the series converges (|q| s < 1); its
+    denominators are positive for kappa >= 0. Then
+    psi_J'/psi_J = -kappa - alpha sum_k k t_k / sum_k t_k. Raises
+    NonConvergentError when the last term K t_K is not negligible next to
+    the sum.
+    """
+    kappa = np.sqrt(-np.asarray(g0s, dtype=float))
+    s = math.exp(-alpha * x)
+    qs = q * s
+    j = np.arange(1.0, JOST_TERMS + 1.0).reshape(-1, 1)
+    # row j - 1 holds G_j s^j; the exponent floor keeps q = 0 finite at j = 1
+    gs = g1s * s * qs ** (j - 1.0) + g2 * s * s * (j - 1.0) * qs ** np.maximum(j - 2.0, 0.0)
+    t = np.empty((JOST_TERMS + 1,) + kappa.shape)
+    t[0] = 1.0
+    for k in range(1, JOST_TERMS + 1):
+        t[k] = -(gs[:k] * t[k - 1::-1]).sum(axis=0) / (k * alpha * (2.0 * kappa + k * alpha))
+    total = t.sum(axis=0)
+    tail = JOST_TERMS * np.abs(t[-1])
+    if not np.all(tail <= JOST_TOL * np.abs(total)):
+        raise NonConvergentError(
+            f"Jost series not converged at x = {x:.6g}: |q| exp(-alpha x) = {abs(qs):.3g}")
+    return -kappa - alpha * (j * t[1:]).sum(axis=0) / total
+
+
+def _jost_residual(problem: EffectiveProblem, energies):
+    """psi' - (psi_J'/psi_J) psi where the integration stops; zero on an eigenvalue."""
+    (g0s, g1s, g2), u, v, x_end = _shoot(problem, energies)
+    return v - jost_log_derivative(g0s, g1s, g2, problem.params.q,
+                                   problem.params.alpha, x_end) * u
+
+
+def matching_point(params: PotentialParams) -> float:
+    """x_m = (5 + max(0, ln|q|))/alpha, so that |q| exp(-alpha x_m) <= e^-5."""
+    shift = max(0.0, math.log(abs(params.q))) if params.q != 0.0 else 0.0
+    return (5.0 + shift) / params.alpha
 
 
 def shooting_mismatch(params: PotentialParams, masses: MassConfig, energy: float,
@@ -215,7 +269,7 @@ def salpeter_levels(params: PotentialParams, masses: MassConfig, window=None,
                     scan_points: int = 240, h: float = 0.0, x_max: float = 0.0):
     """Eigenvalues of the energy-nonlinear reduced equation inside the window.
 
-    Scans the Robin residual psi' + kappa psi at x_max over scan_points
+    Scans the Jost residual psi' - (psi_J'/psi_J) psi over scan_points
     energies and polishes every sign change at once with a batched
     multisection (`_polish`): each pass integrates POLISH_POINTS - 1 interior
     energies of every bracket in one kernel call and keeps a subinterval
@@ -224,7 +278,11 @@ def salpeter_levels(params: PotentialParams, masses: MassConfig, window=None,
     shape of the residual, a step-like one on deep levels included. From the
     default window that takes five passes, however many roots there are.
     The window must lie inside (-2 m_tilde, 0), where g0 < 0 and the tail
-    decays. Returns the roots in ascending order.
+    decays. x_max is the matching point, `matching_point` by default (about
+    5/alpha); the residual is taken where the fixed steps stop, within h/2
+    of it. Raises NonConvergentError where the Jost series has not
+    converged there, which a forced x_max with |q| exp(-alpha x_max) near 1
+    can cause. Returns the roots in ascending order.
     """
     if scan_points < 100:
         raise ValidationError("scan_points must be >= 100")
@@ -236,15 +294,17 @@ def salpeter_levels(params: PotentialParams, masses: MassConfig, window=None,
     lo, hi = window
     if not -2.0 * mt < lo < hi < 0.0:
         raise ValidationError("window must satisfy -2 m_tilde < lo < hi < 0")
+    if x_max <= 0.0:
+        x_max = matching_point(params)
     problem = EffectiveProblem(params, masses, x_max=x_max, h=h)
     energies = np.linspace(lo, hi, scan_points)
-    values = _robin_residual(problem, energies)
+    values = _jost_residual(problem, energies)
     # a scan value of exactly zero is a root: a bracket of zero width
     zero = values[:-1] == 0.0
     keep = zero | (np.sign(values[:-1]) * np.sign(values[1:]) < 0)
     lo = energies[:-1][keep]
     hi = np.where(zero[keep], lo, energies[1:][keep])
-    return _polish(lambda e: _robin_residual(problem, e), lo, hi).tolist()
+    return _polish(lambda e: _jost_residual(problem, e), lo, hi).tolist()
 
 
 def mismatch_sweep(params: PotentialParams, masses: MassConfig, energies,

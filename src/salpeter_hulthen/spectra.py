@@ -1,10 +1,12 @@
 """Closed-form bound-state spectra for every parameter regime.
 
 Energy pairs are returned with a fixed convention: the underlying quadratic
-in E has roots E = pref +/- sqrt(pref^2 * radicand) (principal square root),
-labelled PLUS and MINUS. For a negative real prefactor the MINUS root is the
-deeper level, which is the branch the zero-coupling limit values -3.73m
-belong to.
+in E has roots E = pref +/- sqrt(disc) (principal square root), labelled PLUS
+and MINUS. The discriminant disc = pref^2 * radicand is built without
+dividing by pref^2, so it stays finite where pref = V0/(2q) - m_tilde
+vanishes (V0 = 4 m q at equal masses). For a negative real prefactor the
+MINUS root is the deeper level, which is the branch the zero-coupling limit
+values -3.73m belong to.
 
 Both branches are always computed; `physical` is a separate documented
 verdict and never silently hides a branch. All formulas use hbar = c = 1.
@@ -37,8 +39,8 @@ def _csqrt(x):
     return np.sqrt(complex(x))
 
 
-def _pair(pref, radicand) -> EnergyPair:
-    w = _csqrt(pref * pref * radicand)
+def _pair(pref, disc) -> EnergyPair:
+    w = _csqrt(disc)
     return EnergyPair(minus=complex(pref - w), plus=complex(pref + w))
 
 
@@ -162,11 +164,11 @@ def salpeter_energy_general(params: PotentialParams, masses: MassConfig, n: int,
     big_c = b + q * (2 * n + 1)
     big_d = (big_c * big_c + 4.0 * eps2_sq) / q
     pref = v0 / (2.0 * q) - mt
-    radicand = 1.0 - (2.0 * mt * a / q) * ((v0 / a) ** 2 - (v0 / (2.0 * a)) * big_d
-                                           + big_d * big_d / 16.0) / (pref * pref * big_d)
-    if strict and abs(radicand.imag) <= IM_TOL and radicand.real < 0:
+    disc = pref * pref - (2.0 * mt * a / q) * ((v0 / a) ** 2 - (v0 / (2.0 * a)) * big_d
+                                               + big_d * big_d / 16.0) / big_d
+    if strict and abs(disc.imag) <= IM_TOL * abs(disc) and disc.real < 0:
         raise ComplexSpectrumError("energy radicand is negative")
-    return _pair(pref, radicand)
+    return _pair(pref, disc)
 
 
 def _equal_mass_core(v0, alpha, q, m, n, strict):
@@ -176,10 +178,10 @@ def _equal_mass_core(v0, alpha, q, m, n, strict):
         raise NoBoundStateError("condition q^2 >= (V0/alpha)^2 fails")
     u = xi / (2.0 * m * q * v0)
     pref = v0 / (2.0 * q) - 2.0 * m
-    radicand = 1.0 - (2.0 * m * v0) ** 2 * (1.0 - u + u * u / 4.0) / (xi * pref * pref)
-    if strict and abs(radicand.imag) <= IM_TOL and radicand.real < 0:
+    disc = pref * pref - (2.0 * m * v0) ** 2 * (1.0 - u + u * u / 4.0) / xi
+    if strict and abs(disc.imag) <= IM_TOL * abs(disc) and disc.real < 0:
         raise ComplexSpectrumError("energy radicand is negative")
-    return _pair(pref, radicand)
+    return _pair(pref, disc)
 
 
 def salpeter_energy_equal_mass(params: PotentialParams, m: float, n: int,
@@ -216,7 +218,7 @@ def woods_saxon_energy(params: PotentialParams, m: float, n: int,
     pref = -(v0 / (2.0 * -1.0) + 2.0 * m)   # literature prefactor at q = -1
     radicand = 1.0 - (2.0 * m * v0) ** 2 * (1.0 + u + u * u / 4.0) \
         / (xi_t * (v0 / 2.0 + 2.0 * m) ** 2)
-    return _pair(pref, radicand)
+    return _pair(pref, pref * pref * radicand)
 
 
 def exponential_energy_imaginary_alpha(v0: float, alpha_i: float, m: float, n: int) -> float:
@@ -247,8 +249,7 @@ def complex_alpha_energy(params: PotentialParams, m: float, n: int,
     bracket = 1.0 + u + u * u / 4.0
     if strict and not (-((2.0 * m * v0) ** 2) * bracket).real <= (vs * pref * pref).real:
         raise ComplexSpectrumError("case-I reality inequality fails")
-    radicand = 1.0 + (2.0 * m * v0) ** 2 * bracket / (vs * pref * pref)
-    return _pair(pref, radicand)
+    return _pair(pref, pref * pref + (2.0 * m * v0) ** 2 * bracket / vs)
 
 
 def complex_v0q_energy(params: PotentialParams, m: float, n: int,
@@ -276,8 +277,7 @@ def all_complex_energy(params: PotentialParams, m: float, n: int) -> EnergyPair:
         raise ComplexSpectrumError("varsigma-tilde vanishes; branch undefined")
     u = vs_t / (2.0 * m * q * v0)
     pref = v0 / (2.0 * q) - 2.0 * m
-    radicand = 1.0 + (2.0 * m * v0) ** 2 * (1.0 + u + u * u / 4.0) / (vs_t * pref * pref)
-    return _pair(pref, radicand)
+    return _pair(pref, pref * pref + (2.0 * m * v0) ** 2 * (1.0 + u + u * u / 4.0) / vs_t)
 
 
 def nonrelativistic_energy(params: PotentialParams, mu: float, n: int,

@@ -12,7 +12,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.integrate import quad
 
 from .errors import (
     ConvergenceViolationError,
@@ -222,6 +221,8 @@ def pt_norm_phase(wf: WaveFunction, tol: float = 1e-10):
     sign of the real part and the full complex integral is returned alongside
     for inspection.
     """
+    from scipy.integrate import quad   # 0.1 s to import; used only here
+
     def integrand(s):
         return np.conj(psi_of_s(wf, -s)) * psi_of_s(wf, s)
 

@@ -52,16 +52,18 @@ def findings():
         announce(f"[findings] expected-findings artifact written to {path}")
 
 
-def reference_rk4_trajectory(g_of_x, x0, u0, v0, h, nsteps):
+def reference_rk4_trajectory(g_of_x, x0, u0, v0, h, nsteps, slopes=False):
     """Plain-python RK4 for psi'' + g psi = 0, keeping the whole trajectory.
 
     Independent of the package kernel; used to cross-check it and to
-    count nodes of shooting solutions.
+    count nodes of shooting solutions. Returns (x, psi), or (x, psi, psi')
+    with slopes=True; h < 0 integrates inward.
     """
     xs = np.empty(nsteps + 1)
     us = np.empty(nsteps + 1)
+    vs = np.empty(nsteps + 1)
     u, v, x = float(u0), float(v0), float(x0)
-    xs[0], us[0] = x, u
+    xs[0], us[0], vs[0] = x, u, v
     scale = 1.0
     for i in range(nsteps):
         g1 = g_of_x(x)
@@ -79,6 +81,7 @@ def reference_rk4_trajectory(g_of_x, x0, u0, v0, h, nsteps):
             u /= m
             v /= m
             us[: i + 1] /= m
+            vs[: i + 1] /= m
             scale /= m
-        xs[i + 1], us[i + 1] = x, u
-    return xs, us
+        xs[i + 1], us[i + 1], vs[i + 1] = x, u, v
+    return (xs, us, vs) if slopes else (xs, us)

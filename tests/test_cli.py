@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -60,6 +63,17 @@ def test_spectrum_limit_value(tmp_path):
     assert level["minus"]["re"] == pytest.approx(-3.7320508, rel=1e-6)
 
 
+def test_cli_import_leaves_out_scipy_linalg_and_integrate():
+    # fd_eigenvalues and pt_norm_phase import them on first use; together
+    # they are about half of the import time of every command
+    src = str(Path(cli.__file__).resolve().parents[1])
+    script = ("import sys, salpeter_hulthen.cli; "
+              "print(sorted(m for m in ('scipy.linalg', 'scipy.integrate') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "[]"
+
+
 def test_unknown_field_exits_2(tmp_path):
     code, _ = run(tmp_path, {**BASE, "bogus": 2}, "--command", "spectrum")
     assert code == 2
@@ -80,9 +94,13 @@ def test_bad_values_exit_2(tmp_path):
            {"grid_points": cli.GRID_POINTS_CAP + 1},
            {"scan": {**scan, "points": cli.SCAN_POINTS_CAP + 1}},
            # the closed form overflows a float: a JSON error, not a traceback
-           {"V0": -0.557, "alpha": 6.4e-142, "q": 0.217, "m1": 2.0, "m2": 3.0}]
+           {"V0": -0.557, "alpha": 6.4e-142, "q": 0.217, "m1": 2.0, "m2": 3.0},
+           # a wavefunction that is NaN on the grid: an error, not NaN rows
+           {"V0": 8.5e-213, "alpha": 0.3, "q": 1e-12, "regime": "ComplexAlpha", "m1": 3,
+            "m2": 3, "mode": "nonrelativistic", "n_max": 3, "format": "csv",
+            "command": "wavefunction"}]
     for fields in bad:
-        command = "scan" if "scan" in fields else "spectrum"
+        command = fields.get("command", "scan" if "scan" in fields else "spectrum")
         code, _ = run(tmp_path, {**BASE, **fields}, "--command", command)
         assert code == 2, fields
 

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from scipy.optimize import brentq
 
 from conftest import reference_rk4_trajectory
 from salpeter_hulthen import MassConfig, PotentialParams, Regime, bound_states
-from salpeter_hulthen import oracle
+from salpeter_hulthen import cli, oracle
 from salpeter_hulthen._kernels import (
     OVERFLOW_GUARD,
     frobenius_start,
@@ -241,26 +242,116 @@ def test_polish_on_closed_form_residuals():
     assert root == pytest.approx(-12345.678, abs=1e-11)
 
 
-@pytest.mark.parametrize("v0, alpha, q", [(0.9, 1.0, 1.0), (0.1425, 0.15, 1.0),
-                                          (3.8, 1.0, 0.5), (6.2, 1.0, -1.0)])
+BRENT_CASES = [(0.9, 1.0, 1.0), (0.1425, 0.15, 1.0), (3.8, 1.0, 0.5), (6.2, 1.0, -1.0)]
+UNIT_WINDOW = (-2.0 + 2e-8, -2e-8)             # the default window at unit masses
+
+
+def _scan_brackets(residual, energies):
+    values = residual(energies)
+    return np.flatnonzero(np.sign(values[:-1]) * np.sign(values[1:]) < 0)
+
+
+@pytest.mark.parametrize("v0, alpha, q", BRENT_CASES)
 def test_polish_matches_brent_on_the_scan_brackets(v0, alpha, q):
     p = PotentialParams(v0, alpha, q)
     h = 0.049 / alpha
-    window = (-2.0 + 2e-8, -2e-8)              # the default window at unit masses
-    roots = oracle.salpeter_levels(p, MC1, window=window, h=h)
-    problem = oracle.EffectiveProblem(p, MC1, h=h)
-    energies = np.linspace(*window, 240)
-    values = oracle._robin_residual(problem, energies)
-    brackets = np.flatnonzero(np.sign(values[:-1]) * np.sign(values[1:]) < 0)
+    roots = oracle.salpeter_levels(p, MC1, window=UNIT_WINDOW, h=h)
+    problem = oracle.EffectiveProblem(p, MC1, x_max=oracle.matching_point(p), h=h)
+    energies = np.linspace(*UNIT_WINDOW, 240)
+    brackets = _scan_brackets(lambda e: oracle._jost_residual(problem, e), energies)
 
     def residual(energy):
-        return oracle._robin_residual(problem, [energy])[0]
+        return oracle._jost_residual(problem, [energy])[0]
 
     reference = [brentq(residual, energies[i], energies[i + 1], xtol=oracle.ROOT_XTOL)
                  for i in brackets]
     assert len(reference) >= 1
     assert len(roots) == len(reference)
     np.testing.assert_allclose(roots, reference, rtol=0, atol=2 * oracle.ROOT_XTOL)
+
+
+@pytest.mark.parametrize("v0, alpha, q", BRENT_CASES)
+def test_jost_roots_match_robin_roots_on_the_long_box(v0, alpha, q):
+    # the Robin condition psi' + kappa psi = 0 at 25/alpha, the matching the
+    # levels used before the Jost tail, is the series' first term taken
+    # where the rest has decayed
+    p = PotentialParams(v0, alpha, q)
+    problem = oracle.EffectiveProblem(p, MC1)
+    assert problem.x_max * alpha == pytest.approx(25.0)
+
+    def robin(energies):
+        (g0s, _, _), u, v, _ = oracle._shoot(problem, energies)
+        return v + np.sqrt(-g0s) * u
+
+    energies = np.linspace(*UNIT_WINDOW, 240)
+    brackets = _scan_brackets(robin, energies)
+    reference = oracle._polish(robin, energies[brackets], energies[brackets + 1])
+    roots = oracle.salpeter_levels(p, MC1, window=UNIT_WINDOW)
+    assert len(reference) >= 1
+    assert len(roots) == len(reference)
+    np.testing.assert_allclose(roots, reference, rtol=0, atol=2 * oracle.ROOT_XTOL)
+
+
+@pytest.mark.parametrize("v0, alpha, masses", [(0.9, 1.0, MC1), (0.1425, 0.15, MC1),
+                                               (0.915, 1.0, MassConfig(0.8, 1.3))])
+def test_coarse_step_roots_match_the_closed_form(v0, alpha, masses):
+    # at h = 0.049/alpha the steps stop at 5.008/alpha, not at the 5/alpha
+    # matching point; the series must be taken where they stop, or the roots
+    # move by rel ~1e-4
+    p = PotentialParams(v0, alpha, 1.0)
+    roots = oracle.salpeter_levels(p, masses, h=0.049 / alpha)
+    physical = sorted(state.energy.real for n in range(8)
+                      for state in bound_states(p, masses, n) if state.physical)
+    assert len(roots) == len(physical) >= 1
+    np.testing.assert_allclose(roots, physical, rtol=5e-6, atol=0)
+
+
+@pytest.mark.parametrize("v0, alpha, q", [(0.9, 1.0, 1.0), (3.8, 1.0, 0.5),
+                                          (6.2, 1.0, -1.0), (0.7, 0.5, 0.0)])
+def test_jost_log_derivative_against_an_inward_reference_tail(v0, alpha, q):
+    # integrate 40/alpha inward from a Robin start: the decaying solution
+    # grows inward and the start's error, of order exp(-45), does not
+    p = PotentialParams(v0, alpha, q)
+    x_m = oracle.matching_point(p)
+    problem = oracle.EffectiveProblem(p, MC1)
+    energies = np.array([-1.5, -0.3, -0.015])
+    g0s, g1s, g2 = problem.g_coefficients(energies)
+    slopes = oracle.jost_log_derivative(g0s, g1s, g2, q, alpha, x_m)
+    h = 0.01 / alpha
+    for j in range(energies.size):
+        kappa = math.sqrt(-g0s[j])
+        _, us, vs = reference_rk4_trajectory(_g_of_x(g0s[j], g1s[j], g2, alpha, q),
+                                             x_m + 40.0 / alpha, 1.0, -kappa, -h, 4000,
+                                             slopes=True)
+        assert slopes[j] == pytest.approx(vs[-1] / us[-1], rel=1e-8)
+        # the series' first term alone is the Robin slope, off by far more
+        assert abs(slopes[j] + kappa) > 1e-4 * abs(slopes[j])
+
+
+def test_matching_point():
+    for q in (1.0, 0.5, -1.0, -40.0, 1e-300, 0.0):
+        x_m = oracle.matching_point(PotentialParams(0.9, 2.0, q))
+        assert abs(q) * math.exp(-2.0 * x_m) <= math.exp(-5.0) * (1.0 + 1e-12)
+        # and it is the nearest such point at or beyond 5/alpha
+        assert (2.0 * x_m == pytest.approx(5.0)
+                or abs(q) * math.exp(-2.0 * x_m) == pytest.approx(math.exp(-5.0)))
+
+
+def test_unconverged_jost_series_raises_and_exits_4(monkeypatch, tmp_path, capsys):
+    # at x_max = 0.05/alpha and q = -1, |q| s is 0.95: the series has not
+    # converged after JOST_TERMS terms
+    p = PotentialParams(0.5, 1.0, -1.0)
+    with pytest.raises(NonConvergentError):
+        oracle.salpeter_levels(p, MC1, x_max=0.05)
+    levels = oracle.salpeter_levels
+    monkeypatch.setattr(oracle, "salpeter_levels",
+                        lambda *args, **kwargs: levels(*args, **kwargs, x_max=0.05))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"V0": 0.5, "alpha": 1.0, "q": -1.0, "regime": "Real",
+                                "m1": 1.0, "m2": 1.0, "command": "count"}))
+    capsys.readouterr()
+    assert cli.main(["--config", str(path)]) == 4
+    assert json.loads(capsys.readouterr().err)["error"] == "NonConvergentError"
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -270,11 +361,11 @@ def test_every_root_is_bracketed_and_physical(alpha, ratio):
     p = PotentialParams(ratio * alpha, alpha, 1.0)
     roots = oracle.salpeter_levels(p, MC1)
     assert roots
-    problem = oracle.EffectiveProblem(p, MC1)
+    problem = oracle.EffectiveProblem(p, MC1, x_max=oracle.matching_point(p))
     physical = [state.energy.real for n in range(8)
                 for state in bound_states(p, MC1, n) if state.physical]
     for root in roots:
-        below, above = oracle._robin_residual(
+        below, above = oracle._jost_residual(
             problem, [root - oracle.ROOT_XTOL, root + oracle.ROOT_XTOL])
         assert np.sign(below) * np.sign(above) < 0
         assert min(abs(e - root) for e in physical) <= 1e-4 * abs(root)
@@ -379,7 +470,7 @@ def test_scan_points_validation():
 
 
 def test_window_validation():
-    # below -2 m_tilde the tail oscillates and the Robin condition is undefined
+    # below -2 m_tilde the tail oscillates and the decaying-tail match is undefined
     p = PotentialParams(0.9, 1.0, 1.0)
     with pytest.raises(ValidationError):
         oracle.salpeter_levels(p, MC1, window=(-2.0 * MC1.m_tilde - 0.1, -0.01))

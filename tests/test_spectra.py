@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -105,6 +107,41 @@ def test_complex_spectrum_error():
         salpeter_energy_equal_mass(p, 1.0, 0)
     pair = salpeter_energy_equal_mass(p, 1.0, 0, strict=False)
     assert abs(pair.plus.imag) > 0
+
+
+@pytest.mark.parametrize("regime", [Regime.REAL, Regime.COMPLEX_V0_Q, Regime.COMPLEX_ALPHA,
+                                    Regime.ALL_COMPLEX])
+@pytest.mark.parametrize("v0, alpha, q", [(2.0, 1.0, 0.5), (4.0, 4.0, 1.0), (3.2, 4.0, 0.8)])
+def test_vanishing_prefactor_gives_finite_energies(v0, alpha, q, regime):
+    # V0 = 4 m q makes pref = V0/(2q) - 2m zero, and pref^2 * radicand a
+    # removable 0/0 (at Real (2, 1, 0.5) the shooting oracle finds -0.10924).
+    # A negative discriminant sits on the square root's branch cut there, so
+    # the pair is compared with a nearby one as a set, not branch by branch.
+    # Two of the cases also sit on q alpha = V0, a square-root branch point
+    # in V0, so the nearby pair moves the mass, which leaves that alone.
+    p = PotentialParams(v0, alpha, q, regime)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n in range(3):
+            energies = [state.energy for state in bound_states(p, MC1, n)]
+            assert np.all(np.isfinite(energies))
+            for beside in bound_states(p, MassConfig.equal(1.0 + 1e-9), n):
+                assert min(abs(e - beside.energy) for e in energies) < 1e-6
+
+
+def test_vanishing_prefactor_general_masses():
+    # the general-mass prefactor V0/(2q) - m_tilde vanishes at V0 = 2 q m_tilde
+    masses = MassConfig(0.8, 1.3)
+    q = 0.5
+    p = PotentialParams(2.0 * q * masses.m_tilde, 1.0, q)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n in range(3):
+            pair = salpeter_energy_general(p, masses, n, strict=False)
+            beside = salpeter_energy_general(p, MassConfig(0.8, 1.3 + 1e-9), n, strict=False)
+            assert np.all(np.isfinite(pair))
+            for e in beside:
+                assert min(abs(e - f) for f in pair) < 1e-6
 
 
 def test_woods_saxon_equals_equal_mass_at_q_minus1():
