@@ -11,9 +11,10 @@ Two solvers, deliberately unrelated to the closed forms:
   psi_J = exp(-kappa x) sum_k c_k s^k, kappa = sqrt(-g0(E)), of
   exponential-type potentials (Bargmann, Rev. Mod. Phys. 21 (1949) 488;
   Newton, Scattering Theory of Waves and Particles, 1982). The residual is
-  psi' - (psi_J'/psi_J) psi at x_m; its k = 0 term alone is the Robin
-  condition psi' + kappa psi = 0 of asymptotic matching (Cooley, Math. Comp.
-  15 (1961) 363), which needs a far longer domain. Roots of the residual
+  the Wronskian psi_J psi' - psi_J' psi at x_m, which has no poles where
+  psi_J has a node; with the k = 0 term alone it is the Robin condition
+  psi' + kappa psi = 0 of asymptotic matching (Cooley, Math. Comp. 15 (1961)
+  363), which needs a far longer domain. Roots of the residual
   are bracketed by a scan and polished all at once by a batched
   multisection: each pass integrates POLISH_POINTS - 1 interior energies of
   every open bracket in one kernel call and keeps a subinterval over which
@@ -44,7 +45,7 @@ FROBENIUS_ORDER = 16
 ROOT_XTOL = 1e-12              # absolute energy tolerance of the polish
 POLISH_POINTS = 128            # subintervals per bracket and polish pass
 JOST_TERMS = 24                # terms c_1..c_K of the Jost series after c_0 = 1
-JOST_TOL = 1e-14               # largest last term K c_K s^K next to the series sum
+JOST_TOL = 1e-14               # largest last term K |c_K s^K| next to sum_k |c_k s^k|
 
 
 @dataclass(frozen=True)
@@ -171,18 +172,19 @@ def _shoot(problem: EffectiveProblem, energies):
     return g, u, v, x0 + nsteps * problem.h
 
 
-def jost_log_derivative(g0s, g1s, g2, q, alpha, x):
-    """psi_J'/psi_J at x of the decaying solution, for a batch of energies.
+def jost_sums(g0s, g1s, g2, q, alpha, x):
+    """(kappa, sum_k t_k, sum_k k t_k) of the decaying solution at x, for a batch of energies.
 
     With s = exp(-alpha x), g - g0 = sum_j G_j s^j where
     G_j = g1 q^(j-1) + g2 (j-1) q^(j-2), and psi_J = exp(-kappa x) sum_k c_k s^k
     with c_0 = 1 and c_k k alpha (2 kappa + k alpha) = -sum_{j=1..k} G_j c_{k-j}.
     The recursion runs on the terms t_k = c_k s^k, whose products carry
     (q s)^j and never overflow where the series converges (|q| s < 1); its
-    denominators are positive for kappa >= 0. Then
-    psi_J'/psi_J = -kappa - alpha sum_k k t_k / sum_k t_k. Raises
-    NonConvergentError when the last term K t_K is not negligible next to
-    the sum.
+    denominators are positive for kappa >= 0. Then, up to the common factor
+    exp(-kappa x), psi_J = sum_k t_k and psi_J' = -kappa sum_k t_k
+    - alpha sum_k k t_k. Raises NonConvergentError when the last term K t_K
+    is not negligible next to sum_k |t_k|; the sum itself may vanish, on a
+    node of psi_J.
     """
     kappa = np.sqrt(-np.asarray(g0s, dtype=float))
     s = math.exp(-alpha * x)
@@ -194,19 +196,24 @@ def jost_log_derivative(g0s, g1s, g2, q, alpha, x):
     t[0] = 1.0
     for k in range(1, JOST_TERMS + 1):
         t[k] = -(gs[:k] * t[k - 1::-1]).sum(axis=0) / (k * alpha * (2.0 * kappa + k * alpha))
-    total = t.sum(axis=0)
     tail = JOST_TERMS * np.abs(t[-1])
-    if not np.all(tail <= JOST_TOL * np.abs(total)):
+    if not np.all(tail <= JOST_TOL * np.abs(t).sum(axis=0)):
         raise NonConvergentError(
             f"Jost series not converged at x = {x:.6g}: |q| exp(-alpha x) = {abs(qs):.3g}")
-    return -kappa - alpha * (j * t[1:]).sum(axis=0) / total
+    return kappa, t.sum(axis=0), (j * t[1:]).sum(axis=0)
 
 
 def _jost_residual(problem: EffectiveProblem, energies):
-    """psi' - (psi_J'/psi_J) psi where the integration stops; zero on an eigenvalue."""
+    """Wronskian psi_J psi' - psi_J' psi where the integration stops; zero on an eigenvalue.
+
+    It is psi_J times psi' - (psi_J'/psi_J) psi, with the same zeros and no
+    pole where psi_J has a node at the matching point, as it can in a deep
+    well (the common factor exp(-kappa x) is left out).
+    """
     (g0s, g1s, g2), u, v, x_end = _shoot(problem, energies)
-    return v - jost_log_derivative(g0s, g1s, g2, problem.params.q,
-                                   problem.params.alpha, x_end) * u
+    kappa, total, weighted = jost_sums(g0s, g1s, g2, problem.params.q,
+                                       problem.params.alpha, x_end)
+    return v * total + (kappa * total + problem.params.alpha * weighted) * u
 
 
 def matching_point(params: PotentialParams) -> float:
@@ -269,7 +276,7 @@ def salpeter_levels(params: PotentialParams, masses: MassConfig, window=None,
                     scan_points: int = 240, h: float = 0.0, x_max: float = 0.0):
     """Eigenvalues of the energy-nonlinear reduced equation inside the window.
 
-    Scans the Jost residual psi' - (psi_J'/psi_J) psi over scan_points
+    Scans the Jost Wronskian psi_J psi' - psi_J' psi over scan_points
     energies and polishes every sign change at once with a batched
     multisection (`_polish`): each pass integrates POLISH_POINTS - 1 interior
     energies of every bracket in one kernel call and keeps a subinterval

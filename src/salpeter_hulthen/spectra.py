@@ -39,6 +39,18 @@ def _csqrt(x):
     return np.sqrt(complex(x))
 
 
+def _negative_radicand(pref, disc) -> bool:
+    """Strict mode's test: the radicand disc/pref^2 is real to IM_TOL and negative.
+
+    At pref = 0 the radicand is undefined (0/0) and the test is false.
+    """
+    scale = pref * pref
+    if scale == 0:
+        return False
+    radicand = disc / scale
+    return abs(radicand.imag) <= IM_TOL and radicand.real < 0
+
+
 def _pair(pref, disc) -> EnergyPair:
     w = _csqrt(disc)
     return EnergyPair(minus=complex(pref - w), plus=complex(pref + w))
@@ -166,7 +178,7 @@ def salpeter_energy_general(params: PotentialParams, masses: MassConfig, n: int,
     pref = v0 / (2.0 * q) - mt
     disc = pref * pref - (2.0 * mt * a / q) * ((v0 / a) ** 2 - (v0 / (2.0 * a)) * big_d
                                                + big_d * big_d / 16.0) / big_d
-    if strict and abs(disc.imag) <= IM_TOL * abs(disc) and disc.real < 0:
+    if strict and _negative_radicand(pref, disc):
         raise ComplexSpectrumError("energy radicand is negative")
     return _pair(pref, disc)
 
@@ -179,7 +191,7 @@ def _equal_mass_core(v0, alpha, q, m, n, strict):
     u = xi / (2.0 * m * q * v0)
     pref = v0 / (2.0 * q) - 2.0 * m
     disc = pref * pref - (2.0 * m * v0) ** 2 * (1.0 - u + u * u / 4.0) / xi
-    if strict and abs(disc.imag) <= IM_TOL * abs(disc) and disc.real < 0:
+    if strict and _negative_radicand(pref, disc):
         raise ComplexSpectrumError("energy radicand is negative")
     return _pair(pref, disc)
 

@@ -292,6 +292,44 @@ def test_jost_roots_match_robin_roots_on_the_long_box(v0, alpha, q):
     np.testing.assert_allclose(roots, reference, rtol=0, atol=2 * oracle.ROOT_XTOL)
 
 
+@pytest.mark.parametrize("q", [0.0, 0.5])
+def test_jost_roots_match_robin_roots_in_a_deep_well(q):
+    # at V0/alpha = 250 psi_J has a node at the matching point inside the
+    # window, where psi_J'/psi_J has a pole; the Wronskian residual must
+    # neither bracket that pole nor report the series unconverged there. The
+    # reference integrates the Robin tail from the matching point to
+    # 25/alpha at a tenth of the step: at the full step that tail alone moves
+    # these deep roots by up to 5e-11
+    p = PotentialParams(250.0, 1.0, q)
+    problem = oracle.EffectiveProblem(p, MC1, x_max=oracle.matching_point(p))
+    energies = np.linspace(*UNIT_WINDOW, 240)
+    g0s, g1s, g2 = problem.g_coefficients(energies)
+    _, total, _ = oracle.jost_sums(g0s, g1s, g2, q, 1.0, problem.x_max)
+    nodes = np.flatnonzero(np.sign(total[:-1]) * np.sign(total[1:]) < 0)
+    assert nodes.size >= 1
+
+    def psi_j(energy):
+        g = problem.g_coefficients(np.array([energy]))
+        return oracle.jost_sums(*g, q, 1.0, problem.x_max)[1][0]
+
+    # the series converges on the node itself, where its sum vanishes
+    brentq(psi_j, energies[nodes[0]], energies[nodes[0] + 1], xtol=1e-300)
+    tail_h = problem.h / 10.0
+
+    def robin(energies):
+        g, u, v, x_end = oracle._shoot(problem, energies)
+        u, v = rk4_sweep(*g, q, 1.0, x_end, u, v, tail_h,
+                         int(round((25.0 - x_end) / tail_h)))
+        return v + np.sqrt(-g[0]) * u
+
+    brackets = _scan_brackets(robin, energies)
+    reference = oracle._polish(robin, energies[brackets], energies[brackets + 1])
+    roots = oracle.salpeter_levels(p, MC1, window=UNIT_WINDOW)
+    assert len(reference) >= 2
+    assert len(roots) == len(reference)
+    np.testing.assert_allclose(roots, reference, rtol=0, atol=2 * oracle.ROOT_XTOL)
+
+
 @pytest.mark.parametrize("v0, alpha, masses", [(0.9, 1.0, MC1), (0.1425, 0.15, MC1),
                                                (0.915, 1.0, MassConfig(0.8, 1.3))])
 def test_coarse_step_roots_match_the_closed_form(v0, alpha, masses):
@@ -316,7 +354,8 @@ def test_jost_log_derivative_against_an_inward_reference_tail(v0, alpha, q):
     problem = oracle.EffectiveProblem(p, MC1)
     energies = np.array([-1.5, -0.3, -0.015])
     g0s, g1s, g2 = problem.g_coefficients(energies)
-    slopes = oracle.jost_log_derivative(g0s, g1s, g2, q, alpha, x_m)
+    kappas, total, weighted = oracle.jost_sums(g0s, g1s, g2, q, alpha, x_m)
+    slopes = -kappas - alpha * weighted / total
     h = 0.01 / alpha
     for j in range(energies.size):
         kappa = math.sqrt(-g0s[j])
