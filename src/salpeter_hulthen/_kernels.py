@@ -14,6 +14,15 @@ fixed number of steps, not of elements: the running peak and the overflow
 rescale are applied at block ends, which then fall on the same step indices
 for any batch size, so each energy in a batch gives the same bits as that
 energy alone; the block's arrays stay small whatever the batch.
+
+The Dirichlet mismatch psi(x_max)/peak of a wide sweep is exactly +-1 for
+almost every energy: once the tail is classically forbidden for good and psi
+grows away from zero, psi is its own running peak. In its dirichlet mode the
+kernel checks a certificate of that at each block end (`dirichlet_settled`),
+writes sign(psi) for the energies that pass it and drops them from the
+batch, so the rest of the steps run on the few energies still undecided.
+The certificate reads only values the block already holds, and the result
+is bitwise that of the full integration.
 """
 
 import math
@@ -23,15 +32,17 @@ from numpy.polynomial.polynomial import polyval
 
 OVERFLOW_GUARD = 1e100
 BLOCK_STEPS = 16
+FORBIDDEN_MARGIN = 1e-12     # relative margin of the retirement test on g < 0
 
 
-def rk4_sweep(g0s, g1s, g2, q, alpha, x0, u0s, v0s, h, nsteps):
+def rk4_sweep(g0s, g1s, g2, q, alpha, x0, u0s, v0s, h, nsteps, *, dirichlet=False):
     """Integrate psi'' + g psi = 0 outward for a batch of energies.
 
     g = g0 + g1 r + g2 r^2 with r = s/(1 - q s), s = exp(-alpha x); each
     energy has its own (g0, g1) and start state (psi, psi'). The batch shares
     x0, so r is computed once per grid point. Returns (psi, psi') at
-    x0 + nsteps * h, both divided by the running peak of |psi|.
+    x0 + nsteps * h, both divided by the running peak of |psi|; with
+    dirichlet=True, psi/peak alone, the Dirichlet mismatch.
 
     With g_lo, g_mid, g_hi at x, x + h/2 and x + h, one RK4 step is
     psi <- A psi + B psi', psi' <- C psi + D psi' with
@@ -43,12 +54,22 @@ def rk4_sweep(g0s, g1s, g2, q, alpha, x0, u0s, v0s, h, nsteps):
     BLOCK_STEPS steps. A step grows |psi| by at most about (g h^2)^2 / 24
     where |g| h^2 is large, so a block stays inside the 1e208 left above the
     guard unless |g| h^2 exceeds ~1e7; the oracle's steps have it near 1e-4.
+
+    With dirichlet=True, an energy leaves the batch at the first block end
+    where `dirichlet_settled` certifies that the rest of the integration
+    ends at psi/peak = sign(psi), and gets exactly that value.
     """
     g0s = np.asarray(g0s, dtype=float)
     g1s = np.asarray(g1s, dtype=float)
     u = np.array(u0s, dtype=float)
     v = np.array(v0s, dtype=float)
     g2, q, alpha, h, nsteps = float(g2), float(q), float(alpha), float(h), int(nsteps)
+    if dirichlet:
+        # the batch is kept flat, so energies can leave it by index
+        shape = u.shape
+        g0s, g1s, u, v = g0s.ravel(), g1s.ravel(), u.ravel(), v.ravel()
+        psi = np.empty(u.size)       # filled as energies leave the batch
+        live = np.arange(u.size)
     peak = np.abs(u)
     # step ends x0 + k h (accumulated step by step), then the midpoints
     nodes = np.cumsum(np.concatenate(([float(x0)], np.full(nsteps, h))))
@@ -76,8 +97,46 @@ def rk4_sweep(g0s, g1s, g2, q, alpha, x0, u0s, v0s, h, nsteps):
             u[mask] /= m[mask]
             v[mask] /= m[mask]
             peak[mask] /= m[mask]
+        if dirichlet:
+            done = dirichlet_settled(g0s, g1s, g2, re[-1], g_end[-1], u, v, peak)
+            if np.any(done):
+                psi[live[done]] = np.sign(u[done])
+                keep = ~done
+                live, u, v, peak = live[keep], u[keep], v[keep], peak[keep]
+                g0s, g1s = g0s[keep], g1s[keep]
+                rows = rows[:, :live.size]
+                if live.size == 0:
+                    break
     safe = np.where(peak == 0.0, 1.0, peak)
+    if dirichlet:
+        psi[live] = u / safe
+        return psi.reshape(shape)
     return u / safe, v / safe
+
+
+def dirichlet_settled(g0s, g1s, g2, r_c, g_c, u, v, peak):
+    """Energies whose Dirichlet result psi/peak at the far end is already sign(psi).
+
+    Takes the state at a block end x_c, after the peak and rescale, with
+    r_c = r(x_c) and g_c = g(x_c). The certificate:
+    * the tail stays forbidden: max(g0, g_c) < -FORBIDDEN_MARGIN
+      (|g0| + |g1| r_c + g2 r_c^2). g is convex in r (g2 >= 0) and r falls
+      monotonically to 0, so g < 0 at every later node; the margin covers
+      the rounding of g there, a few ulps of that scale;
+    * psi and psi' are nonzero with the same sign, compared sign to sign
+      (their product can underflow to -0.0); NaN fails the comparison, and
+      the rescale has already turned any inf into NaN;
+    * |psi| == peak.
+    With g <= 0 at a step's nodes, A, D >= 1 and B, C >= 0 in floating
+    point too (rounding is monotone), so psi keeps its sign and |psi| never
+    decreases: the peak is |psi| at every later block end, a rescale divides
+    both by the same m, and the full integration ends at psi/peak = sign(psi)
+    bit for bit.
+    """
+    scale = np.abs(g0s) + np.abs(g1s) * r_c + g2 * r_c * r_c
+    sign = np.sign(u)
+    return ((np.maximum(g0s, g_c) < -FORBIDDEN_MARGIN * scale)
+            & (sign != 0.0) & (sign == np.sign(v)) & (np.abs(u) == peak))
 
 
 # ---------------------------------------------------------------------------

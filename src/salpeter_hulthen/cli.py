@@ -10,6 +10,7 @@ nonzero exit writes a JSON error object to stderr.
 """
 
 import argparse
+import cmath
 import json
 import math
 import sys
@@ -189,12 +190,20 @@ def _aux_dict(aux) -> dict:
     }
 
 
+def _finite_states(params, masses, n):
+    """bound_states, refusing a closed form that left the float range (no "nan" energies)."""
+    minus, plus = bound_states(params, masses, n)
+    if not (cmath.isfinite(minus.energy) and cmath.isfinite(plus.energy)):
+        raise ValidationError(f"level {n} energy is not finite at these parameters")
+    return minus, plus
+
+
 def _cmd_spectrum(config: RunConfig):
     levels = []
     failures = 0
     for n in range(config.n_max + 1):
         try:
-            minus, plus = bound_states(config.params, config.masses, n)
+            minus, plus = _finite_states(config.params, config.masses, n)
         except (NoBoundStateError, ComplexSpectrumError) as exc:
             levels.append({"n": n, "error": type(exc).__name__, "message": str(exc)})
             failures += 1
@@ -317,7 +326,7 @@ def _cmd_scan(config: RunConfig):
             continue
         for n in range(config.n_max + 1):
             try:
-                minus, plus = bound_states(params, config.masses, n)
+                minus, plus = _finite_states(params, config.masses, n)
                 entry["levels"].append({"n": n, "minus": _complex(minus.energy),
                                         "plus": _complex(plus.energy),
                                         "physical_minus": minus.physical,

@@ -57,8 +57,10 @@ class EffectiveProblem:
     alpha * x_max >= 25 and alpha * h <= 0.01. The long default box serves
     the Dirichlet mismatch psi(x_max)/peak of shooting_mismatch and
     mismatch_sweep, which brackets a level only where the growing tail has
-    swamped everything else; salpeter_levels instead passes its matching
-    point (`matching_point`), a fifth of that length.
+    swamped everything else; their kernel drops an energy from the batch
+    once its value is certain, so most energies stop a few decay lengths
+    out. salpeter_levels instead passes its matching point
+    (`matching_point`), a fifth of that length.
     """
 
     params: PotentialParams
@@ -155,20 +157,23 @@ def fd_eigenvalues(params: PotentialParams, mu: float, count: int,
     return list((4.0 * fine - coarse) / 3.0)
 
 
-def _shoot(problem: EffectiveProblem, energies):
+def _shoot(problem: EffectiveProblem, energies, dirichlet=False):
     """((g0, g1, g2), psi, psi', x_end) per energy at the end of the integration.
 
     psi and psi' are divided by the peak of |psi|. x_end = x0 + nsteps h is
     where the fixed steps really stop, which is x_max only to within h/2.
+    With dirichlet=True, psi' is None and psi is rk4_sweep's Dirichlet
+    mismatch, for which energies whose value is settled stop early.
     """
     energies = np.atleast_1d(np.asarray(energies, dtype=float))
     g = problem.g_coefficients(energies)
     x0, u0s, v0s = problem.start_state(energies)
     nsteps = int(round((problem.x_max - x0) / problem.h))
-    u, v = rk4_sweep(*g, problem.params.q, problem.params.alpha,
-                     x0, u0s, v0s, problem.h, nsteps)
-    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
+    out = rk4_sweep(*g, problem.params.q, problem.params.alpha,
+                    x0, u0s, v0s, problem.h, nsteps, dirichlet=dirichlet)
+    if not np.all(np.isfinite(out)):
         raise ShootingOverflowError("non-finite shooting mismatch")
+    u, v = (out, None) if dirichlet else out
     return g, u, v, x0 + nsteps * problem.h
 
 
@@ -225,8 +230,7 @@ def matching_point(params: PotentialParams) -> float:
 def shooting_mismatch(params: PotentialParams, masses: MassConfig, energy: float,
                       h: float = 0.0, x_max: float = 0.0) -> float:
     """psi(x_max) for the outward integration, rescaled by its running maximum."""
-    problem = EffectiveProblem(params, masses, x_max=x_max, h=h)
-    return float(_shoot(problem, [energy])[1][0])
+    return float(mismatch_sweep(params, masses, [energy], h=h, x_max=x_max)[0])
 
 
 def _polish(residual, lo, hi):
@@ -316,6 +320,14 @@ def salpeter_levels(params: PotentialParams, masses: MassConfig, window=None,
 
 def mismatch_sweep(params: PotentialParams, masses: MassConfig, energies,
                    h: float = 0.0, x_max: float = 0.0):
-    """Batch Dirichlet mismatch psi(x_max)/peak, the quantity shooting_mismatch returns."""
+    """Batch Dirichlet mismatch psi(x_max)/peak, the quantity shooting_mismatch returns.
+
+    Most energies of a wide sweep end at exactly +-1: their growing tail has
+    become its own running peak a few decay lengths out. The kernel's
+    dirichlet mode drops each such energy from the batch once a certificate
+    shows the rest of the integration cannot change that value
+    (`_kernels.dirichlet_settled`), so the result is bitwise that of the
+    full integration.
+    """
     problem = EffectiveProblem(params, masses, x_max=x_max, h=h)
-    return _shoot(problem, energies)[1]
+    return _shoot(problem, energies, dirichlet=True)[1]

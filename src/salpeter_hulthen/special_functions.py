@@ -3,7 +3,9 @@
 Everything here works over complex parameters, which the orthodox library
 routines do not cover. Gamma itself is delegated to scipy's complex
 implementation (Lanczos-class accuracy, better than 1e-12 on the strip the
-normalization integrals need).
+normalization integrals need). scipy.special is imported on first use: it
+is most of the package's import time, and only the wavefunction
+normalization needs it.
 """
 
 import cmath
@@ -12,8 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.special import gamma as _scipy_gamma
-from scipy.special import rgamma as _scipy_rgamma
 
 from .errors import NonConvergentError, ParameterPoleError, ValidationError
 
@@ -41,7 +41,8 @@ def gamma_fn(z) -> complex:
     """Gamma of a complex argument; raises on nonpositive-integer poles."""
     if _nonpos_int_order(z) is not None:
         raise ParameterPoleError(f"Gamma pole at {z}")
-    return complex(_scipy_gamma(complex(z)))
+    from scipy.special import gamma
+    return complex(gamma(complex(z)))
 
 
 def beta_fn(x, y) -> complex:
@@ -108,8 +109,8 @@ def gauss_2f1(a, b, c, z, tol: float = 1e-14, max_terms: int = 200000) -> comple
     if abs(z - 1.0) <= 1e-14:
         if not (c - a - b).real > 0:
             raise NonConvergentError("Gauss value at z = 1 needs Re(c-a-b) > 0")
-        return complex(gamma_fn(c) * gamma_fn(c - a - b)
-                       * _scipy_rgamma(c - a) * _scipy_rgamma(c - b))
+        from scipy.special import rgamma
+        return complex(gamma_fn(c) * gamma_fn(c - a - b) * rgamma(c - a) * rgamma(c - b))
     if abs(z) <= 0.5:
         return _series_sum(a, b, c, z, tol, max_terms)
     # Euler transformation; the transformed series may also terminate

@@ -64,14 +64,15 @@ def test_spectrum_limit_value(tmp_path):
 
 
 def test_cli_import_leaves_out_scipy_linalg_and_integrate():
-    # fd_eigenvalues and pt_norm_phase import them on first use; together
-    # they are about half of the import time of every command
+    # fd_eigenvalues, pt_norm_phase and the Gamma function import them on
+    # first use; together they are most of the import time of every command
     src = str(Path(cli.__file__).resolve().parents[1])
-    script = ("import sys, salpeter_hulthen.cli; "
-              "print(sorted(m for m in ('scipy.linalg', 'scipy.integrate') if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                         check=True, env={**os.environ, "PYTHONPATH": src}).stdout
-    assert out.strip() == "[]"
+    for module in ("salpeter_hulthen.cli", "salpeter_hulthen.oracle"):
+        script = (f"import sys, {module}; print(sorted(m for m in "
+                  "('scipy.linalg', 'scipy.integrate', 'scipy.special') if m in sys.modules))")
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+        assert out.strip() == "[]", module
 
 
 def test_unknown_field_exits_2(tmp_path):
@@ -95,6 +96,8 @@ def test_bad_values_exit_2(tmp_path):
            {"scan": {**scan, "points": cli.SCAN_POINTS_CAP + 1}},
            # the closed form overflows a float: a JSON error, not a traceback
            {"V0": -0.557, "alpha": 6.4e-142, "q": 0.217, "m1": 2.0, "m2": 3.0},
+           # the closed-form energies are NaN: an error, not "nan" levels
+           {"V0": 7.54e-287, "alpha": 1.796, "q": -0.488, "m1": 2.959, "m2": 2.959},
            # a wavefunction that is NaN on the grid: an error, not NaN rows
            {"V0": 8.5e-213, "alpha": 0.3, "q": 1e-12, "regime": "ComplexAlpha", "m1": 3,
             "m2": 3, "mode": "nonrelativistic", "n_max": 3, "format": "csv",
@@ -177,6 +180,14 @@ def test_scan_command(tmp_path):
     assert code == 0
     surface = json.loads(text)["surface"]
     assert ["error" in e for e in surface] == [True, True, False]
+    # a level whose closed-form energy is NaN is a level error, not "nan" output
+    doc = {**BASE, "V0": 7.54e-287, "alpha": 1.796, "q": -0.488, "m1": 2.959, "m2": 2.959,
+           "scan": {"param": "alpha", "start": 1.7, "stop": 1.8, "points": 2}}
+    code, text = run(tmp_path, doc, "--command", "scan", "--n-max", "0")
+    assert code == 0
+    assert "nan" not in text
+    levels = [level for e in json.loads(text)["surface"] for level in e["levels"]]
+    assert [level.get("error") for level in levels] == ["ValidationError"] * 2
 
 
 def test_command_from_config_document(tmp_path):

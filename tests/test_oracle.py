@@ -9,7 +9,7 @@ from scipy.optimize import brentq
 
 from conftest import reference_rk4_trajectory
 from salpeter_hulthen import MassConfig, PotentialParams, Regime, bound_states
-from salpeter_hulthen import cli, oracle
+from salpeter_hulthen import _kernels, cli, oracle
 from salpeter_hulthen._kernels import (
     OVERFLOW_GUARD,
     frobenius_start,
@@ -501,6 +501,86 @@ def test_overflow_rescale_keeps_the_tail_slope():
     for j in range(3):
         alone = sweep(slice(j, j + 1), x0, u0s[j:j + 1], v0s[j:j + 1], nsteps)
         assert (alone[0][0], alone[1][0]) == (u[j], v[j])
+
+
+def _record_retirements(monkeypatch, batch):
+    """Batch indices the next dirichlet-mode kernel call retires, in order."""
+    live, retired = [np.arange(batch)], []
+    settled = _kernels.dirichlet_settled
+
+    def spy(*args):
+        done = settled(*args)
+        retired.extend(live[0][done])
+        live[0] = live[0][~done]
+        return done
+
+    monkeypatch.setattr(_kernels, "dirichlet_settled", spy)
+    return retired
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+_WINDOW = (-2.0 + 2e-8, -2e-8, 600)
+_DEEP = (-2.0 + 1e-3, -1e-3, 300)
+
+
+@pytest.mark.parametrize("v0, alpha, q, masses, energies, box, min_share", [
+    (0.9, 1.0, 1.0, (1.0, 1.0), _WINDOW, (0.0, 0.0), 0.9),
+    (1.5, 1.0, 0.5, (1.0, 1.0), _WINDOW, (0.0, 0.0), 0.9),
+    (2.0, 1.0, 0.0, (1.0, 1.0), _WINDOW, (0.0, 0.0), 0.9),
+    (6.2, 1.0, -1.0, (1.0, 1.0), _WINDOW, (0.0, 0.0), 0.9),
+    (1.5, 1.0, 0.5, (1.0, 2.0), (-3.0 + 1e-6, -1e-6, 600), (0.0, 0.0), 0.9),
+    (250.0, 1.0, 0.0, (1.0, 1.0), _DEEP, (0.0, 0.0), 0.9),
+    # outside (-2 m_tilde, 0) = (-4, 0) g0 >= 0: the tail is never forbidden
+    (0.9, 1.0, 1.0, (1.0, 1.0), (-5.0, -4.0, 100), (0.0, 0.0), 0.0),
+    (1.5, 1.0, 0.5, (1.0, 1.0), (0.0, 1.0, 100), (0.0, 0.0), 0.0),
+    # kappa * x_max ~ 290: the guard rescales the full path after retirement
+    (0.9, 1.0, 1.0, (1.0, 1.0), (-1.9, -0.01, 100), (300.0, 0.05), 0.9),
+], ids=["q=1", "q=0.5", "q=0", "q=-1", "masses-1-2", "deep-250", "below-threshold",
+        "above-zero", "rescaled-box"])
+def test_retired_sweep_is_bitwise_the_full_integration(monkeypatch, v0, alpha, q, masses,
+                                                       energies, box, min_share):
+    # oracle._shoot runs the full integration; mismatch_sweep drops an
+    # energy as soon as its result is certified to be sign(psi)
+    p = PotentialParams(v0, alpha, q)
+    mc = MassConfig(*masses)
+    energies = np.linspace(*energies)
+    x_max, h = box
+    full = oracle._shoot(oracle.EffectiveProblem(p, mc, x_max=x_max, h=h), energies)[1]
+    # the batch may have any shape, as in the full integration
+    grid = oracle.mismatch_sweep(p, mc, energies.reshape(2, -1), x_max=x_max, h=h)
+    retired = _record_retirements(monkeypatch, energies.size)
+    vals = oracle.mismatch_sweep(p, mc, energies, x_max=x_max, h=h)
+    np.testing.assert_array_equal(_bits(vals), _bits(full))
+    np.testing.assert_array_equal(_bits(grid), _bits(full.reshape(2, -1)))
+    assert np.all(np.abs(vals[retired]) == 1.0)
+    if min_share:
+        assert len(retired) >= min_share * energies.size
+    else:
+        assert retired == []
+    if x_max:
+        g0s = oracle.EffectiveProblem(p, mc).g_coefficients(energies)[0]
+        assert np.sqrt(-g0s[0]) * x_max > math.log(OVERFLOW_GUARD)
+
+
+def test_opposite_signs_with_an_underflowing_product_do_not_retire(monkeypatch):
+    # steps of 1e-20 leave psi = 1e-200 = peak and psi' = -1e-200 as they
+    # are in a forbidden region; psi * psi' underflows to -0.0, but the
+    # signs differ, so the certificate must not pass
+    g0s, g1s = np.array([-1.0]), np.array([0.0])
+    u0s, v0s = np.array([1e-200]), np.array([-1e-200])
+    assert u0s[0] * v0s[0] == 0.0
+    args = (g0s, g1s, 0.0, 0.5, 1.0, 0.5, u0s, v0s, 1e-20, 3 * _kernels.BLOCK_STEPS)
+    retired = _record_retirements(monkeypatch, 1)
+    psi = rk4_sweep(*args, dirichlet=True)
+    assert retired == []
+    assert _bits(psi) == _bits(rk4_sweep(*args)[0])
+    # with psi' of psi's sign the same state passes at the first block end
+    retired = _record_retirements(monkeypatch, 1)
+    assert rk4_sweep(*args[:7], -v0s, *args[8:], dirichlet=True) == 1.0
+    assert retired == [0]
 
 
 def test_scan_points_validation():
