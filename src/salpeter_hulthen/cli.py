@@ -391,7 +391,10 @@ def main(argv=None) -> int:
     handlers = {"spectrum": _cmd_spectrum, "wavefunction": _cmd_wavefunction,
                 "verify": _cmd_verify, "scan": _cmd_scan, "count": _cmd_count}
     try:
-        payload, code = handlers[config.command](config)
+        # numpy's RuntimeWarnings would break the one JSON document on stderr;
+        # _finite_states and the psi check refuse the non-finite results anyway
+        with np.errstate(all="ignore"):
+            payload, code = handlers[config.command](config)
     except ValidationError as exc:
         return _error_exit(exc, 2)
     except (NotConvergedError, NonConvergentError) as exc:

@@ -1,7 +1,10 @@
 """Jacobi polynomials with complex parameters, Gauss 2F1, and the Beta function.
 
 Everything here works over complex parameters, which the orthodox library
-routines do not cover. Gamma itself is delegated to scipy's complex
+routines do not cover. 2F1 and 1F1 share one power-series loop. 2F1 is
+summed exactly for any z when it terminates, takes Gauss's theorem at
+z = 1 and the direct series for |z| < 1; any other z is refused at once with
+NonConvergentError. Gamma itself is delegated to scipy's complex
 implementation (Lanczos-class accuracy, better than 1e-12 on the strip the
 normalization integrals need). scipy.special is imported on first use: it
 is most of the package's import time, and only the wavefunction
@@ -18,6 +21,10 @@ from numpy.polynomial import polynomial as npoly
 from .errors import NonConvergentError, ParameterPoleError, ValidationError
 
 _INT_TOL = 1e-12
+# A non-terminating series stops once its tail bound is below SERIES_TOL
+# relative to the sum; no series runs past MAX_TERMS terms.
+SERIES_TOL = 1e-14
+MAX_TERMS = 200_000
 
 
 def _nonpos_int_order(z) -> int | None:
@@ -56,89 +63,69 @@ def beta_fn(x, y) -> complex:
     return gamma_fn(x) * gamma_fn(y) / gamma_fn(x + y)
 
 
-def _series_sum(a, b, c, z, tol, max_terms):
-    """Direct power series with a term-ratio tail bound stopping rule."""
-    a, b, c, z = complex(a), complex(b), complex(c), complex(z)
+def _hyp_series(numer, c, z) -> complex:
+    """Sum over k of (a)_k (b)_k / (c)_k * z^k / k!, with numer = (a, b), or (a,) for 1F1.
+
+    A nonpositive-integer numerator parameter -m ends the series at k = m, and
+    the finite sum is exact for any z. Otherwise the sum stops once the
+    term-ratio bound on the tail falls below SERIES_TOL relative to the total.
+    """
+    numer = [complex(p) for p in numer]
+    c, z = complex(c), complex(z)
+    orders = [m for m in map(_nonpos_int_order, numer) if m is not None]
+    n_stop = min(orders, default=None)
+    if n_stop is not None and n_stop > MAX_TERMS:
+        raise NonConvergentError(f"terminating series of {n_stop} terms exceeds {MAX_TERMS}")
+    abs_numer = [abs(p) for p in numer]
+    bound_floor = 2.0 * (sum(abs_numer) + abs(c)) + 10.0
     term = 1.0 + 0j
     total = term
-    bound_floor = 2.0 * (abs(a) + abs(b) + abs(c)) + 10.0
-    for k in range(max_terms):
-        term = term * (a + k) * (b + k) * z / ((c + k) * (k + 1.0))
+    for k in range(MAX_TERMS if n_stop is None else n_stop):
+        for p in numer:
+            term = term * (p + k)
+        term = term * z / ((c + k) * (k + 1.0))
         total += term
-        if k >= bound_floor:
-            denom = (k + 2.0) * max(k + 2.0 - abs(c), 1.0)
-            ratio_bound = abs(z) * (k + 2.0 + abs(a)) * (k + 2.0 + abs(b)) / denom
+        if n_stop is None and k >= bound_floor:
+            ratio_bound = abs(z)
+            for ap in abs_numer:
+                ratio_bound *= k + 2.0 + ap
+            ratio_bound /= (k + 2.0) * max(k + 2.0 - abs(c), 1.0)
             if ratio_bound < 1.0:
                 tail = abs(term) * ratio_bound / (1.0 - ratio_bound)
-                if tail < tol * max(abs(total), 1e-300):
+                if tail < SERIES_TOL * max(abs(total), 1e-300):
                     return total
-    raise NonConvergentError("2F1 series did not meet the tail bound")
-
-
-def _terminating_sum(a, b, c, z, n_stop, max_terms) -> complex:
-    if n_stop > max_terms:
-        raise NonConvergentError(f"terminating 2F1 series of {n_stop} terms exceeds {max_terms}")
-    a, b, c, z = complex(a), complex(b), complex(c), complex(z)
-    term = 1.0 + 0j
-    total = term
-    for k in range(n_stop):
-        term = term * (a + k) * (b + k) * z / ((c + k) * (k + 1.0))
-        total += term
+    if n_stop is None:
+        raise NonConvergentError(f"series did not meet its tail bound in {MAX_TERMS} terms")
     return total
 
 
-def gauss_2f1(a, b, c, z, tol: float = 1e-14, max_terms: int = 200000) -> complex:
-    """Gauss hypergeometric 2F1(a, b; c; z) for complex parameters, |z| <= 1.
+def gauss_2f1(a, b, c, z) -> complex:
+    """Gauss hypergeometric 2F1(a, b; c; z) for complex parameters.
 
-    Terminating series (a or b a nonpositive integer) are summed exactly for
-    any z. At z = 1 the Gauss theorem Gamma ratio is used, requiring
-    Re(c-a-b) > 0. Otherwise: direct series for |z| <= 0.5 and the Euler
-    transformation for 0.5 < |z| < 1.
+    A terminating series (a or b a nonpositive integer) is summed exactly for
+    any z. At z = 1 Gauss's theorem gives a Gamma ratio, which needs
+    Re(c-a-b) > 0. For |z| < 1 the direct series is summed. Every other z
+    raises NonConvergentError before a term is summed.
     """
     a, b, c, z = complex(a), complex(b), complex(c), complex(z)
     if _nonpos_int_order(c) is not None:
         raise ParameterPoleError(f"2F1 parameter pole: c = {c}")
-    na, nb = _nonpos_int_order(a), _nonpos_int_order(b)
-    if na is not None or nb is not None:
-        n_stop = min(m for m in (na, nb) if m is not None)
-        return _terminating_sum(a, b, c, z, n_stop, max_terms)
-    if z == 0:
-        return 1.0 + 0j
-    if abs(z) > 1.0 + 1e-14:
-        raise NonConvergentError(f"|z| = {abs(z):.6g} > 1 for a non-terminating series")
-    if abs(z - 1.0) <= 1e-14:
-        if not (c - a - b).real > 0:
-            raise NonConvergentError("Gauss value at z = 1 needs Re(c-a-b) > 0")
-        from scipy.special import rgamma
-        return complex(gamma_fn(c) * gamma_fn(c - a - b) * rgamma(c - a) * rgamma(c - b))
-    if abs(z) <= 0.5:
-        return _series_sum(a, b, c, z, tol, max_terms)
-    # Euler transformation; the transformed series may also terminate
-    aa, bb = c - a, c - b
-    prefactor = np.exp((c - a - b) * np.log(1.0 - z))
-    naa, nbb = _nonpos_int_order(aa), _nonpos_int_order(bb)
-    if naa is not None or nbb is not None:
-        n_stop = min(m for m in (naa, nbb) if m is not None)
-        return prefactor * _terminating_sum(aa, bb, c, z, n_stop, max_terms)
-    return prefactor * _series_sum(aa, bb, c, z, tol, max_terms)
+    if _nonpos_int_order(a) is None and _nonpos_int_order(b) is None:
+        if abs(z - 1.0) <= 1e-14:
+            if not (c - a - b).real > 0:
+                raise NonConvergentError("Gauss value at z = 1 needs Re(c-a-b) > 0")
+            from scipy.special import rgamma
+            return complex(gamma_fn(c) * gamma_fn(c - a - b) * rgamma(c - a) * rgamma(c - b))
+        if not abs(z) < 1.0:
+            raise NonConvergentError(f"|z| = {abs(z):.6g} >= 1 for a non-terminating 2F1 series")
+    return _hyp_series((a, b), c, z)
 
 
-def kummer_1f1(a, c, z, tol: float = 1e-15, max_terms: int = 200000) -> complex:
-    """Confluent 1F1(a; c; z) by the same series machinery (always convergent)."""
-    a, c, z = complex(a), complex(c), complex(z)
+def kummer_1f1(a, c, z) -> complex:
+    """Confluent 1F1(a; c; z) by the direct series, which converges for every z."""
     if _nonpos_int_order(c) is not None:
-        raise ParameterPoleError(f"1F1 parameter pole: c = {c}")
-    na = _nonpos_int_order(a)
-    term = 1.0 + 0j
-    total = term
-    for k in range(max_terms):
-        if na is not None and k >= na:
-            return total
-        term = term * (a + k) * z / ((c + k) * (k + 1.0))
-        total += term
-        if abs(term) < tol * max(abs(total), 1e-300) and k > abs(z) + abs(a) + abs(c):
-            return total
-    raise NonConvergentError("1F1 series did not converge")
+        raise ParameterPoleError(f"1F1 parameter pole: c = {complex(c)}")
+    return _hyp_series((a,), c, z)
 
 
 @dataclass(frozen=True)

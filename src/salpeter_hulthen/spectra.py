@@ -168,16 +168,20 @@ def salpeter_energy_general(params: PotentialParams, masses: MassConfig, n: int,
         raise ValidationError("n must be nonnegative")
     v0, alpha, q = params.v0, params.alpha, params.q
     mu, mt = masses.mu, masses.m_tilde
-    a = alpha * alpha / (2.0 * mu)
-    eps2_sq = v0 * v0 / (2.0 * mt * a)
-    if strict and q * q < 4.0 * eps2_sq:
-        raise NoBoundStateError("condition q^2 >= V0^2 * (2 mu / m_tilde) / alpha^2 fails")
-    b = _csqrt(q * q - 4.0 * eps2_sq)
-    big_c = b + q * (2 * n + 1)
-    big_d = (big_c * big_c + 4.0 * eps2_sq) / q
-    pref = v0 / (2.0 * q) - mt
-    disc = pref * pref - (2.0 * mt * a / q) * ((v0 / a) ** 2 - (v0 / (2.0 * a)) * big_d
-                                               + big_d * big_d / 16.0) / big_d
+    try:
+        a = alpha * alpha / (2.0 * mu)
+        eps2_sq = v0 * v0 / (2.0 * mt * a)
+        if strict and q * q < 4.0 * eps2_sq:
+            raise NoBoundStateError("condition q^2 >= V0^2 * (2 mu / m_tilde) / alpha^2 fails")
+        b = _csqrt(q * q - 4.0 * eps2_sq)
+        big_c = b + q * (2 * n + 1)
+        big_d = (big_c * big_c + 4.0 * eps2_sq) / q
+        pref = v0 / (2.0 * q) - mt
+        disc = pref * pref - (2.0 * mt * a / q) * ((v0 / a) ** 2 - (v0 / (2.0 * a)) * big_d
+                                                   + big_d * big_d / 16.0) / big_d
+    except ArithmeticError as exc:
+        # (V0/a)^2 overflows, or a underflows to 0, at extreme accepted inputs
+        raise ValidationError(f"general closed form leaves the float range: {exc}") from exc
     if strict and _negative_radicand(pref, disc):
         raise ComplexSpectrumError("energy radicand is negative")
     return _pair(pref, disc)
@@ -307,15 +311,19 @@ def nonrelativistic_energy(params: PotentialParams, mu: float, n: int,
     if params.q == 0.0:
         raise NoBoundStateError("no closed nonrelativistic form at q = 0")
     v0, alpha, q = params.v0, params.alpha, params.q
-    if params.regime is Regime.COMPLEX_ALPHA:
-        return float((2.0 * mu * v0 + q * alpha * alpha * (n + 1) ** 2) ** 2
-                     / (8.0 * mu * q * q * alpha * alpha * (n + 1) ** 2))
-    if params.regime is not Regime.REAL:
+    if params.regime not in (Regime.REAL, Regime.COMPLEX_ALPHA):
         raise ValidationError("nonrelativistic form exists for Real or ComplexAlpha only")
-    beta = 2.0 * mu * v0 / (q * alpha * alpha)
-    if check_exists and not (beta > 0 and (n + 1) < np.sqrt(beta)):
-        raise NoBoundStateError(f"level n = {n} fails n+1 < sqrt(beta) = {beta**0.5 if beta > 0 else float('nan'):.6g}")
-    return float(-(alpha * alpha / (8.0 * mu)) * ((n + 1) - beta / (n + 1)) ** 2)
+    try:
+        if params.regime is Regime.COMPLEX_ALPHA:
+            return float((2.0 * mu * v0 + q * alpha * alpha * (n + 1) ** 2) ** 2
+                         / (8.0 * mu * q * q * alpha * alpha * (n + 1) ** 2))
+        beta = 2.0 * mu * v0 / (q * alpha * alpha)
+        if check_exists and not (beta > 0 and (n + 1) < np.sqrt(beta)):
+            raise NoBoundStateError(f"level n = {n} fails n+1 < sqrt(beta) = {beta**0.5 if beta > 0 else float('nan'):.6g}")
+        return float(-(alpha * alpha / (8.0 * mu)) * ((n + 1) - beta / (n + 1)) ** 2)
+    except ArithmeticError as exc:
+        # alpha^2 underflows to 0, or a square overflows, at extreme accepted inputs
+        raise ValidationError(f"nonrelativistic closed form leaves the float range: {exc}") from exc
 
 
 def level_count(params: PotentialParams, m: float) -> int:

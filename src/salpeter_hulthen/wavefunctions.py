@@ -184,17 +184,21 @@ def norm_integral_closed(n: int, rho, nu, q_eff, p: int, r: int) -> complex:
 def normalization_sum(n: int, rho, nu, q_eff) -> complex:
     """The double sum over (p, r) for int_0^1 weight * P^2 ds in closed form."""
     rho, nu, q_eff = complex(rho), complex(nu), complex(q_eff)
-    pref = ((-1.0) ** n * gamma_fn(n + nu + 1) * gamma_fn(n + rho + 1) ** 2
-            / gamma_fn(n + rho + nu + 1))
-    total = 0j
-    for p in range(n + 1):
-        t_p = ((-1.0) ** p * q_eff ** (n - p)
-               / (math.factorial(p) * math.factorial(n - p)
-                  * gamma_fn(p + nu + 1) * gamma_fn(n + rho - p + 1)))
-        for r in range(n + 1):
-            u_r = ((-1.0) ** r * q_eff ** r * gamma_fn(n + rho + nu + r + 1)
-                   / (math.factorial(r) * math.factorial(n - r) * gamma_fn(rho + r + 1)))
-            total += t_p * u_r * norm_integral_closed(n, rho, nu, q_eff, p, r)
+    try:
+        pref = ((-1.0) ** n * gamma_fn(n + nu + 1) * gamma_fn(n + rho + 1) ** 2
+                / gamma_fn(n + rho + nu + 1))
+        total = 0j
+        for p in range(n + 1):
+            t_p = ((-1.0) ** p * q_eff ** (n - p)
+                   / (math.factorial(p) * math.factorial(n - p)
+                      * gamma_fn(p + nu + 1) * gamma_fn(n + rho - p + 1)))
+            for r in range(n + 1):
+                u_r = ((-1.0) ** r * q_eff ** r * gamma_fn(n + rho + nu + r + 1)
+                       / (math.factorial(r) * math.factorial(n - r) * gamma_fn(rho + r + 1)))
+                total += t_p * u_r * norm_integral_closed(n, rho, nu, q_eff, p, r)
+    except ArithmeticError as exc:
+        # a Gamma value under- or overflows at extreme parameters
+        raise ConvergenceViolationError(f"normalization sum leaves the float range: {exc}") from exc
     return pref * total
 
 

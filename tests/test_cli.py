@@ -75,6 +75,19 @@ def test_cli_import_leaves_out_scipy_linalg_and_integrate():
         assert out.strip() == "[]", module
 
 
+def test_stderr_is_one_json_document(tmp_path):
+    # in a subprocess, since pytest captures warnings in-process; numpy's
+    # RuntimeWarnings from the closed forms once came before the JSON error
+    doc = {"V0": 7.54e-287, "alpha": 1.796, "q": -0.488, "m1": 2.959, "m2": 2.959,
+           "regime": "Real", "command": "spectrum"}
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "salpeter_hulthen.cli",
+                           "--config", write_config(tmp_path, doc)],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 2
+    assert set(json.loads(proc.stderr)) == {"error", "message"}
+
+
 def test_unknown_field_exits_2(tmp_path):
     code, _ = run(tmp_path, {**BASE, "bogus": 2}, "--command", "spectrum")
     assert code == 2

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from salpeter_hulthen import special_functions
 from salpeter_hulthen.errors import NonConvergentError, ParameterPoleError, ValidationError
 from salpeter_hulthen.special_functions import (
     beta_fn,
@@ -99,13 +100,30 @@ def test_2f1_against_mpmath(rng):
         mine = gauss_2f1(a, b, c, z)
         ref = complex(mp.hyp2f1(a, b, c, z))
         assert mine == pytest.approx(ref, rel=5e-12, abs=1e-13)
+    # large Re(c-a-b) near z = -1, where the Euler transformation was wrong:
+    # the first is the normalization's own shape at n = p = 7, rho = 0.05,
+    # nu = 0.9, q_eff = -0.99
+    for a, b, c, z in ((1.05, -8.9, 2.05, -0.99),
+                       (-2.79 - 0.89j, -2.69 - 0.90j, 2.97 - 0.90j, -0.978)):
+        ref = complex(mp.hyp2f1(a, b, c, z))
+        assert gauss_2f1(a, b, c, z) == pytest.approx(ref, rel=5e-12, abs=1e-13)
 
 
-def test_2f1_refusals():
+def test_2f1_refusals(monkeypatch):
     with pytest.raises(NonConvergentError):
         gauss_2f1(0.5, 0.7, 1.9, 1.5)
     with pytest.raises(ParameterPoleError):
         gauss_2f1(0.5, 0.7, -2.0, 0.3)
+    # a terminating series at |z| = 1 is still the exact finite sum
+    assert gauss_2f1(-2.0, 1.5, 2.5, 1j) == pytest.approx(
+        1 - 2 * 1.5 * 1j / 2.5 + 1.5 * 2.5 * 1j**2 / (2.5 * 3.5), rel=1e-15)
+    # a non-terminating series at |z| = 1, z != 1, is refused before any term
+    calls = []
+    monkeypatch.setattr(special_functions, "_hyp_series",
+                        lambda *args: calls.append(args))
+    with pytest.raises(NonConvergentError):
+        gauss_2f1(1.5, -2.5, 2.5, 1j)
+    assert calls == []
 
 
 def test_1f1_against_mpmath(rng):

@@ -285,6 +285,21 @@ def test_normalization_convergence_violation():
         wfp.normalization_constant(wf)
 
 
+def test_float_range_failures_raise_documented_errors():
+    # each of these raised a raw OverflowError or ZeroDivisionError
+    with pytest.raises(ValidationError):
+        spectra.salpeter_energy_general(PotentialParams(-0.557, 6.4e-142, 0.217),
+                                        MassConfig(2.0, 3.0), 0, strict=False)
+    with pytest.raises(ValidationError):
+        spectra.nonrelativistic_energy(PotentialParams(1.0, -2.7e-217, 0.5, Regime.COMPLEX_ALPHA),
+                                       0.5, 0)
+    # a Gamma value of the double sum underflows to 0
+    p, masses = PotentialParams(-2.62, 1.46, 6.1e-5), MassConfig(1.89, 1.21)
+    wf = wfp.assemble(p, masses, bound_states(p, masses, 0)[1])
+    with pytest.raises(ConvergenceViolationError):
+        wfp.normalization_constant(wf)
+
+
 def test_pole_on_grid():
     # a negative-real-part edge exponent cannot be continued across its zero
     jac = jacobi_coefficients(0, 0.5, -1.5)
