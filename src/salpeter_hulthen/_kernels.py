@@ -25,6 +25,7 @@ The certificate reads only values the block already holds, and the result
 is bitwise that of the full integration.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -142,8 +143,9 @@ def dirichlet_settled(g0s, g1s, g2, r_c, g_c, u, v, peak):
 # ---------------------------------------------------------------------------
 # Frobenius start for the singular origin at q = 1 (pole of the potential).
 
+@functools.cache
 def _exp_ratio_taylor(n_terms: int) -> np.ndarray:
-    """Taylor coefficients f_k of t/(e^t - 1)."""
+    """Taylor coefficients f_k of t/(e^t - 1), built once per length (read-only)."""
     f = np.zeros(n_terms)
     f[0] = 1.0
     for n in range(2, n_terms + 1):
@@ -151,6 +153,7 @@ def _exp_ratio_taylor(n_terms: int) -> np.ndarray:
         for m in range(2, n + 1):
             acc += f[n - m] / math.factorial(m)
         f[n - 1] = -acc
+    f.flags.writeable = False
     return f
 
 
@@ -183,14 +186,18 @@ def frobenius_coefficients(g_coeffs, order: int = 16):
     if disc < 0:
         raise ValueError("supercritical inverse-square strength at the origin")
     nu = 0.5 * (1.0 + math.sqrt(disc))
-    a = np.zeros((order + 1,) + g.shape[1:])
+    # over two or more columns an axis-0 sum adds the rows one by one, in the
+    # order of the Cauchy product; over one column numpy sums pairwise, so a
+    # lone energy is doubled to get the bits it gets in any batch
+    cols = g.reshape(len(g), -1)
+    n = cols.shape[1]
+    if n == 1:
+        cols = np.repeat(cols, 2, axis=1)
+    a = np.zeros((order + 1, cols.shape[1]))
     a[0] = 1.0
     for k in range(1, order + 1):
-        acc = 0.0
-        for j in range(-1, k - 1):
-            acc = acc + g[j + 2] * a[k - 2 - j]
-        a[k] = -acc / (k * (k + 2.0 * nu - 1.0))
-    return nu, a
+        a[k] = -(cols[1:k + 1] * a[k - 1::-1]).sum(axis=0) / (k * (k + 2.0 * nu - 1.0))
+    return nu, a[:, :n].reshape((order + 1,) + g.shape[1:])
 
 
 def frobenius_values(g_coeffs, xs, order: int = 16):

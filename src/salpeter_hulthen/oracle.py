@@ -18,7 +18,11 @@ Two solvers, deliberately unrelated to the closed forms:
   are bracketed by a scan and polished all at once by a batched
   multisection: each pass integrates POLISH_POINTS - 1 interior energies of
   every open bracket in one kernel call and keeps a subinterval over which
-  the residual changes sign.
+  the residual changes sign. From the second pass on it also integrates two
+  probes either side of an inverse interpolation of the root from the
+  values it already has, keeping the bracket as Brent's method does (Brent,
+  Algorithms for Minimization without Derivatives, 1973); where they
+  straddle the root the bracket closes, so most roots take two passes.
 
 Only the Real regime is handled here; complex regimes are checked through
 algebraic identities instead (see the spectra tests).
@@ -197,10 +201,11 @@ def jost_sums(g0s, g1s, g2, q, alpha, x):
     j = np.arange(1.0, JOST_TERMS + 1.0).reshape(-1, 1)
     # row j - 1 holds G_j s^j; the exponent floor keeps q = 0 finite at j = 1
     gs = g1s * s * qs ** (j - 1.0) + g2 * s * s * (j - 1.0) * qs ** np.maximum(j - 2.0, 0.0)
+    den = j * alpha * (2.0 * kappa + j * alpha)       # row k - 1 divides c_k
     t = np.empty((JOST_TERMS + 1,) + kappa.shape)
     t[0] = 1.0
     for k in range(1, JOST_TERMS + 1):
-        t[k] = -(gs[:k] * t[k - 1::-1]).sum(axis=0) / (k * alpha * (2.0 * kappa + k * alpha))
+        t[k] = -(gs[:k] * t[k - 1::-1]).sum(axis=0) / den[k - 1]
     tail = JOST_TERMS * np.abs(t[-1])
     if not np.all(tail <= JOST_TOL * np.abs(t).sum(axis=0)):
         raise NonConvergentError(
@@ -233,47 +238,82 @@ def shooting_mismatch(params: PotentialParams, masses: MassConfig, energy: float
     return float(mismatch_sweep(params, masses, [energy], h=h, x_max=x_max)[0])
 
 
+def _probe_centres(near_e, near_f, lo, hi, f_lo, f_hi):
+    """Root estimates inside the brackets [lo, hi], one per row.
+
+    The inverse cubic Lagrange interpolant through the four (energy, value)
+    pairs of the last pass nearest each kept sign change, taken at value 0;
+    where that is not finite or leaves the bracket (equal values, as on a
+    saturated residual), the regula-falsi point of the ends; where that too
+    is not finite, the midpoint.
+    """
+    with np.errstate(all="ignore"):
+        diff = near_f[:, None, :] - near_f[:, :, None]           # [i, j] = f_j - f_i
+        ratio = np.where(np.eye(4, dtype=bool), 1.0, near_f[:, None, :] / diff)
+        est = lo + ((near_e - lo[:, None]) * ratio.prod(axis=2)).sum(axis=1)
+        falsi = lo - f_lo * (hi - lo) / (f_hi - f_lo)
+    est = np.where(np.isfinite(est) & (lo < est) & (est < hi), est, falsi)
+    return np.where(np.isfinite(est), est, 0.5 * (lo + hi))
+
+
 def _polish(residual, lo, hi):
     """Midpoints of the brackets [lo, hi] of a continuous residual, narrowed together.
 
     residual maps an energy array to an array of values, and each bracket
     holds a sign change (or lo == hi, a known root). Every pass evaluates the
-    POLISH_POINTS - 1 interior energies of all open brackets in one call and
-    keeps, per bracket, the first subinterval whose ends differ in sign; an
-    interior value of exactly zero is the root itself. Before that
-    subinterval every value has the sign of the lower end, so that sign is
-    evaluated once, with the first pass. A bracket closes at ROOT_XTOL wide,
-    or at 4 eps |E| where that is wider (a few ulps: near |E| = 1e4 one ulp
-    exceeds ROOT_XTOL, and rounding would stall the bracket); until then
-    each pass shrinks it about POLISH_POINTS-fold.
+    POLISH_POINTS - 1 uniform interior energies of all open brackets in one
+    call and keeps, per bracket, the first subinterval whose ends differ in
+    sign; an interior value of exactly zero is the root itself. The first
+    pass also evaluates both ends. Every later pass adds two probes at
+    e* -+ 0.4 tol, where tol is the bracket's closing width and e* the
+    inverse-interpolation estimate of the root from the last pass's values
+    (`_probe_centres`), sorted in among the uniform energies: when they
+    straddle the root the bracket is 0.8 tol wide and closes, and otherwise
+    the kept subinterval still lies inside a uniform one. A bracket closes
+    at ROOT_XTOL wide, or at 4 eps |E| where that is wider (a few ulps: near
+    |E| = 1e4 one ulp exceeds ROOT_XTOL, and rounding would stall the
+    bracket); until then each pass shrinks it at least about
+    POLISH_POINTS-fold, so the probes never cost a pass.
     """
     lo = np.array(lo, dtype=float)
     hi = np.array(hi, dtype=float)
     inner = np.arange(1, POLISH_POINTS) / POLISH_POINTS
-    sign_lo = None
+    f_lo, f_hi = np.zeros(lo.shape), np.zeros(lo.shape)
+    near_e, near_f = np.zeros(lo.shape + (4,)), np.zeros(lo.shape + (4,))
+    first = True
     while True:
         width = hi - lo
         tol = ROOT_XTOL + 4.0 * np.finfo(float).eps * np.maximum(np.abs(lo), np.abs(hi))
         todo = np.flatnonzero(width > tol)
         if todo.size == 0:
             return 0.5 * (lo + hi)
-        grid = lo[todo, None] + width[todo, None] * inner
-        if sign_lo is None:
-            values = residual(np.concatenate((lo[todo], grid.ravel())))
-            sign_lo = np.zeros(lo.shape)
-            sign_lo[todo] = np.sign(values[:todo.size])
-            values = values[todo.size:]
+        a, b = lo[todo], hi[todo]
+        grid = a[:, None] + width[todo, None] * inner
+        if first:
+            values = residual(np.concatenate((a, b, grid.ravel())))
+            f_lo[todo], f_hi[todo] = values[:todo.size], values[todo.size:2 * todo.size]
+            values = values[2 * todo.size:]
+            first = False
         else:
+            centre = _probe_centres(near_e[todo], near_f[todo], a, b, f_lo[todo], f_hi[todo])
+            probes = np.clip(centre[:, None] + np.array([-0.4, 0.4]) * tol[todo, None],
+                             a[:, None], b[:, None])
+            grid = np.sort(np.hstack((grid, probes)), axis=1)
             values = residual(grid.ravel())
-        # column k holds the value at edges[k + 1]; the upper end's is not
-        # evaluated (NaN), so its subinterval is kept when no interior value
-        # leaves the lower end's sign
-        padded = np.hstack((values.reshape(grid.shape), np.full((todo.size, 1), np.nan)))
-        k = np.argmax((padded == 0.0) | (np.sign(padded) != sign_lo[todo, None]), axis=1)
+        edges = np.column_stack((a, grid, b))
+        fs = np.column_stack((f_lo[todo], values.reshape(grid.shape), f_hi[todo]))
+        # an interior value leaving the lower end's sign ends the kept
+        # subinterval; with none, the last subinterval is kept
+        interior = fs[:, 1:-1]
+        leaves = (interior == 0.0) | (np.sign(interior) != np.sign(fs[:, :1]))
+        k = np.argmax(np.hstack((leaves, np.ones((todo.size, 1), dtype=bool))), axis=1)
         rows = np.arange(todo.size)
-        edges = np.column_stack((lo[todo], grid, hi[todo]))
-        hi[todo] = edges[rows, k + 1]
-        lo[todo] = np.where(padded[rows, k] == 0.0, hi[todo], edges[rows, k])
+        hi[todo], f_hi[todo] = edges[rows, k + 1], fs[rows, k + 1]
+        zero = fs[rows, k + 1] == 0.0
+        lo[todo] = np.where(zero, hi[todo], edges[rows, k])
+        f_lo[todo] = np.where(zero, 0.0, fs[rows, k])
+        cols = np.clip(k - 1, 0, edges.shape[1] - 4)[:, None] + np.arange(4)
+        near_e[todo], near_f[todo] = edges[rows[:, None], cols], fs[rows[:, None], cols]
 
 
 def salpeter_levels(params: PotentialParams, masses: MassConfig, window=None,
@@ -283,11 +323,14 @@ def salpeter_levels(params: PotentialParams, masses: MassConfig, window=None,
     Scans the Jost Wronskian psi_J psi' - psi_J' psi over scan_points
     energies and polishes every sign change at once with a batched
     multisection (`_polish`): each pass integrates POLISH_POINTS - 1 interior
-    energies of every bracket in one kernel call and keeps a subinterval
-    whose ends differ in sign. The residual is continuous in E, so each kept
+    energies of every bracket, and from the second pass on two probes around
+    an interpolated root, in one kernel call, and keeps a subinterval whose
+    ends differ in sign. The residual is continuous in E, so each kept
     subinterval still holds a root, and the polish converges whatever the
     shape of the residual, a step-like one on deep levels included. From the
-    default window that takes five passes, however many roots there are.
+    default window a bracket closes after two passes where the probes
+    straddle its root, and after at most five, the plain multisection's
+    count, where they do not; each pass serves all brackets at once.
     The window must lie inside (-2 m_tilde, 0), where g0 < 0 and the tail
     decays. x_max is the matching point, `matching_point` by default (about
     5/alpha); the residual is taken where the fixed steps stop, within h/2

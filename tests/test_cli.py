@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from salpeter_hulthen import cli
+from salpeter_hulthen.errors import ValidationError
 
 
 BASE = {"V0": 0.9, "alpha": 1.0, "q": 1.0, "regime": "Real", "m1": 1.0, "m2": 1.0}
@@ -268,3 +269,15 @@ def test_any_config_exits_with_a_documented_code(doc):
     assert code in (0, 2, 3, 4)
     if code:
         assert set(json.loads(err.getvalue())) == {"error", "message"}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(doc=_config_documents())
+def test_config_echo_reingests_to_the_same_config(doc):
+    # the echo written into metadata, read back, is the config that ran
+    try:
+        config = cli.build_config(doc)
+    except ValidationError:
+        return
+    echo = json.loads(cli.dumps_canonical(cli.config_echo(config)))
+    assert cli.build_config(echo) == config

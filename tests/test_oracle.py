@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -214,8 +215,13 @@ def test_shooting_agrees_with_fd_on_linear_problem():
     assert shoot == pytest.approx(fd, abs=1e-7)
 
 
-def test_polish_is_one_kernel_call_per_pass(monkeypatch):
-    # the scan, then one batched call per polish pass for all brackets at once
+def _uniform_passes(width):
+    """Passes of a plain POLISH_POINTS-fold multisection from width down to ROOT_XTOL."""
+    return math.ceil(math.log(width / oracle.ROOT_XTOL) / math.log(oracle.POLISH_POINTS))
+
+
+def _counted_levels(params):
+    """salpeter_levels(params, MC1) and the batch size of each kernel call it made."""
     calls = []
     sweep = oracle.rk4_sweep
 
@@ -223,13 +229,30 @@ def test_polish_is_one_kernel_call_per_pass(monkeypatch):
         calls.append(len(args[0]))
         return sweep(*args, **kwargs)
 
-    monkeypatch.setattr(oracle, "rk4_sweep", counted)
-    roots = oracle.salpeter_levels(PotentialParams(0.1425, 0.15, 1.0), MC1)
-    assert len(roots) == 2
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "rk4_sweep", counted)
+        roots = oracle.salpeter_levels(params, MC1)
+    return roots, calls
+
+
+def test_polish_is_one_kernel_call_per_pass():
+    # the scan, then one batched call per polish pass for all open brackets
+    # at once, never more passes than the plain multisection
+    per_bracket = oracle.POLISH_POINTS + 1     # the uniform grid, plus both ends or two probes
     width = (2.0 - 4e-8) / 239                 # scan step of the default window
-    passes = math.ceil(math.log(width / oracle.ROOT_XTOL) / math.log(oracle.POLISH_POINTS))
+    passes = _uniform_passes(width)
     assert passes == 5
-    assert len(calls) == 1 + passes
+    for v0, alpha, levels in [(0.1425, 0.15, 2), (0.9, 1.0, 1)]:
+        roots, calls = _counted_levels(PotentialParams(v0, alpha, 1.0))
+        assert len(roots) == levels
+        assert calls[0] == 240
+        assert calls[1] == per_bracket * len(roots)
+        open_brackets = [batch // per_bracket for batch in calls[1:]]
+        assert [n * per_bracket for n in open_brackets] == calls[1:]
+        assert open_brackets == sorted(open_brackets, reverse=True) and open_brackets[-1] >= 1
+        assert len(calls) <= 1 + passes
+    # the single level of (0.9, 1, 1) closes on the first probe pair: scan + 2 passes
+    assert len(calls) == 3
 
 
 def test_polish_on_closed_form_residuals():
@@ -240,6 +263,23 @@ def test_polish_on_closed_form_residuals():
     # an exact zero; the bracket still closes
     root = oracle._polish(lambda e: (e + 12345.678) - 4e-13, [-2e4], [-5e3])[0]
     assert root == pytest.approx(-12345.678, abs=1e-11)
+
+
+def test_polish_on_a_saturated_step():
+    # tanh saturates at +-1 a few 1e-8 from its root, so the interpolation
+    # meets equal values; the bracket still closes within the plain
+    # multisection's passes, without a warning
+    calls = []
+
+    def residual(energies):
+        calls.append(energies.size)
+        return np.tanh((energies + 0.3) / 1e-9)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        root = oracle._polish(residual, [-1.0], [0.0])[0]
+    assert abs(root + 0.3) <= oracle.ROOT_XTOL
+    assert len(calls) <= _uniform_passes(1.0)
 
 
 BRENT_CASES = [(0.9, 1.0, 1.0), (0.1425, 0.15, 1.0), (3.8, 1.0, 0.5), (6.2, 1.0, -1.0)]
@@ -408,6 +448,20 @@ def test_every_root_is_bracketed_and_physical(alpha, ratio):
             problem, [root - oracle.ROOT_XTOL, root + oracle.ROOT_XTOL])
         assert np.sign(below) * np.sign(above) < 0
         assert min(abs(e - root) for e in physical) <= 1e-4 * abs(root)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(multi=st.booleans(), alpha=st.floats(0.0, 1.0), ratio=st.floats(0.0, 1.0))
+def test_polish_never_takes_more_passes_than_the_multisection(multi, alpha, ratio):
+    # criterion-5's draws: single-level alpha in [0.6, 1.1], V0/alpha in
+    # [0.86, 0.96]; multi-level alpha in [0.12, 0.18], V0/alpha in [0.9, 0.97]
+    if multi:
+        alpha, ratio = 0.12 + 0.06 * alpha, 0.9 + 0.07 * ratio
+    else:
+        alpha, ratio = 0.6 + 0.5 * alpha, 0.86 + 0.1 * ratio
+    roots, calls = _counted_levels(PotentialParams(ratio * alpha, alpha, 1.0))
+    assert roots
+    assert len(calls) <= 1 + _uniform_passes((2.0 - 4e-8) / 239)
 
 
 @pytest.mark.parametrize("q, v0, level", [(0.5, 1.5, -0.0189), (1.0, 0.9, -0.0150)],
