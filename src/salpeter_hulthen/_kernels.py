@@ -9,11 +9,13 @@ psi'' = -g psi is linear, so one classical RK4 step is exactly a 2x2 matrix
 per energy, built from g at the step's start, midpoint and end. The kernel
 builds these propagators for BLOCK_STEPS steps at a time, each coefficient
 one numpy expression over a (steps, batch) array, which leaves the step loop
-with one matrix-vector product and one |psi| row per step. The block is a
-fixed number of steps, not of elements: the running peak and the overflow
-rescale are applied at block ends, which then fall on the same step indices
-for any batch size, so each energy in a batch gives the same bits as that
-energy alone; the block's arrays stay small whatever the batch.
+with one matrix-vector product per step (and, for the Dirichlet mismatch,
+one |psi| row for the running peak). The block is a fixed number of steps,
+not of elements: the overflow rescale, and the peak, are applied at block
+ends, which then fall on the same step indices for any batch size, so each
+energy in a batch gives the same bits as that energy alone; the block's
+arrays stay small whatever the batch. Otherwise the solution is left
+unnormalized and each rescale is carried out as a per-energy log scale.
 
 The Dirichlet mismatch psi(x_max)/peak of a wide sweep is exactly +-1 for
 almost every energy: once the tail is classically forbidden for good and psi
@@ -41,9 +43,10 @@ def rk4_sweep(g0s, g1s, g2, q, alpha, x0, u0s, v0s, h, nsteps, *, dirichlet=Fals
 
     g = g0 + g1 r + g2 r^2 with r = s/(1 - q s), s = exp(-alpha x); each
     energy has its own (g0, g1) and start state (psi, psi'). The batch shares
-    x0, so r is computed once per grid point. Returns (psi, psi') at
-    x0 + nsteps * h, both divided by the running peak of |psi|; with
-    dirichlet=True, psi/peak alone, the Dirichlet mismatch.
+    x0, so r is computed once per grid point. Returns (psi, psi', log_scale)
+    at x0 + nsteps * h, where psi exp(log_scale) and psi' exp(log_scale) are
+    the unnormalized solution; with dirichlet=True, psi divided by the
+    running peak of |psi| alone, the Dirichlet mismatch.
 
     With g_lo, g_mid, g_hi at x, x + h/2 and x + h, one RK4 step is
     psi <- A psi + B psi', psi' <- C psi + D psi' with
@@ -51,10 +54,12 @@ def rk4_sweep(g0s, g1s, g2, q, alpha, x0, u0s, v0s, h, nsteps, *, dirichlet=Fals
     B = h - h^3/6 g_mid,
     C = -h/6 (g_lo + 4 g_mid + g_hi) + h^3/12 g_mid (g_lo + g_hi),
     D = 1 - h^2/6 (2 g_mid + g_hi) + h^4/24 g_mid g_hi.
-    The peak and the OVERFLOW_GUARD rescale act at the end of every block of
-    BLOCK_STEPS steps. A step grows |psi| by at most about (g h^2)^2 / 24
-    where |g| h^2 is large, so a block stays inside the 1e208 left above the
-    guard unless |g| h^2 exceeds ~1e7; the oracle's steps have it near 1e-4.
+    At the end of every block of BLOCK_STEPS steps, an energy whose
+    m = max(|psi|, |psi'|) exceeds OVERFLOW_GUARD has both divided by m, and
+    log(m) added to its log_scale (in dirichlet mode, its peak divided by m
+    too). A step grows |psi| by at most about (g h^2)^2 / 24 where |g| h^2
+    is large, so a block stays inside the 1e208 left above the guard unless
+    |g| h^2 exceeds ~1e7; the oracle's steps have it near 1e-4.
 
     With dirichlet=True, an energy leaves the batch at the first block end
     where `dirichlet_settled` certifies that the rest of the integration
@@ -71,13 +76,15 @@ def rk4_sweep(g0s, g1s, g2, q, alpha, x0, u0s, v0s, h, nsteps, *, dirichlet=Fals
         g0s, g1s, u, v = g0s.ravel(), g1s.ravel(), u.ravel(), v.ravel()
         psi = np.empty(u.size)       # filled as energies leave the batch
         live = np.arange(u.size)
-    peak = np.abs(u)
+        peak = np.abs(u)
+        rows = np.empty((BLOCK_STEPS,) + u.shape)
+    else:
+        log_scale = np.zeros(u.shape)
     # step ends x0 + k h (accumulated step by step), then the midpoints
     nodes = np.cumsum(np.concatenate(([float(x0)], np.full(nsteps, h))))
     s = np.exp(-alpha * np.concatenate((nodes, nodes[:-1] + 0.5 * h)))
     r = (s / (1.0 - q * s)).reshape((-1,) + (1,) * u.ndim)
     r_end, r_mid = r[:nsteps + 1], r[nsteps + 1:]
-    rows = np.empty((BLOCK_STEPS,) + u.shape)
     for k in range(0, nsteps, BLOCK_STEPS):
         n = min(BLOCK_STEPS, nsteps - k)
         re, rm = r_end[k:k + n + 1], r_mid[k:k + n]
@@ -88,16 +95,23 @@ def rk4_sweep(g0s, g1s, g2, q, alpha, x0, u0s, v0s, h, nsteps, *, dirichlet=Fals
         b = h - h ** 3 / 6.0 * g_mid
         c = -h / 6.0 * (g_lo + 4.0 * g_mid + g_hi) + h ** 3 / 12.0 * g_mid * (g_lo + g_hi)
         d = 1.0 - h * h / 6.0 * (2.0 * g_mid + g_hi) + h ** 4 / 24.0 * g_mid * g_hi
-        for a_k, b_k, c_k, d_k, row in zip(a, b, c, d, rows):
-            u, v = a_k * u + b_k * v, c_k * u + d_k * v
-            np.abs(u, out=row)
-        np.maximum(peak, rows[:n].max(axis=0), out=peak)
+        if dirichlet:
+            for a_k, b_k, c_k, d_k, row in zip(a, b, c, d, rows):
+                u, v = a_k * u + b_k * v, c_k * u + d_k * v
+                np.abs(u, out=row)
+            np.maximum(peak, rows[:n].max(axis=0), out=peak)
+        else:
+            for a_k, b_k, c_k, d_k in zip(a, b, c, d):
+                u, v = a_k * u + b_k * v, c_k * u + d_k * v
         m = np.maximum(np.abs(u), np.abs(v))
         mask = m > OVERFLOW_GUARD
         if np.any(mask):
             u[mask] /= m[mask]
             v[mask] /= m[mask]
-            peak[mask] /= m[mask]
+            if dirichlet:
+                peak[mask] /= m[mask]
+            else:
+                log_scale[mask] += np.log(m[mask])
         if dirichlet:
             done = dirichlet_settled(g0s, g1s, g2, re[-1], g_end[-1], u, v, peak)
             if np.any(done):
@@ -108,11 +122,10 @@ def rk4_sweep(g0s, g1s, g2, q, alpha, x0, u0s, v0s, h, nsteps, *, dirichlet=Fals
                 rows = rows[:, :live.size]
                 if live.size == 0:
                     break
-    safe = np.where(peak == 0.0, 1.0, peak)
-    if dirichlet:
-        psi[live] = u / safe
-        return psi.reshape(shape)
-    return u / safe, v / safe
+    if not dirichlet:
+        return u, v, log_scale
+    psi[live] = u / np.where(peak == 0.0, 1.0, peak)
+    return psi.reshape(shape)
 
 
 def dirichlet_settled(g0s, g1s, g2, r_c, g_c, u, v, peak):

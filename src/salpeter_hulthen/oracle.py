@@ -14,15 +14,18 @@ Two solvers, deliberately unrelated to the closed forms:
   the Wronskian psi_J psi' - psi_J' psi at x_m, which has no poles where
   psi_J has a node; with the k = 0 term alone it is the Robin condition
   psi' + kappa psi = 0 of asymptotic matching (Cooley, Math. Comp. 15 (1961)
-  363), which needs a far longer domain. Roots of the residual
-  are bracketed by a scan and polished all at once by a batched
-  multisection: each pass integrates POLISH_POINTS - 1 interior energies of
-  every open bracket in one kernel call and keeps a subinterval over which
-  the residual changes sign. From the second pass on it also integrates two
-  probes either side of an inverse interpolation of the root from the
-  values it already has, keeping the bracket as Brent's method does (Brent,
-  Algorithms for Minimization without Derivatives, 1973); where they
-  straddle the root the bracket closes, so most roots take two passes.
+  363), which needs a far longer domain. The regular solution is carried
+  unnormalized, so the residual is smooth in E and its scan values predict
+  the roots. Roots of the residual are bracketed by a scan and polished all
+  at once by a batched multisection: each pass integrates POLISH_POINTS - 1
+  interior energies of every open bracket in one kernel call and keeps a
+  subinterval over which the residual changes sign. Each pass also
+  integrates two probes either side of an inverse interpolation of the
+  root, keeping the bracket as Brent's method does (Brent, Algorithms for
+  Minimization without Derivatives, 1973): on the first pass from the scan
+  values nearest the sign change, later from the last pass's uniform
+  values. Where the probes straddle the root the bracket closes, so most
+  roots take one or two passes.
 
 Only the Real regime is handled here; complex regimes are checked through
 algebraic identities instead (see the spectra tests).
@@ -50,6 +53,8 @@ ROOT_XTOL = 1e-12              # absolute energy tolerance of the polish
 POLISH_POINTS = 128            # subintervals per bracket and polish pass
 JOST_TERMS = 24                # terms c_1..c_K of the Jost series after c_0 = 1
 JOST_TOL = 1e-14               # largest last term K |c_K s^K| next to sum_k |c_k s^k|
+SCALE_CAP = 400.0              # largest log scale of the regular solution the residual applies
+SCAN_STENCIL = 8               # scan values per bracket in the first pass's root estimate
 
 
 @dataclass(frozen=True)
@@ -101,6 +106,15 @@ class EffectiveProblem:
         w = v - energy
         return 2.0 * mu * (-w + w * w / (2.0 * mt))
 
+    def steps(self):
+        """(x0, nsteps, x_end): the start point, the fixed steps toward x_max, and where they stop.
+
+        x_end = x0 + nsteps h is x_max only to within h/2.
+        """
+        x0 = 0.5 / self.params.alpha if self.params.q == 1.0 else 0.0
+        nsteps = int(round((self.x_max - x0) / self.h))
+        return x0, nsteps, x0 + nsteps * self.h
+
     def start_state(self, energy):
         """Initial (x0, psi, psi') honoring psi(0) = 0, for a float or an array.
 
@@ -109,10 +123,10 @@ class EffectiveProblem:
         solution behaves like x^nu; the integration then starts from a
         Frobenius series evaluated at x0 = 0.5/alpha.
         """
+        x0 = self.steps()[0]
         if self.params.q != 1.0:
-            return 0.0, np.zeros(np.shape(energy)), np.ones(np.shape(energy))
+            return x0, np.zeros(np.shape(energy)), np.ones(np.shape(energy))
         coeffs = g_laurent_q1(*self.g_coefficients(energy), self.params.alpha, FROBENIUS_ORDER)
-        x0 = 0.5 / self.params.alpha
         try:
             u0, v0 = frobenius_start(coeffs, x0, FROBENIUS_ORDER)
         except ValueError as exc:
@@ -162,23 +176,28 @@ def fd_eigenvalues(params: PotentialParams, mu: float, count: int,
 
 
 def _shoot(problem: EffectiveProblem, energies, dirichlet=False):
-    """((g0, g1, g2), psi, psi', x_end) per energy at the end of the integration.
+    """((g0, g1, g2), psi, psi', log_scale, x_end) per energy where the integration stops.
 
-    psi and psi' are divided by the peak of |psi|. x_end = x0 + nsteps h is
-    where the fixed steps really stop, which is x_max only to within h/2.
-    With dirichlet=True, psi' is None and psi is rk4_sweep's Dirichlet
-    mismatch, for which energies whose value is settled stop early.
+    psi exp(log_scale) and psi' exp(log_scale) are the regular solution with
+    its start state unnormalized; x_end = x0 + nsteps h is where the fixed
+    steps stop (`EffectiveProblem.steps`). With dirichlet=True, psi' and
+    log_scale are None and psi is rk4_sweep's Dirichlet mismatch psi/peak,
+    for which energies whose value is settled stop early.
     """
     energies = np.atleast_1d(np.asarray(energies, dtype=float))
     g = problem.g_coefficients(energies)
-    x0, u0s, v0s = problem.start_state(energies)
-    nsteps = int(round((problem.x_max - x0) / problem.h))
-    out = rk4_sweep(*g, problem.params.q, problem.params.alpha,
-                    x0, u0s, v0s, problem.h, nsteps, dirichlet=dirichlet)
-    if not np.all(np.isfinite(out)):
+    x0, nsteps, x_end = problem.steps()
+    _, u0s, v0s = problem.start_state(energies)
+    try:
+        out = rk4_sweep(*g, problem.params.q, problem.params.alpha,
+                        x0, u0s, v0s, problem.h, nsteps, dirichlet=dirichlet)
+    except ArithmeticError as exc:
+        # h^4 overflows a float where alpha is tiny
+        raise ShootingOverflowError(f"shooting steps leave the float range: {exc}") from exc
+    u, v, log_scale = (out, None, None) if dirichlet else out
+    if not (np.all(np.isfinite(u)) and (dirichlet or np.all(np.isfinite(v)))):
         raise ShootingOverflowError("non-finite shooting mismatch")
-    u, v = (out, None) if dirichlet else out
-    return g, u, v, x0 + nsteps * problem.h
+    return g, u, v, log_scale, x_end
 
 
 def jost_sums(g0s, g1s, g2, q, alpha, x):
@@ -218,12 +237,20 @@ def _jost_residual(problem: EffectiveProblem, energies):
 
     It is psi_J times psi' - (psi_J'/psi_J) psi, with the same zeros and no
     pole where psi_J has a node at the matching point, as it can in a deep
-    well (the common factor exp(-kappa x) is left out).
+    well. psi is the regular solution unnormalized, with the kernel's log
+    scale applied, so the residual is smooth in E. psi_J is taken without
+    its factor exp(-kappa x_end): the residual is exp(kappa x_end) times the
+    Jost function F, the Wronskian with the full psi_J, which does not
+    depend on where it is taken. Of a log scale above SCALE_CAP only
+    SCALE_CAP is applied (the kernel keeps psi below its OVERFLOW_GUARD), so
+    the residual stays a finite float with the right sign, though its size
+    then jumps where the kernel rescales.
     """
-    (g0s, g1s, g2), u, v, x_end = _shoot(problem, energies)
-    kappa, total, weighted = jost_sums(g0s, g1s, g2, problem.params.q,
-                                       problem.params.alpha, x_end)
-    return v * total + (kappa * total + problem.params.alpha * weighted) * u
+    (g0s, g1s, g2), u, v, log_scale, x_end = _shoot(problem, energies)
+    alpha = problem.params.alpha
+    kappa, total, weighted = jost_sums(g0s, g1s, g2, problem.params.q, alpha, x_end)
+    wronskian = v * total + (kappa * total + alpha * weighted) * u
+    return wronskian * np.exp(np.minimum(log_scale, SCALE_CAP))
 
 
 def matching_point(params: PotentialParams) -> float:
@@ -238,82 +265,113 @@ def shooting_mismatch(params: PotentialParams, masses: MassConfig, energy: float
     return float(mismatch_sweep(params, masses, [energy], h=h, x_max=x_max)[0])
 
 
-def _probe_centres(near_e, near_f, lo, hi, f_lo, f_hi):
-    """Root estimates inside the brackets [lo, hi], one per row.
+def _inverse_interpolation(xs, fs):
+    """Value at f = 0 of the polynomial x(f) through the points (f, x) of each row.
 
-    The inverse cubic Lagrange interpolant through the four (energy, value)
-    pairs of the last pass nearest each kept sign change, taken at value 0;
-    where that is not finite or leaves the bracket (equal values, as on a
-    saturated residual), the regula-falsi point of the ends; where that too
-    is not finite, the midpoint.
+    Lagrange's form, taken relative to each row's first x; where two values
+    of f are equal the result is not finite, without a warning.
     """
     with np.errstate(all="ignore"):
-        diff = near_f[:, None, :] - near_f[:, :, None]           # [i, j] = f_j - f_i
-        ratio = np.where(np.eye(4, dtype=bool), 1.0, near_f[:, None, :] / diff)
-        est = lo + ((near_e - lo[:, None]) * ratio.prod(axis=2)).sum(axis=1)
+        diff = fs[:, None, :] - fs[:, :, None]           # [i, j] = f_j - f_i
+        ratio = np.where(np.eye(fs.shape[1], dtype=bool), 1.0, fs[:, None, :] / diff)
+        return xs[:, 0] + ((xs - xs[:, :1]) * ratio.prod(axis=2)).sum(axis=1)
+
+
+def _probe_centres(est, lo, hi, f_lo, f_hi):
+    """Root estimates inside the brackets [lo, hi] with end values f_lo, f_hi.
+
+    est where it is finite and inside the bracket; otherwise the regula-falsi
+    point of the ends; where that too is not finite, the midpoint.
+    """
+    with np.errstate(all="ignore"):
         falsi = lo - f_lo * (hi - lo) / (f_hi - f_lo)
     est = np.where(np.isfinite(est) & (lo < est) & (est < hi), est, falsi)
     return np.where(np.isfinite(est), est, 0.5 * (lo + hi))
 
 
-def _polish(residual, lo, hi):
+def _scan_centres(problem: EffectiveProblem, energies, values, i):
+    """First-pass root estimates for the scan brackets [energies[i], energies[i + 1]].
+
+    The Jost function F = residual exp(-kappa x_end) is analytic in
+    kappa = sqrt(-g0(E)), where the residual's growth and E's threshold
+    branch are not, so kappa is inverse-interpolated in F through the
+    SCAN_STENCIL scan values nearest each sign change and mapped back to E
+    on the bracket's side of E = -m_tilde, where g0 = (mu/m_tilde)((E +
+    m_tilde)^2 - m_tilde^2) turns. `_probe_centres` replaces an estimate
+    outside the bracket.
+    """
+    mu, mt = problem.masses.mu, problem.masses.m_tilde
+    kappa = np.sqrt(-problem.g_coefficients(energies)[0])
+    jost = values * np.exp(-kappa * problem.steps()[2])
+    cols = np.clip(i - SCAN_STENCIL // 2 + 1, 0, energies.size - SCAN_STENCIL)[:, None]
+    cols = cols + np.arange(SCAN_STENCIL)
+    lo, hi = energies[i], energies[i + 1]
+    with np.errstate(all="ignore"):
+        # E^2 + 2 m_tilde E + c = 0 with c = m_tilde kappa^2 / mu
+        c = mt / mu * _inverse_interpolation(kappa[cols], jost[cols]) ** 2
+        d = np.sqrt(mt * mt - c)
+        est = np.where(lo + hi > -2.0 * mt, -c / (mt + d), -(mt + d))
+    return _probe_centres(est, lo, hi, jost[i], jost[i + 1])
+
+
+def _polish(residual, lo, hi, f_lo, f_hi, centre):
     """Midpoints of the brackets [lo, hi] of a continuous residual, narrowed together.
 
-    residual maps an energy array to an array of values, and each bracket
-    holds a sign change (or lo == hi, a known root). Every pass evaluates the
-    POLISH_POINTS - 1 uniform interior energies of all open brackets in one
-    call and keeps, per bracket, the first subinterval whose ends differ in
-    sign; an interior value of exactly zero is the root itself. The first
-    pass also evaluates both ends. Every later pass adds two probes at
-    e* -+ 0.4 tol, where tol is the bracket's closing width and e* the
-    inverse-interpolation estimate of the root from the last pass's values
-    (`_probe_centres`), sorted in among the uniform energies: when they
-    straddle the root the bracket is 0.8 tol wide and closes, and otherwise
-    the kept subinterval still lies inside a uniform one. A bracket closes
-    at ROOT_XTOL wide, or at 4 eps |E| where that is wider (a few ulps: near
-    |E| = 1e4 one ulp exceeds ROOT_XTOL, and rounding would stall the
-    bracket); until then each pass shrinks it at least about
+    residual maps an energy array to an array of values; each bracket holds
+    a sign change between its end values f_lo and f_hi (or lo == hi, a
+    known root), and centre is an estimate of its root. Every pass evaluates,
+    in one call for all open brackets, the POLISH_POINTS - 1 uniform interior
+    energies and two probes at e* -+ 0.4 tol, where tol is the bracket's
+    closing width and e* the root estimate: centre on the first pass, and
+    later the inverse cubic interpolation through the four uniform points of
+    the last pass nearest the kept sign change (`_probe_centres`), the
+    probes left out, as two points 0.8 tol apart spoil the cubic. It keeps,
+    per bracket, the first subinterval of the sorted energies whose ends
+    differ in sign; an interior value of exactly zero is the root itself.
+    When the probes straddle the root the bracket is 0.8 tol wide and
+    closes; otherwise the kept subinterval still lies inside a uniform one.
+    A bracket closes at ROOT_XTOL wide, or at 4 eps |E| where that is wider
+    (a few ulps: near |E| = 1e4 one ulp exceeds ROOT_XTOL, and rounding
+    would stall the bracket); until then each pass shrinks it at least about
     POLISH_POINTS-fold, so the probes never cost a pass.
     """
-    lo = np.array(lo, dtype=float)
-    hi = np.array(hi, dtype=float)
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    f_lo, f_hi = np.array(f_lo, dtype=float), np.array(f_hi, dtype=float)
+    centre = np.array(centre, dtype=float)
     inner = np.arange(1, POLISH_POINTS) / POLISH_POINTS
-    f_lo, f_hi = np.zeros(lo.shape), np.zeros(lo.shape)
-    near_e, near_f = np.zeros(lo.shape + (4,)), np.zeros(lo.shape + (4,))
-    first = True
     while True:
         width = hi - lo
         tol = ROOT_XTOL + 4.0 * np.finfo(float).eps * np.maximum(np.abs(lo), np.abs(hi))
         todo = np.flatnonzero(width > tol)
         if todo.size == 0:
             return 0.5 * (lo + hi)
-        a, b = lo[todo], hi[todo]
+        a, b, fa, fb = lo[todo], hi[todo], f_lo[todo], f_hi[todo]
         grid = a[:, None] + width[todo, None] * inner
-        if first:
-            values = residual(np.concatenate((a, b, grid.ravel())))
-            f_lo[todo], f_hi[todo] = values[:todo.size], values[todo.size:2 * todo.size]
-            values = values[2 * todo.size:]
-            first = False
-        else:
-            centre = _probe_centres(near_e[todo], near_f[todo], a, b, f_lo[todo], f_hi[todo])
-            probes = np.clip(centre[:, None] + np.array([-0.4, 0.4]) * tol[todo, None],
-                             a[:, None], b[:, None])
-            grid = np.sort(np.hstack((grid, probes)), axis=1)
-            values = residual(grid.ravel())
-        edges = np.column_stack((a, grid, b))
-        fs = np.column_stack((f_lo[todo], values.reshape(grid.shape), f_hi[todo]))
+        probes = np.clip(centre[todo, None] + np.array([-0.4, 0.4]) * tol[todo, None],
+                         a[:, None], b[:, None])
+        energies = np.hstack((grid, probes))
+        values = residual(energies.ravel()).reshape(energies.shape)
+        order = np.argsort(energies, axis=1, kind="stable")
+        edges = np.column_stack((a, np.take_along_axis(energies, order, axis=1), b))
+        fs = np.column_stack((fa, np.take_along_axis(values, order, axis=1), fb))
         # an interior value leaving the lower end's sign ends the kept
         # subinterval; with none, the last subinterval is kept
         interior = fs[:, 1:-1]
-        leaves = (interior == 0.0) | (np.sign(interior) != np.sign(fs[:, :1]))
+        leaves = (interior == 0.0) | (np.sign(interior) != np.sign(fa[:, None]))
         k = np.argmax(np.hstack((leaves, np.ones((todo.size, 1), dtype=bool))), axis=1)
         rows = np.arange(todo.size)
         hi[todo], f_hi[todo] = edges[rows, k + 1], fs[rows, k + 1]
         zero = fs[rows, k + 1] == 0.0
         lo[todo] = np.where(zero, hi[todo], edges[rows, k])
         f_lo[todo] = np.where(zero, 0.0, fs[rows, k])
-        cols = np.clip(k - 1, 0, edges.shape[1] - 4)[:, None] + np.arange(4)
-        near_e[todo], near_f[todo] = edges[rows[:, None], cols], fs[rows[:, None], cols]
+        # the uniform subinterval j holds the kept one; take its ends and one
+        # more uniform point either side
+        j = (grid <= lo[todo, None]).sum(axis=1)
+        cols = np.clip(j - 1, 0, POLISH_POINTS - 3)[:, None] + np.arange(4)
+        uniform_e = np.column_stack((a, grid, b))[rows[:, None], cols]
+        uniform_f = np.column_stack((fa, values[:, :-2], fb))[rows[:, None], cols]
+        centre[todo] = _probe_centres(_inverse_interpolation(uniform_e, uniform_f),
+                                      lo[todo], hi[todo], f_lo[todo], f_hi[todo])
 
 
 def salpeter_levels(params: PotentialParams, masses: MassConfig, window=None,
@@ -323,14 +381,17 @@ def salpeter_levels(params: PotentialParams, masses: MassConfig, window=None,
     Scans the Jost Wronskian psi_J psi' - psi_J' psi over scan_points
     energies and polishes every sign change at once with a batched
     multisection (`_polish`): each pass integrates POLISH_POINTS - 1 interior
-    energies of every bracket, and from the second pass on two probes around
-    an interpolated root, in one kernel call, and keeps a subinterval whose
-    ends differ in sign. The residual is continuous in E, so each kept
+    energies of every bracket and two probes around an interpolated root,
+    in one kernel call, and keeps a subinterval whose ends differ in sign.
+    The bracket ends keep their scan values, and the first pass's probes
+    aim at the root that the scan values nearest the sign change predict
+    (`_scan_centres`). The residual is continuous in E, so each kept
     subinterval still holds a root, and the polish converges whatever the
-    shape of the residual, a step-like one on deep levels included. From the
-    default window a bracket closes after two passes where the probes
-    straddle its root, and after at most five, the plain multisection's
-    count, where they do not; each pass serves all brackets at once.
+    shape of the residual. From the default window a bracket closes after
+    the first pass where the scan-predicted probes straddle its root, after
+    two where the next pair does, and after at most five, the plain
+    multisection's count, where none does; each pass serves all brackets at
+    once.
     The window must lie inside (-2 m_tilde, 0), where g0 < 0 and the tail
     decays. x_max is the matching point, `matching_point` by default (about
     5/alpha); the residual is taken where the fixed steps stop, within h/2
@@ -355,10 +416,11 @@ def salpeter_levels(params: PotentialParams, masses: MassConfig, window=None,
     values = _jost_residual(problem, energies)
     # a scan value of exactly zero is a root: a bracket of zero width
     zero = values[:-1] == 0.0
-    keep = zero | (np.sign(values[:-1]) * np.sign(values[1:]) < 0)
-    lo = energies[:-1][keep]
-    hi = np.where(zero[keep], lo, energies[1:][keep])
-    return _polish(lambda e: _jost_residual(problem, e), lo, hi).tolist()
+    i = np.flatnonzero(zero | (np.sign(values[:-1]) * np.sign(values[1:]) < 0))
+    lo = energies[i]
+    hi = np.where(zero[i], lo, energies[i + 1])
+    return _polish(lambda e: _jost_residual(problem, e), lo, hi, values[i], values[i + 1],
+                   _scan_centres(problem, energies, values, i)).tolist()
 
 
 def mismatch_sweep(params: PotentialParams, masses: MassConfig, energies,

@@ -118,6 +118,14 @@ class SpectralAuxiliaries:
 
 def spectral_auxiliaries(params: PotentialParams, masses: MassConfig, n: int) -> SpectralAuxiliaries:
     """Snapshot of every auxiliary combination (complex square roots allowed)."""
+    try:
+        return _auxiliaries(params, masses, n)
+    except ArithmeticError as exc:
+        # a = alpha^2/(2 mu) underflows to 0, or a square overflows
+        raise ValidationError(f"auxiliary quantities leave the float range: {exc}") from exc
+
+
+def _auxiliaries(params, masses, n):
     v0, alpha, q = params.v0, params.alpha, params.q
     mu, mt = masses.mu, masses.m_tilde
     a = alpha * alpha / (2.0 * mu)
@@ -192,9 +200,13 @@ def _equal_mass_core(v0, alpha, q, m, n, strict):
                       + 2 * (2 * n + 1) * _csqrt(q * q * alpha * alpha - v0 * v0))
     if strict and abs(xi.imag) > IM_TOL * (1.0 + abs(xi)):
         raise NoBoundStateError("condition q^2 >= (V0/alpha)^2 fails")
-    u = xi / (2.0 * m * q * v0)
-    pref = v0 / (2.0 * q) - 2.0 * m
-    disc = pref * pref - (2.0 * m * v0) ** 2 * (1.0 - u + u * u / 4.0) / xi
+    try:
+        u = xi / (2.0 * m * q * v0)
+        pref = v0 / (2.0 * q) - 2.0 * m
+        disc = pref * pref - (2.0 * m * v0) ** 2 * (1.0 - u + u * u / 4.0) / xi
+    except ArithmeticError as exc:
+        # (2 m V0)^2 overflows, or xi underflows to 0, at extreme accepted inputs
+        raise ValidationError(f"equal-mass closed form leaves the float range: {exc}") from exc
     if strict and _negative_radicand(pref, disc):
         raise ComplexSpectrumError("energy radicand is negative")
     return _pair(pref, disc)

@@ -94,7 +94,7 @@ def test_unknown_field_exits_2(tmp_path):
     assert code == 2
 
 
-def test_bad_values_exit_2(tmp_path):
+def test_bad_values_exit_2(tmp_path, capsys):
     code, _ = run(tmp_path, BASE, "--command", "spectrum", "--n-max", "-3")
     assert code == 2
     code, _ = run(tmp_path, {**BASE, "regime": "Nope"}, "--command", "spectrum")
@@ -120,6 +120,15 @@ def test_bad_values_exit_2(tmp_path):
         command = fields.get("command", "scan" if "scan" in fields else "spectrum")
         code, _ = run(tmp_path, {**BASE, **fields}, "--command", command)
         assert code == 2, fields
+    # the closed forms leave the float range: (2 m V0)^2 overflows, or
+    # a = alpha^2/(2 mu) underflows to 0; the oracle's steps overflow too
+    for fields in ({"V0": 1e300, "q": 0.5}, {"V0": 1e-300, "alpha": 1e-300, "q": 0.5}):
+        for command, error in (("spectrum", "ValidationError"),
+                               ("verify", "ShootingOverflowError")):
+            capsys.readouterr()
+            code, _ = run(tmp_path, {**BASE, **fields}, "--command", command)
+            assert code == 2, (fields, command)
+            assert json.loads(capsys.readouterr().err)["error"] == error, (fields, command)
 
 
 def test_wavefunction_csv_schema(tmp_path):

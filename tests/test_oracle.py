@@ -39,6 +39,12 @@ def _g_of_x(g0, g1, g2, alpha, q):
     return g_of_x
 
 
+def _polish_brackets(residual, lo, hi):
+    """oracle._polish on the brackets [lo, hi], its first probes aimed at their midpoints."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    return oracle._polish(residual, lo, hi, residual(lo), residual(hi), 0.5 * (lo + hi))
+
+
 def test_effective_problem_defaults():
     prob = oracle.EffectiveProblem(PotentialParams(0.9, 2.0, 1.0), MC1)
     assert prob.x_max * 2.0 >= 25.0
@@ -208,10 +214,10 @@ def test_shooting_agrees_with_fd_on_linear_problem():
         x0 = 0.5 / p.alpha
         u0, v0 = frobenius_start(coeffs, x0, 16)
         nsteps = int((60.0 - x0) / 0.004)
-        u, _ = rk4_sweep(g0, g1, g2, p.q, p.alpha, x0, u0, v0, 0.004, nsteps)
+        u, _, _ = rk4_sweep(g0, g1, g2, p.q, p.alpha, x0, u0, v0, 0.004, nsteps)
         return u
 
-    shoot = oracle._polish(mismatch, [-0.26], [-0.24])[0]
+    shoot = _polish_brackets(mismatch, [-0.26], [-0.24])[0]
     assert shoot == pytest.approx(fd, abs=1e-7)
 
 
@@ -220,48 +226,58 @@ def _uniform_passes(width):
     return math.ceil(math.log(width / oracle.ROOT_XTOL) / math.log(oracle.POLISH_POINTS))
 
 
-def _counted_levels(params):
-    """salpeter_levels(params, MC1) and the batch size of each kernel call it made."""
+def _counted_levels(params, masses=MC1, h=0.0):
+    """salpeter_levels(params, masses, h=h) and the g0 values of each kernel call it made."""
     calls = []
     sweep = oracle.rk4_sweep
 
     def counted(*args, **kwargs):
-        calls.append(len(args[0]))
+        calls.append(np.array(args[0]))
         return sweep(*args, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(oracle, "rk4_sweep", counted)
-        roots = oracle.salpeter_levels(params, MC1)
+        roots = oracle.salpeter_levels(params, masses, h=h)
     return roots, calls
 
 
 def test_polish_is_one_kernel_call_per_pass():
     # the scan, then one batched call per polish pass for all open brackets
     # at once, never more passes than the plain multisection
-    per_bracket = oracle.POLISH_POINTS + 1     # the uniform grid, plus both ends or two probes
+    per_bracket = oracle.POLISH_POINTS + 1     # the uniform interior points and two probes
     width = (2.0 - 4e-8) / 239                 # scan step of the default window
     passes = _uniform_passes(width)
     assert passes == 5
-    for v0, alpha, levels in [(0.1425, 0.15, 2), (0.9, 1.0, 1)]:
-        roots, calls = _counted_levels(PotentialParams(v0, alpha, 1.0))
+    cases = [(0.1425, 0.15, 1.0, 0.0, 2, 4), (0.9, 1.0, 1.0, 0.0, 1, 3),
+             (3.8, 1.0, 0.5, 0.049, 1, 2), (6.2, 1.0, -1.0, 0.049, 1, 2),
+             (0.62, 0.71, 1.0, 0.049, 1, 2), (250.0, 1.0, 0.5, 0.0, 3, 3)]
+    for v0, alpha, q, h_alpha, levels, kernel_calls in cases:
+        roots, calls = _counted_levels(PotentialParams(v0, alpha, q), h=h_alpha / alpha)
         assert len(roots) == levels
-        assert calls[0] == 240
-        assert calls[1] == per_bracket * len(roots)
-        open_brackets = [batch // per_bracket for batch in calls[1:]]
-        assert [n * per_bracket for n in open_brackets] == calls[1:]
+        assert calls[0].size == 240
+        assert calls[1].size == per_bracket * len(roots)
+        # the bracket ends keep their scan values: no scan energy is integrated again
+        assert not np.isin(calls[1], calls[0]).any()
+        sizes = [batch.size for batch in calls[1:]]
+        open_brackets = [size // per_bracket for size in sizes]
+        assert [n * per_bracket for n in open_brackets] == sizes
         assert open_brackets == sorted(open_brackets, reverse=True) and open_brackets[-1] >= 1
         assert len(calls) <= 1 + passes
-    # the single level of (0.9, 1, 1) closes on the first probe pair: scan + 2 passes
-    assert len(calls) == 3
+        # (0.9, 1, 1) closes on the second probe pair, the coarse-step q != 1
+        # levels on the scan-predicted first pair, and the two levels of
+        # (0.1425, 0.15, 1) in three passes. (0.62, 0.71, 1) needs the scan
+        # interpolated in kappa, not in E, and the deep well's third level a
+        # stencil without the probes
+        assert len(calls) == kernel_calls
 
 
 def test_polish_on_closed_form_residuals():
     # both roots sit on the first pass's grid: an exact zero is the root itself
-    roots = oracle._polish(lambda e: (e + 0.75) * (e + 0.25), [-1.0, -0.5], [-0.5, 0.0])
+    roots = _polish_brackets(lambda e: (e + 0.75) * (e + 0.25), [-1.0, -0.5], [-0.5, 0.0])
     assert roots.tolist() == [-0.75, -0.25]
     # near |E| = 1e4 one ulp (1.8e-12) is wider than ROOT_XTOL and no double is
     # an exact zero; the bracket still closes
-    root = oracle._polish(lambda e: (e + 12345.678) - 4e-13, [-2e4], [-5e3])[0]
+    root = _polish_brackets(lambda e: (e + 12345.678) - 4e-13, [-2e4], [-5e3])[0]
     assert root == pytest.approx(-12345.678, abs=1e-11)
 
 
@@ -277,7 +293,7 @@ def test_polish_on_a_saturated_step():
 
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        root = oracle._polish(residual, [-1.0], [0.0])[0]
+        root = oracle._polish(residual, [-1.0], [0.0], [-1.0], [1.0], [-0.5])[0]
     assert abs(root + 0.3) <= oracle.ROOT_XTOL
     assert len(calls) <= _uniform_passes(1.0)
 
@@ -320,12 +336,12 @@ def test_jost_roots_match_robin_roots_on_the_long_box(v0, alpha, q):
     assert problem.x_max * alpha == pytest.approx(25.0)
 
     def robin(energies):
-        (g0s, _, _), u, v, _ = oracle._shoot(problem, energies)
-        return v + np.sqrt(-g0s) * u
+        (g0s, _, _), u, v, log_scale, _ = oracle._shoot(problem, energies)
+        return (v + np.sqrt(-g0s) * u) * np.exp(log_scale)
 
     energies = np.linspace(*UNIT_WINDOW, 240)
     brackets = _scan_brackets(robin, energies)
-    reference = oracle._polish(robin, energies[brackets], energies[brackets + 1])
+    reference = _polish_brackets(robin, energies[brackets], energies[brackets + 1])
     roots = oracle.salpeter_levels(p, MC1, window=UNIT_WINDOW)
     assert len(reference) >= 1
     assert len(roots) == len(reference)
@@ -357,13 +373,13 @@ def test_jost_roots_match_robin_roots_in_a_deep_well(q):
     tail_h = problem.h / 10.0
 
     def robin(energies):
-        g, u, v, x_end = oracle._shoot(problem, energies)
-        u, v = rk4_sweep(*g, q, 1.0, x_end, u, v, tail_h,
-                         int(round((25.0 - x_end) / tail_h)))
-        return v + np.sqrt(-g[0]) * u
+        g, u, v, head_scale, x_end = oracle._shoot(problem, energies)
+        u, v, tail_scale = rk4_sweep(*g, q, 1.0, x_end, u, v, tail_h,
+                                     int(round((25.0 - x_end) / tail_h)))
+        return (v + np.sqrt(-g[0]) * u) * np.exp(head_scale + tail_scale)
 
     brackets = _scan_brackets(robin, energies)
-    reference = oracle._polish(robin, energies[brackets], energies[brackets + 1])
+    reference = _polish_brackets(robin, energies[brackets], energies[brackets + 1])
     roots = oracle.salpeter_levels(p, MC1, window=UNIT_WINDOW)
     assert len(reference) >= 2
     assert len(roots) == len(reference)
@@ -405,6 +421,23 @@ def test_jost_log_derivative_against_an_inward_reference_tail(v0, alpha, q):
         assert slopes[j] == pytest.approx(vs[-1] / us[-1], rel=1e-8)
         # the series' first term alone is the Robin slope, off by far more
         assert abs(slopes[j] + kappa) > 1e-4 * abs(slopes[j])
+
+
+def test_residual_stays_finite_where_the_solution_outgrows_a_float():
+    # at alpha = 1e-3 the regular solution reaches exp(2761) near the
+    # window's lower edge: the residual applies at most exp(SCALE_CAP) of
+    # that scale and keeps the sign of the rescaled Wronskian
+    p = PotentialParams(0.9e-3, 1e-3, 1.0)
+    problem = oracle.EffectiveProblem(p, MC1, x_max=oracle.matching_point(p))
+    energies = np.linspace(*UNIT_WINDOW, 240)
+    (g0s, g1s, g2), u, v, log_scale, x_end = oracle._shoot(problem, energies)
+    assert log_scale.max() > 2.0 * oracle.SCALE_CAP
+    kappa, total, weighted = oracle.jost_sums(g0s, g1s, g2, p.q, p.alpha, x_end)
+    wronskian = v * total + (kappa * total + p.alpha * weighted) * u
+    residual = oracle._jost_residual(problem, energies)
+    assert np.all(np.isfinite(residual)) and np.all(residual != 0.0)
+    np.testing.assert_array_equal(np.sign(residual), np.sign(wronskian))
+    assert len(oracle.salpeter_levels(p, MC1)) == 1
 
 
 def test_matching_point():
@@ -450,18 +483,52 @@ def test_every_root_is_bracketed_and_physical(alpha, ratio):
         assert min(abs(e - root) for e in physical) <= 1e-4 * abs(root)
 
 
-@settings(max_examples=25, deadline=None, derandomize=True)
-@given(multi=st.booleans(), alpha=st.floats(0.0, 1.0), ratio=st.floats(0.0, 1.0))
-def test_polish_never_takes_more_passes_than_the_multisection(multi, alpha, ratio):
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(["single", "multi", "deep"]), alpha=st.floats(0.0, 1.0),
+       ratio=st.floats(0.0, 1.0), q=st.sampled_from([0.9, 0.5, 0.0, -1.0]),
+       masses=st.sampled_from([(1.0, 2.0), (0.8, 1.3)]), coarse=st.booleans())
+def test_polish_never_takes_more_passes_than_the_multisection(kind, alpha, ratio, q, masses,
+                                                              coarse):
     # criterion-5's draws: single-level alpha in [0.6, 1.1], V0/alpha in
-    # [0.86, 0.96]; multi-level alpha in [0.12, 0.18], V0/alpha in [0.9, 0.97]
-    if multi:
-        alpha, ratio = 0.12 + 0.06 * alpha, 0.9 + 0.07 * ratio
+    # [0.86, 0.96]; multi-level alpha in [0.12, 0.18], V0/alpha in [0.9, 0.97];
+    # and deep wells off q = 1 with several levels, where a poor root
+    # estimate shows first: alpha in [0.3, 1.5], V0/alpha in [5, 200],
+    # unequal masses, h at the default or at 0.049/alpha
+    mc, h = MC1, 0.0
+    if kind == "multi":
+        alpha, ratio, q = 0.12 + 0.06 * alpha, 0.9 + 0.07 * ratio, 1.0
+    elif kind == "single":
+        alpha, ratio, q = 0.6 + 0.5 * alpha, 0.86 + 0.1 * ratio, 1.0
     else:
-        alpha, ratio = 0.6 + 0.5 * alpha, 0.86 + 0.1 * ratio
-    roots, calls = _counted_levels(PotentialParams(ratio * alpha, alpha, 1.0))
+        alpha, ratio, mc = 0.3 + 1.2 * alpha, 5.0 + 195.0 * ratio, MassConfig(*masses)
+        h = 0.049 / alpha if coarse else 0.0
+    roots, calls = _counted_levels(PotentialParams(ratio * alpha, alpha, q), mc, h)
     assert roots
-    assert len(calls) <= 1 + _uniform_passes((2.0 - 4e-8) / 239)
+    edge = min(mc.total, 2.0 * mc.m_tilde)
+    assert len(calls) <= 1 + _uniform_passes(edge / 239) == 1 + 5
+
+
+@pytest.mark.parametrize("v0, alpha, q", [(0.9, 1.0, 1.0), (3.8, 1.0, 0.5), (6.2, 1.0, -1.0)])
+def test_jost_function_does_not_depend_on_the_matching_point(v0, alpha, q):
+    # F = residual exp(-kappa x_end) is the Wronskian of the regular and the
+    # Jost solution, constant in x; taken at the matching point and at 1.5
+    # times it, it differs only by the RK4 step error, rel 2e-10 at the
+    # default step, which falls about 16-fold when the step halves
+    p = PotentialParams(v0, alpha, q)
+    energies = np.array([-1.9, -1.5, -1.0, -0.6, -0.3, -0.1])
+
+    def jost(x_max, h):
+        problem = oracle.EffectiveProblem(p, MC1, x_max=x_max, h=h)
+        kappa = np.sqrt(-problem.g_coefficients(energies)[0])
+        return oracle._jost_residual(problem, energies) * np.exp(-kappa * problem.steps()[2])
+
+    x_m = oracle.matching_point(p)
+    gaps = []
+    for h in (0.01 / alpha, 0.005 / alpha):
+        near, far = jost(x_m, h), jost(1.5 * x_m, h)
+        gaps.append(np.max(np.abs(near / far - 1.0)))
+    assert gaps[0] < 1e-9
+    assert gaps[1] < gaps[0] / 8.0
 
 
 @pytest.mark.parametrize("q, v0, level", [(0.5, 1.5, -0.0189), (1.0, 0.9, -0.0150)],
@@ -512,21 +579,22 @@ def test_wide_sweep_against_reference_integrator(v0, q):
 @pytest.mark.parametrize("nsteps", [0, 1, 15, 16, 17])
 def test_kernel_step_counts_against_reference_integrator(nsteps):
     # no step, one step, and block boundaries (BLOCK_STEPS = 16) with an
-    # oscillating g, so psi/peak is not pinned at +-1
+    # oscillating g, so psi is not pinned to its growing tail
     g0s = np.array([30.0, 200.0, 400.0])
     g1s = np.array([1.0, -2.0, 0.5])
     g2, q, alpha, x0, h = 0.3, 0.5, 1.0, 0.2, 0.05
     u0s, v0s = np.array([0.3, -0.2, 1.0]), np.array([1.0, 2.0, -1.0])
-    u, _ = rk4_sweep(g0s, g1s, g2, q, alpha, x0, u0s, v0s, h, nsteps)
+    u, v, log_scale = rk4_sweep(g0s, g1s, g2, q, alpha, x0, u0s, v0s, h, nsteps)
     for j in range(3):
-        _, us = reference_rk4_trajectory(_g_of_x(g0s[j], g1s[j], g2, alpha, q),
-                                         x0, u0s[j], v0s[j], h, nsteps)
-        assert u[j] == pytest.approx(us[-1] / np.max(np.abs(us)), rel=1e-10)
-        alone, _ = rk4_sweep(g0s[j:j + 1], g1s[j:j + 1], g2, q, alpha, x0,
-                             u0s[j:j + 1], v0s[j:j + 1], h, nsteps)
-        assert alone[0] == u[j]
-    if nsteps >= 15:
-        assert np.all(np.abs(u) < 1.0)
+        _, us, vs = reference_rk4_trajectory(_g_of_x(g0s[j], g1s[j], g2, alpha, q),
+                                             x0, u0s[j], v0s[j], h, nsteps, slopes=True)
+        assert u[j] * np.exp(log_scale[j]) == pytest.approx(us[-1], rel=1e-10)
+        assert v[j] * np.exp(log_scale[j]) == pytest.approx(vs[-1], rel=1e-10)
+        alone = rk4_sweep(g0s[j:j + 1], g1s[j:j + 1], g2, q, alpha, x0,
+                          u0s[j:j + 1], v0s[j:j + 1], h, nsteps)
+        assert (alone[0][0], alone[1][0], alone[2][0]) == (u[j], v[j], log_scale[j])
+        if nsteps >= 15:
+            assert abs(us[-1]) < np.max(np.abs(us))
 
 
 def test_overflow_rescale_keeps_the_tail_slope():
@@ -547,14 +615,19 @@ def test_overflow_rescale_keeps_the_tail_slope():
         return rk4_sweep(g0s[sl], g1s[sl], g2, p.q, p.alpha, x_start, u_start, v_start,
                          prob.h, steps)
 
-    u, v = sweep(slice(None), x0, u0s, v0s, nsteps)
-    u1, v1 = sweep(slice(0, 1), x0, u0s[:1], v0s[:1], half)
-    u2, v2 = sweep(slice(0, 1), x0 + half * prob.h, u1, v1, nsteps - half)
+    u, v, log_scale = sweep(slice(None), x0, u0s, v0s, nsteps)
+    u1, v1, scale1 = sweep(slice(0, 1), x0, u0s[:1], v0s[:1], half)
+    m1 = max(abs(u1[0]), abs(v1[0]))
+    u2, v2, scale2 = sweep(slice(0, 1), x0 + half * prob.h, u1 / m1, v1 / m1, nsteps - half)
+    assert log_scale[0] > 0.0 and scale1[0] == scale2[0] == 0.0
     assert v[0] / u[0] == pytest.approx(v2[0] / u2[0], rel=1e-10)
+    # the scale carried out of the kernel restores the unrescaled solution
+    assert u[0] * np.exp(log_scale[0]) == pytest.approx(u2[0] * m1, rel=1e-10)
+    assert v[0] * np.exp(log_scale[0]) == pytest.approx(v2[0] * m1, rel=1e-10)
     # each batch row is the same computation as that energy on its own
     for j in range(3):
         alone = sweep(slice(j, j + 1), x0, u0s[j:j + 1], v0s[j:j + 1], nsteps)
-        assert (alone[0][0], alone[1][0]) == (u[j], v[j])
+        assert (alone[0][0], alone[1][0], alone[2][0]) == (u[j], v[j], log_scale[j])
 
 
 def _record_retirements(monkeypatch, batch):
@@ -570,6 +643,12 @@ def _record_retirements(monkeypatch, batch):
 
     monkeypatch.setattr(_kernels, "dirichlet_settled", spy)
     return retired
+
+
+def _retire_nothing(monkeypatch):
+    """Make the next dirichlet-mode kernel calls run every energy to the end."""
+    monkeypatch.setattr(_kernels, "dirichlet_settled",
+                        lambda *args: np.zeros(np.shape(args[5]), dtype=bool))
 
 
 def _bits(values):
@@ -596,13 +675,17 @@ _DEEP = (-2.0 + 1e-3, -1e-3, 300)
         "above-zero", "rescaled-box"])
 def test_retired_sweep_is_bitwise_the_full_integration(monkeypatch, v0, alpha, q, masses,
                                                        energies, box, min_share):
-    # oracle._shoot runs the full integration; mismatch_sweep drops an
-    # energy as soon as its result is certified to be sign(psi)
+    # with no energy retired the kernel runs the full integration;
+    # mismatch_sweep drops an energy as soon as its result is certified to
+    # be sign(psi)
     p = PotentialParams(v0, alpha, q)
     mc = MassConfig(*masses)
     energies = np.linspace(*energies)
     x_max, h = box
-    full = oracle._shoot(oracle.EffectiveProblem(p, mc, x_max=x_max, h=h), energies)[1]
+    settled = _kernels.dirichlet_settled
+    _retire_nothing(monkeypatch)
+    full = oracle.mismatch_sweep(p, mc, energies, x_max=x_max, h=h)
+    monkeypatch.setattr(_kernels, "dirichlet_settled", settled)
     # the batch may have any shape, as in the full integration
     grid = oracle.mismatch_sweep(p, mc, energies.reshape(2, -1), x_max=x_max, h=h)
     retired = _record_retirements(monkeypatch, energies.size)
@@ -627,10 +710,14 @@ def test_opposite_signs_with_an_underflowing_product_do_not_retire(monkeypatch):
     u0s, v0s = np.array([1e-200]), np.array([-1e-200])
     assert u0s[0] * v0s[0] == 0.0
     args = (g0s, g1s, 0.0, 0.5, 1.0, 0.5, u0s, v0s, 1e-20, 3 * _kernels.BLOCK_STEPS)
+    settled = _kernels.dirichlet_settled
+    _retire_nothing(monkeypatch)
+    full = rk4_sweep(*args, dirichlet=True)
+    monkeypatch.setattr(_kernels, "dirichlet_settled", settled)
     retired = _record_retirements(monkeypatch, 1)
     psi = rk4_sweep(*args, dirichlet=True)
     assert retired == []
-    assert _bits(psi) == _bits(rk4_sweep(*args)[0])
+    assert _bits(psi) == _bits(full)
     # with psi' of psi's sign the same state passes at the first block end
     retired = _record_retirements(monkeypatch, 1)
     assert rk4_sweep(*args[:7], -v0s, *args[8:], dirichlet=True) == 1.0

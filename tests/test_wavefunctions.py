@@ -293,6 +293,18 @@ def test_float_range_failures_raise_documented_errors():
     with pytest.raises(ValidationError):
         spectra.nonrelativistic_energy(PotentialParams(1.0, -2.7e-217, 0.5, Regime.COMPLEX_ALPHA),
                                        0.5, 0)
+    # (2 m V0)^2 overflows in the equal-mass form, and a = alpha^2/(2 mu)
+    # underflows to 0 in the auxiliary quantities; numpy's warnings on the
+    # way are silenced as the CLI silences them
+    with np.errstate(all="ignore"):
+        with pytest.raises(ValidationError, match="equal-mass closed form leaves the float"):
+            spectra.salpeter_energy_equal_mass(PotentialParams(1e300, 1.0, 0.5), 1.0, 0,
+                                               strict=False)
+        with pytest.raises(ValidationError, match="auxiliary quantities leave the float range"):
+            spectra.spectral_auxiliaries(PotentialParams(1e-300, 1e-300, 0.5), MC1, 0)
+        for p in (PotentialParams(1e300, 1.0, 0.5), PotentialParams(1e-300, 1e-300, 0.5)):
+            with pytest.raises(ValidationError):
+                bound_states(p, MC1, 0)
     # a Gamma value of the double sum underflows to 0
     p, masses = PotentialParams(-2.62, 1.46, 6.1e-5), MassConfig(1.89, 1.21)
     wf = wfp.assemble(p, masses, bound_states(p, masses, 0)[1])
