@@ -2,7 +2,14 @@
 
 Commands: spectrum, wavefunction, verify, scan, count. Parameters come from
 a JSON config document; flags override config values. All output is
-deterministic: sorted keys, 17-significant-digit floats, fixed row order.
+deterministic. A JSON document has its keys sorted, one value per line,
+two spaces of indent per level, "key": value with one space, and a single
+trailing newline; empty containers are {} and []. Floats are written with
+format(x, ".17g"), so 1.0 is 1 and -0.0 is -0; a non-finite float is the
+JSON string "nan", "inf" or "-inf". Complex numbers are {"im", "re"}
+objects. Strings, keys included, are ASCII with JSON \\uXXXX escapes.
+Rows keep their order. CSV rows use the same float format.
+
 Exit codes: 0 ok, 2 validation failure (an overflow or a division by zero
 in a closed form, or a non-finite wavefunction, at extreme inputs included),
 3 no bound state for any requested level, 4 oracle non-convergence. Every
@@ -11,10 +18,12 @@ nonzero exit writes a JSON error object to stderr.
 
 import argparse
 import cmath
+import functools
 import json
 import math
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _encode_str
 
 import numpy as np
 
@@ -133,37 +142,67 @@ def config_echo(config: RunConfig) -> dict:
 # Deterministic serialization: sorted keys, 17 significant digits.
 
 def _fmt_float(x: float) -> str:
-    if not np.isfinite(x):
-        return json.dumps(str(x))
-    text = format(float(x), ".17g")
-    return text
+    """x to 17 significant digits; a non-finite x as the JSON string "nan", "inf" or "-inf"."""
+    if math.isfinite(x):
+        return format(x, ".17g")
+    return f'"{float(x)!r}"'
+
+
+def _write(obj, nl: str, out: list) -> None:
+    """Append the tokens of obj to out; nl is a newline plus the indent of obj's own line."""
+    if isinstance(obj, float):              # numpy.float64 included
+        out.append(_fmt_float(obj))
+    elif isinstance(obj, str):
+        out.append(_encode_str(str(obj)))   # a str-mixin Enum writes str(), not its value
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key in sorted(obj):
+            out.append(sep + _encode_str(str(key)) + ": ")
+            _write(obj[key], inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        sep = "[" + inner
+        for item in obj:
+            out.append(sep)
+            _write(item, inner, out)
+            sep = "," + inner
+        out.append(nl + "]")
+    elif isinstance(obj, (bool, np.bool_)):
+        out.append("true" if obj else "false")
+    elif obj is None:
+        out.append("null")
+    elif isinstance(obj, (int, np.integer)):
+        out.append(str(int(obj)))
+    elif isinstance(obj, np.floating):
+        out.append(_fmt_float(float(obj)))
+    elif isinstance(obj, (complex, np.complexfloating)):
+        _write({"im": float(obj.imag), "re": float(obj.real)}, nl, out)
+    elif isinstance(obj, np.ndarray):
+        _write(obj.tolist(), nl, out)
+    else:
+        out.append(_encode_str(str(obj)))
 
 
 def dumps_canonical(obj, indent: int = 0) -> str:
-    pad = "  " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        rows = []
-        for key in sorted(obj):
-            rows.append(f'{pad}  {json.dumps(str(key))}: {dumps_canonical(obj[key], indent + 1)}')
-        return "{\n" + ",\n".join(rows) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        rows = [f"{pad}  {dumps_canonical(item, indent + 1)}" for item in obj]
-        return "[\n" + ",\n".join(rows) + "\n" + pad + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if obj is None:
-        return "null"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _fmt_float(float(obj))
-    if isinstance(obj, (complex, np.complexfloating)):
-        return dumps_canonical({"im": float(obj.imag), "re": float(obj.real)}, indent)
-    return json.dumps(str(obj))
+    """obj as JSON: keys sorted, two spaces per level, floats to 17 significant digits.
+
+    indent is the nesting level of obj's own line, which sets the padding of
+    every line after the first. Complex numbers become {"im", "re"} objects,
+    non-finite floats the strings "nan", "inf" and "-inf", numpy scalars
+    and arrays their Python values, and any other object its str().
+    """
+    out = []
+    _write(obj, "\n" + "  " * indent, out)
+    return "".join(out)
 
 
 def _metadata(config: RunConfig) -> dict:
@@ -359,7 +398,9 @@ def _error_exit(exc, code):
     return code
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use; parse_args leaves no state in it."""
     parser = argparse.ArgumentParser(
         prog="salpeter",
         description="Spectra and wavefunctions of the generalized-Hulthen spinless "
@@ -373,7 +414,11 @@ def main(argv=None) -> int:
     parser.add_argument("--x-max", type=float, default=None, dest="x_max")
     parser.add_argument("--tolerance", type=float, default=None)
     parser.add_argument("--mode", choices=("salpeter", "nonrelativistic"), default=None)
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         with open(args.config, "r", encoding="utf-8") as fh:

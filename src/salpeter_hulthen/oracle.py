@@ -203,33 +203,36 @@ def _shoot(problem: EffectiveProblem, energies, dirichlet=False):
 def jost_sums(g0s, g1s, g2, q, alpha, x):
     """(kappa, sum_k t_k, sum_k k t_k) of the decaying solution at x, for a batch of energies.
 
-    With s = exp(-alpha x), g - g0 = sum_j G_j s^j where
-    G_j = g1 q^(j-1) + g2 (j-1) q^(j-2), and psi_J = exp(-kappa x) sum_k c_k s^k
-    with c_0 = 1 and c_k k alpha (2 kappa + k alpha) = -sum_{j=1..k} G_j c_{k-j}.
-    The recursion runs on the terms t_k = c_k s^k, whose products carry
-    (q s)^j and never overflow where the series converges (|q| s < 1); its
-    denominators are positive for kappa >= 0. Then, up to the common factor
-    exp(-kappa x), psi_J = sum_k t_k and psi_J' = -kappa sum_k t_k
-    - alpha sum_k k t_k. Raises NonConvergentError when the last term K t_K
-    is not negligible next to sum_k |t_k|; the sum itself may vanish, on a
-    node of psi_J.
+    With s = exp(-alpha x) and r = s/(1 - q s), g - g0 = g1 r + g2 r^2, and
+    psi_J = exp(-kappa x) sum_k c_k s^k with c_0 = 1 and
+    D_k c_k = -sum_{j=1..k} G_j c_{k-j}, D_k = k alpha (2 kappa + k alpha),
+    where G_j are the coefficients of g - g0 in powers of s. Clearing
+    (1 - q s)^2 from that convolution leaves, in the terms t_k = c_k s^k,
+    D_k t_k = (2q D_{k-1} - g1) s t_{k-1} - (q^2 D_{k-2} - g1 q + g2) s^2 t_{k-2}
+    with t_{-1} = 0. The terms carry (q s)^k and never overflow where the
+    series converges (|q| s < 1); D_k > 0 for kappa >= 0. Then, up to the
+    common factor exp(-kappa x), psi_J = sum_k t_k and psi_J' =
+    -kappa sum_k t_k - alpha sum_k k t_k. Raises NonConvergentError when the
+    last term K t_K is not negligible next to sum_k |t_k|; the sum itself
+    may vanish, on a node of psi_J.
     """
     kappa = np.sqrt(-np.asarray(g0s, dtype=float))
     s = math.exp(-alpha * x)
-    qs = q * s
-    j = np.arange(1.0, JOST_TERMS + 1.0).reshape(-1, 1)
-    # row j - 1 holds G_j s^j; the exponent floor keeps q = 0 finite at j = 1
-    gs = g1s * s * qs ** (j - 1.0) + g2 * s * s * (j - 1.0) * qs ** np.maximum(j - 2.0, 0.0)
-    den = j * alpha * (2.0 * kappa + j * alpha)       # row k - 1 divides c_k
+    j = np.arange(0.0, JOST_TERMS + 1.0).reshape(-1, 1)
+    den = j * alpha * (2.0 * kappa + j * alpha)       # row k is D_k, D_0 = 0
+    # rows k - 1 and k - 2 of these multiply t_{k-1} and t_{k-2} for t_k
+    near = (2.0 * q * den[:-1] - g1s) * s
+    far = (q * q * den[:-2] - g1s * q + g2) * (s * s)
     t = np.empty((JOST_TERMS + 1,) + kappa.shape)
     t[0] = 1.0
-    for k in range(1, JOST_TERMS + 1):
-        t[k] = -(gs[:k] * t[k - 1::-1]).sum(axis=0) / den[k - 1]
+    t[1] = near[0] / den[1]
+    for k in range(2, JOST_TERMS + 1):
+        t[k] = (near[k - 1] * t[k - 1] - far[k - 2] * t[k - 2]) / den[k]
     tail = JOST_TERMS * np.abs(t[-1])
     if not np.all(tail <= JOST_TOL * np.abs(t).sum(axis=0)):
         raise NonConvergentError(
-            f"Jost series not converged at x = {x:.6g}: |q| exp(-alpha x) = {abs(qs):.3g}")
-    return kappa, t.sum(axis=0), (j * t[1:]).sum(axis=0)
+            f"Jost series not converged at x = {x:.6g}: |q| exp(-alpha x) = {abs(q * s):.3g}")
+    return kappa, t.sum(axis=0), (j * t).sum(axis=0)
 
 
 def _jost_residual(problem: EffectiveProblem, energies):

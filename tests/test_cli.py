@@ -1,12 +1,15 @@
 import contextlib
+import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -228,6 +231,140 @@ def test_float_formatting_17g(tmp_path):
     value = 0.1234567890123456789
     rendered = cli.dumps_canonical({"x": value})
     assert format(value, ".17g") in rendered
+
+
+def _reference_dumps(obj, indent: int = 0) -> str:
+    """The recursive writer dumps_canonical replaced; its bytes are the format."""
+    def fmt_float(x):
+        if not np.isfinite(x):
+            return json.dumps(str(x))
+        return format(float(x), ".17g")
+
+    pad = "  " * indent
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        rows = []
+        for key in sorted(obj):
+            rows.append(f'{pad}  {json.dumps(str(key))}: {_reference_dumps(obj[key], indent + 1)}')
+        return "{\n" + ",\n".join(rows) + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        rows = [f"{pad}  {_reference_dumps(item, indent + 1)}" for item in obj]
+        return "[\n" + ",\n".join(rows) + "\n" + pad + "]"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return fmt_float(float(obj))
+    if isinstance(obj, (complex, np.complexfloating)):
+        return _reference_dumps({"im": float(obj.imag), "re": float(obj.real)}, indent)
+    return json.dumps(str(obj))
+
+
+_EDGE_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324,
+                                1.7976931348623157e308, 0.1, 1.0, -1e-7, 1e16, 1e17])
+_LEAVES = st.one_of(
+    st.floats(), _EDGE_FLOATS,
+    st.floats(width=32).map(np.float32), st.floats().map(np.float64),
+    st.integers(-2**63, 2**63 - 1).map(np.int64), st.integers(-10**30, 10**30),
+    st.complex_numbers(allow_nan=True, allow_infinity=True),
+    st.complex_numbers(allow_nan=True, allow_infinity=True).map(np.complex128),
+    st.booleans(), st.none(), st.text(max_size=4), st.sampled_from(["\u00e9", "\n\t\"\\", "\x00"]))
+_KEYS = st.one_of(st.text(max_size=4),
+                  st.sampled_from(["\u00e9t\u00e9", "a\"b", "\\", "\n", "\U0001f600"]))
+_DOCUMENTS = st.recursive(
+    _LEAVES,
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.lists(inner, max_size=3).map(tuple),
+                            st.dictionaries(_KEYS, inner, max_size=4)),
+    max_leaves=24)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(doc=_DOCUMENTS, indent=st.integers(0, 3))
+def test_writer_matches_the_reference_writer_byte_for_byte(doc, indent):
+    assert cli.dumps_canonical(doc, indent) == _reference_dumps(doc, indent)
+
+
+def test_writer_edge_values():
+    doc = {"b": [math.nan, -math.inf, math.inf, -0.0, 5e-324], "a": {}, "c": [],
+           "z": complex(math.nan, -0.0), "\u00e9": np.float32(0.1), "n": np.int64(-3)}
+    for indent in range(4):
+        assert cli.dumps_canonical(doc, indent) == _reference_dumps(doc, indent)
+    assert cli.dumps_canonical(doc) == "\n".join([
+        "{", '  "a": {},', '  "b": [', '    "nan",', '    "-inf",', '    "inf",', "    -0,",
+        "    4.9406564584124654e-324", "  ],", '  "c": [],', '  "n": -3,', '  "z": {',
+        '    "im": -0,', '    "re": "nan"', "  },", '  "\\u00e9": 0.10000000149011612', "}"])
+
+
+def test_writer_numpy_bools_and_arrays():
+    # numpy.bool_ was written as the string "True", an array as its repr
+    assert cli.dumps_canonical([np.bool_(True), np.bool_(False)]) == "[\n  true,\n  false\n]"
+    assert (cli.dumps_canonical({"x": np.array([1.0, 2.0])})
+            == cli.dumps_canonical({"x": [1.0, 2.0]}))
+    grid = np.array([[1, 2], [3, 4]], dtype=np.int64)
+    assert json.loads(cli.dumps_canonical(grid)) == [[1, 2], [3, 4]]
+    assert json.loads(cli.dumps_canonical(np.array([True, False]))) == [True, False]
+    assert cli.dumps_canonical(np.array([], dtype=float)) == "[]"
+
+
+# sha256 of the output of each command at a fixed config, recorded with the
+# recursive writer that dumps_canonical replaced; the bytes must not move
+GOLDEN = {
+    "spectrum": ({**BASE, "regime": "AllComplex", "q": 0.5},
+                 ["--command", "spectrum", "--n-max", "2"],
+                 "0dde572d0323033af120f8119ecc8965f641bb529a9112a2b70c8e4a82d06ecd"),
+    "spectrum_real": (BASE, ["--command", "spectrum", "--n-max", "2"],
+                      "a6b7bb8b9df650624967d6e781b7fe0534995e8b3c8a0681d41d320f927790b7"),
+    "wavefunction_json": (BASE, ["--command", "wavefunction", "--n-max", "0",
+                                 "--grid-points", "20", "--x-max", "12"],
+                          "17da4ec79173ee67e627916b81830f5e6e511593eaad284117634af56a0fc594"),
+    "wavefunction_csv": (BASE, ["--command", "wavefunction", "--n-max", "0", "--grid-points",
+                                "20", "--x-max", "12", "--format", "csv"],
+                         "c5f133c1ff46a0d69b6f68414f9ad6f416ac5d30cb744bc1143493fd5183f32a"),
+    "scan": ({**BASE, "scan": {"param": "V0", "start": 0.85, "stop": 0.95, "points": 3}},
+             ["--command", "scan", "--n-max", "1"],
+             "00690bd12011cfce1cff2fa617c54d6753c08b21a65b4cc26a0694148f61ae7a"),
+    "verify_nonrelativistic": ({**BASE, "V0": 2.0, "mode": "nonrelativistic"},
+                               ["--command", "verify", "--n-max", "1"],
+                               "f3ae6923c7274c8a6e6eb85fafb3fd1dac689b91571b70d7c76b7a84dd731fd8"),
+    "count": (BASE, ["--command", "count"],
+              "fc4e2bf03cb24620ec444cc5f95d05f82645bf06d022bbadf0f00069f9623a0a"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_output_bytes_match_the_golden_hash(tmp_path, name):
+    doc, args, digest = GOLDEN[name]
+    out = tmp_path / "out"
+    assert cli.main(["--config", write_config(tmp_path, doc), "--out", str(out), *args]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):
+    assert cli._parser() is cli._parser()
+    code, text = run(tmp_path, BASE, "--command", "wavefunction", "--format", "csv",
+                     "--grid-points", "4", out="a.csv")
+    assert code == 0 and text.startswith("x,re_psi,im_psi\n")
+    # the next call, without --format, writes JSON again
+    code, text = run(tmp_path, BASE, "--command", "wavefunction", "--grid-points", "4",
+                     out="b.json")
+    assert code == 0 and json.loads(text)["metadata"]["config_echo"]["format"] == "json"
+    # the command comes from the document when the flag is absent
+    code, text = run(tmp_path, {**BASE, "command": "count"}, out="c.json")
+    assert code == 0 and "predicted" in json.loads(text)
+    # a bad --command after a good call is still an argparse exit 2
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            run(tmp_path, BASE, "--command", "bogus")
+        assert exc.value.code == 2
+    capsys.readouterr()
+    code, _ = run(tmp_path, BASE, "--command", "spectrum", out="d.json")
+    assert code == 0
 
 
 _JUNK = st.one_of(st.none(), st.booleans(), st.integers(-10**12, 10**12), st.floats(),

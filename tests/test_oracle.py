@@ -449,6 +449,37 @@ def test_matching_point():
                 or abs(q) * math.exp(-2.0 * x_m) == pytest.approx(math.exp(-5.0)))
 
 
+def _convolution_jost_sums(g0s, g1s, g2, q, alpha, x):
+    """The Jost series by its convolution, c_k D_k = -sum_{j=1..k} G_j c_{k-j}, in O(K^2)."""
+    kappa = np.sqrt(-np.asarray(g0s, dtype=float))
+    s = math.exp(-alpha * x)
+    qs = q * s
+    j = np.arange(1.0, oracle.JOST_TERMS + 1.0).reshape(-1, 1)
+    gs = g1s * s * qs ** (j - 1.0) + g2 * s * s * (j - 1.0) * qs ** np.maximum(j - 2.0, 0.0)
+    den = j * alpha * (2.0 * kappa + j * alpha)
+    t = np.empty((oracle.JOST_TERMS + 1,) + kappa.shape)
+    t[0] = 1.0
+    for k in range(1, oracle.JOST_TERMS + 1):
+        t[k] = -(gs[:k] * t[k - 1::-1]).sum(axis=0) / den[k - 1]
+    return kappa, t.sum(axis=0), (j * t[1:]).sum(axis=0)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.15])
+@pytest.mark.parametrize("q", [1.0, 0.5, 0.0, -1.0, -40.0])
+def test_jost_recurrence_against_the_convolution(q, alpha):
+    # the three-term recurrence is the convolution with (1 - q s)^2 cleared;
+    # both are exact, so they differ by rounding alone
+    p = PotentialParams(2.0 * alpha, alpha, q)
+    x_m = oracle.matching_point(p)
+    problem = oracle.EffectiveProblem(p, MC1, x_max=x_m)
+    g0s, g1s, g2 = problem.g_coefficients(np.linspace(*UNIT_WINDOW, 240))
+    for x in (x_m, 1.3 * x_m):
+        got = oracle.jost_sums(g0s, g1s, g2, q, alpha, x)
+        want = _convolution_jost_sums(g0s, g1s, g2, q, alpha, x)
+        for a, b in zip(got, want):
+            np.testing.assert_allclose(a, b, rtol=1e-13, atol=0)
+
+
 def test_unconverged_jost_series_raises_and_exits_4(monkeypatch, tmp_path, capsys):
     # at x_max = 0.05/alpha and q = -1, |q| s is 0.95: the series has not
     # converged after JOST_TERMS terms
