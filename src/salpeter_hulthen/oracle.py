@@ -5,10 +5,12 @@ Two solvers, deliberately unrelated to the closed forms:
 * a symmetric finite-difference eigensolver for the linear nonrelativistic
   problem, Richardson-extrapolated over two grids;
 * a shooting integrator for the full energy-nonlinear reduced equation. It
-  integrates outward from the origin only to a matching point x_m a few
-  decay lengths of the potential out, and matches there to the exact
-  decaying tail: with s = exp(-alpha x), the Jost solution
-  psi_J = exp(-kappa x) sum_k c_k s^k, kappa = sqrt(-g0(E)), of
+  integrates outward from the origin only to a matching point x_m, the
+  nearest step end at which a majorant of the tail's series proves it
+  converged for every energy of the window (1.2 decay lengths of the
+  potential out in the shallow pinned wells, 4.1 at V0/alpha = 250), and
+  matches there to the exact decaying tail: with s = exp(-alpha x), the
+  Jost solution psi_J = exp(-kappa x) sum_k c_k s^k, kappa = sqrt(-g0(E)), of
   exponential-type potentials (Bargmann, Rev. Mod. Phys. 21 (1949) 488;
   Newton, Scattering Theory of Waves and Particles, 1982). The residual is
   the Wronskian psi_J psi' - psi_J' psi at x_m, which has no poles where
@@ -55,6 +57,12 @@ JOST_TERMS = 24                # terms c_1..c_K of the Jost series after c_0 = 1
 JOST_TOL = 1e-14               # largest last term K |c_K s^K| next to sum_k |c_k s^k|
 SCALE_CAP = 400.0              # largest log scale of the regular solution the residual applies
 SCAN_STENCIL = 8               # scan values per bracket in the first pass's root estimate
+STEP_ALPHA = 0.01              # default step h alpha of the shooting integrator
+
+
+def _start_point(params: PotentialParams) -> float:
+    """x0 of the outward integration: the origin, or 0.5/alpha where q = 1 puts a pole there."""
+    return 0.5 / params.alpha if params.q == 1.0 else 0.0
 
 
 @dataclass(frozen=True)
@@ -69,7 +77,8 @@ class EffectiveProblem:
     swamped everything else; their kernel drops an energy from the batch
     once its value is certain, so most energies stop a few decay lengths
     out. salpeter_levels instead passes its matching point
-    (`matching_point`), a fifth of that length.
+    (`matching_point`), a twentieth to a fifth of that length. x_max and h
+    must be finite, and x_max must leave at least one step after x0.
     """
 
     params: PotentialParams
@@ -84,11 +93,16 @@ class EffectiveProblem:
         if self.x_max <= 0.0:
             object.__setattr__(self, "x_max", 25.0 / alpha)
         if self.h <= 0.0:
-            object.__setattr__(self, "h", 0.01 / alpha)
+            object.__setattr__(self, "h", STEP_ALPHA / alpha)
+        if not (math.isfinite(self.x_max) and math.isfinite(self.h)):
+            raise ValidationError("x_max and h must be finite")
         if self.h * alpha > 0.05:
             raise StepTooCoarseError(f"h * alpha = {self.h * alpha:.3g} > 0.05")
         if self.params.q > 1.0:
             raise PoleOnGridError("potential pole inside the integration domain for q > 1")
+        x0, nsteps, _ = self.steps()
+        if nsteps < 1:
+            raise ValidationError(f"x_max = {self.x_max:.6g} leaves no step after x0 = {x0:.6g}")
 
     def g_coefficients(self, energy):
         """(g0, g1, g2) of g = g0 + g1 r + g2 r^2, r = s/(1 - q s); energy may be an array."""
@@ -111,7 +125,7 @@ class EffectiveProblem:
 
         x_end = x0 + nsteps h is x_max only to within h/2.
         """
-        x0 = 0.5 / self.params.alpha if self.params.q == 1.0 else 0.0
+        x0 = _start_point(self.params)
         nsteps = int(round((self.x_max - x0) / self.h))
         return x0, nsteps, x0 + nsteps * self.h
 
@@ -229,9 +243,14 @@ def jost_sums(g0s, g1s, g2, q, alpha, x):
     for k in range(2, JOST_TERMS + 1):
         t[k] = (near[k - 1] * t[k - 1] - far[k - 2] * t[k - 2]) / den[k]
     tail = JOST_TERMS * np.abs(t[-1])
-    if not np.all(tail <= JOST_TOL * np.abs(t).sum(axis=0)):
+    scale = np.abs(t).sum(axis=0)
+    if not np.all(tail <= JOST_TOL * scale):
+        with np.errstate(all="ignore"):
+            worst = np.max(tail / scale)
         raise NonConvergentError(
-            f"Jost series not converged at x = {x:.6g}: |q| exp(-alpha x) = {abs(q * s):.3g}")
+            f"Jost series not converged at x = {x:.6g}: its last term K |t_K| is {worst:.3g} "
+            f"of sum_k |t_k|, above {JOST_TOL:g}; the series ratio |q| exp(-alpha x) is "
+            f"{abs(q * s):.3g} and the depth of the well adds to it")
     return kappa, t.sum(axis=0), (j * t).sum(axis=0)
 
 
@@ -256,10 +275,40 @@ def _jost_residual(problem: EffectiveProblem, energies):
     return wronskian * np.exp(np.minimum(log_scale, SCALE_CAP))
 
 
-def matching_point(params: PotentialParams) -> float:
-    """x_m = (5 + max(0, ln|q|))/alpha, so that |q| exp(-alpha x_m) <= e^-5."""
-    shift = max(0.0, math.log(abs(params.q))) if params.q != 0.0 else 0.0
-    return (5.0 + shift) / params.alpha
+def matching_point(params: PotentialParams, masses: MassConfig, h: float = 0.0) -> float:
+    """First step end x0 + n h, n >= 1, where the Jost series provably converges on the window.
+
+    The proof holds for every energy of (-2 m_tilde, 0) at once. There
+    |1 + E/m_tilde| < 1, so |g1| <= 2 mu |V0|; D_k >= k^2 alpha^2 as kappa >= 0;
+    and the coefficients G_j of g - g0 in powers of s obey |G_j| <= |g1| |q|^(j-1)
+    + g2 (j-1) |q|^(j-2). The majorant k^2 alpha^2 C_k = sum_j |G_j| C_(k-j),
+    C_0 = 1, then bounds |c_k|, and since sum_k |t_k| >= t_0 = 1, jost_sums'
+    check passes wherever K C_K s^K <= JOST_TOL; the point asks for half that,
+    leaving the recurrence's rounding room. The point is capped at
+    (5 + max(0, ln|q|))/alpha, where |q| exp(-alpha x_m) <= e^-5, and is that
+    cap where the majorant leaves the float range. h is the step,
+    STEP_ALPHA/alpha by default as in EffectiveProblem.
+    """
+    alpha, q = params.alpha, params.q
+    shift = max(0.0, math.log(abs(q))) if q != 0.0 else 0.0
+    cap = (5.0 + shift) / alpha
+    x0 = _start_point(params)
+    h = h if h > 0.0 else STEP_ALPHA / alpha
+    j = np.arange(JOST_TERMS, dtype=float)              # entry j bounds |G_(j+1)|
+    with np.errstate(all="ignore"):
+        # overflow gives inf or nan, never a finite wrong bound: every term is >= 0
+        g1 = 2.0 * masses.mu * abs(params.v0)
+        g2 = masses.mu * params.v0 * params.v0 / masses.m_tilde
+        bound = (g1 * abs(q) ** j + g2 * j * abs(q) ** np.maximum(j - 1.0, 0.0)) / (alpha * alpha)
+        c = np.zeros(JOST_TERMS + 1)
+        c[0] = 1.0
+        for k in range(1, JOST_TERMS + 1):
+            c[k] = bound[:k] @ c[k - 1::-1] / (k * k)
+        x_need = np.log(2.0 * JOST_TERMS * c[-1] / JOST_TOL) / (JOST_TERMS * alpha)
+        n = float(np.ceil((x_need - x0) / h))           # -inf where V0 = 0
+    if not x0 + n * h < cap:                            # also where n is nan
+        return cap
+    return x0 + max(n, 1.0) * h
 
 
 def shooting_mismatch(params: PotentialParams, masses: MassConfig, energy: float,
@@ -396,8 +445,11 @@ def salpeter_levels(params: PotentialParams, masses: MassConfig, window=None,
     multisection's count, where none does; each pass serves all brackets at
     once.
     The window must lie inside (-2 m_tilde, 0), where g0 < 0 and the tail
-    decays. x_max is the matching point, `matching_point` by default (about
-    5/alpha); the residual is taken where the fixed steps stop, within h/2
+    decays. x_max is the matching point, by default `matching_point(params,
+    masses, h)`: the step end nearest the origin where the Jost series
+    provably converges on the whole window, from about 1.2/alpha in shallow
+    wells to at most (5 + max(0, ln|q|))/alpha. An explicit x_max is
+    honoured; the residual is taken where the fixed steps stop, within h/2
     of it. Raises NonConvergentError where the Jost series has not
     converged there, which a forced x_max with |q| exp(-alpha x_max) near 1
     can cause. Returns the roots in ascending order.
@@ -413,7 +465,7 @@ def salpeter_levels(params: PotentialParams, masses: MassConfig, window=None,
     if not -2.0 * mt < lo < hi < 0.0:
         raise ValidationError("window must satisfy -2 m_tilde < lo < hi < 0")
     if x_max <= 0.0:
-        x_max = matching_point(params)
+        x_max = matching_point(params, masses, h)
     problem = EffectiveProblem(params, masses, x_max=x_max, h=h)
     energies = np.linspace(lo, hi, scan_points)
     values = _jost_residual(problem, energies)

@@ -58,6 +58,22 @@ def test_effective_problem_defaults():
             PotentialParams(0.9, 1.0, 1.0, Regime.COMPLEX_ALPHA), MC1)
 
 
+@pytest.mark.parametrize("solver", ["salpeter_levels", "mismatch_sweep"])
+@pytest.mark.parametrize("kwargs", [{"x_max": 0.3}, {"x_max": 0.504}, {"x_max": math.inf},
+                                    {"x_max": math.nan}, {"h": math.nan}, {"h": math.inf}])
+def test_bad_box_or_step_is_a_validation_error(solver, kwargs):
+    # at q = 1 the steps start at x0 = 0.5/alpha: x_max = 0.3 asked for a
+    # negative step count (numpy's "negative dimensions" ValueError) and
+    # 0.504 for none (the mismatch of the start state); a non-finite x_max
+    # or h raised OverflowError or ValueError from int(round(...))
+    p = PotentialParams(0.9, 1.0, 1.0)
+    with pytest.raises(ValidationError):
+        if solver == "salpeter_levels":
+            oracle.salpeter_levels(p, MC1, **kwargs)
+        else:
+            oracle.mismatch_sweep(p, MC1, [-0.5, -0.01], **kwargs)
+
+
 def test_g_single_source_of_truth():
     # kernel coefficients against the composition through potentials.evaluate
     prob = oracle.EffectiveProblem(PotentialParams(0.7, 0.9, 0.6), MC1)
@@ -248,7 +264,7 @@ def test_polish_is_one_kernel_call_per_pass():
     width = (2.0 - 4e-8) / 239                 # scan step of the default window
     passes = _uniform_passes(width)
     assert passes == 5
-    cases = [(0.1425, 0.15, 1.0, 0.0, 2, 4), (0.9, 1.0, 1.0, 0.0, 1, 3),
+    cases = [(0.1425, 0.15, 1.0, 0.0, 2, 3), (0.9, 1.0, 1.0, 0.0, 1, 3),
              (3.8, 1.0, 0.5, 0.049, 1, 2), (6.2, 1.0, -1.0, 0.049, 1, 2),
              (0.62, 0.71, 1.0, 0.049, 1, 2), (250.0, 1.0, 0.5, 0.0, 3, 3)]
     for v0, alpha, q, h_alpha, levels, kernel_calls in cases:
@@ -265,7 +281,7 @@ def test_polish_is_one_kernel_call_per_pass():
         assert len(calls) <= 1 + passes
         # (0.9, 1, 1) closes on the second probe pair, the coarse-step q != 1
         # levels on the scan-predicted first pair, and the two levels of
-        # (0.1425, 0.15, 1) in three passes. (0.62, 0.71, 1) needs the scan
+        # (0.1425, 0.15, 1) in two passes. (0.62, 0.71, 1) needs the scan
         # interpolated in kappa, not in E, and the deep well's third level a
         # stencil without the probes
         assert len(calls) == kernel_calls
@@ -312,7 +328,7 @@ def test_polish_matches_brent_on_the_scan_brackets(v0, alpha, q):
     p = PotentialParams(v0, alpha, q)
     h = 0.049 / alpha
     roots = oracle.salpeter_levels(p, MC1, window=UNIT_WINDOW, h=h)
-    problem = oracle.EffectiveProblem(p, MC1, x_max=oracle.matching_point(p), h=h)
+    problem = oracle.EffectiveProblem(p, MC1, x_max=oracle.matching_point(p, MC1, h), h=h)
     energies = np.linspace(*UNIT_WINDOW, 240)
     brackets = _scan_brackets(lambda e: oracle._jost_residual(problem, e), energies)
 
@@ -326,22 +342,35 @@ def test_polish_matches_brent_on_the_scan_brackets(v0, alpha, q):
     np.testing.assert_allclose(roots, reference, rtol=0, atol=2 * oracle.ROOT_XTOL)
 
 
+def _robin_roots(problem, energies, refine):
+    """Roots of the Robin condition psi' + kappa psi = 0 at 25/alpha, polished from a scan.
+
+    The regular solution takes problem's steps to its matching point and the
+    tail from there to 25/alpha at the step problem.h / refine.
+    """
+    alpha, q = problem.params.alpha, problem.params.q
+    tail_h = problem.h / refine
+
+    def robin(energies):
+        g, u, v, head_scale, x_end = oracle._shoot(problem, energies)
+        u, v, tail_scale = rk4_sweep(*g, q, alpha, x_end, u, v, tail_h,
+                                     int(round((25.0 / alpha - x_end) / tail_h)))
+        return (v + np.sqrt(-g[0]) * u) * np.exp(head_scale + tail_scale)
+
+    brackets = _scan_brackets(robin, energies)
+    return _polish_brackets(robin, energies[brackets], energies[brackets + 1])
+
+
 @pytest.mark.parametrize("v0, alpha, q", BRENT_CASES)
 def test_jost_roots_match_robin_roots_on_the_long_box(v0, alpha, q):
     # the Robin condition psi' + kappa psi = 0 at 25/alpha, the matching the
     # levels used before the Jost tail, is the series' first term taken
-    # where the rest has decayed
+    # where the rest has decayed. The tail beyond the matching point is
+    # integrated at half the step: at the full step it alone moves
+    # these roots by up to 7e-12
     p = PotentialParams(v0, alpha, q)
-    problem = oracle.EffectiveProblem(p, MC1)
-    assert problem.x_max * alpha == pytest.approx(25.0)
-
-    def robin(energies):
-        (g0s, _, _), u, v, log_scale, _ = oracle._shoot(problem, energies)
-        return (v + np.sqrt(-g0s) * u) * np.exp(log_scale)
-
-    energies = np.linspace(*UNIT_WINDOW, 240)
-    brackets = _scan_brackets(robin, energies)
-    reference = _polish_brackets(robin, energies[brackets], energies[brackets + 1])
+    problem = oracle.EffectiveProblem(p, MC1, x_max=oracle.matching_point(p, MC1))
+    reference = _robin_roots(problem, np.linspace(*UNIT_WINDOW, 240), 2)
     roots = oracle.salpeter_levels(p, MC1, window=UNIT_WINDOW)
     assert len(reference) >= 1
     assert len(roots) == len(reference)
@@ -353,11 +382,10 @@ def test_jost_roots_match_robin_roots_in_a_deep_well(q):
     # at V0/alpha = 250 psi_J has a node at the matching point inside the
     # window, where psi_J'/psi_J has a pole; the Wronskian residual must
     # neither bracket that pole nor report the series unconverged there. The
-    # reference integrates the Robin tail from the matching point to
-    # 25/alpha at a tenth of the step: at the full step that tail alone moves
-    # these deep roots by up to 5e-11
+    # reference integrates the Robin tail at a tenth of the step: at the full
+    # step that tail alone moves these deep roots by up to 5e-11
     p = PotentialParams(250.0, 1.0, q)
-    problem = oracle.EffectiveProblem(p, MC1, x_max=oracle.matching_point(p))
+    problem = oracle.EffectiveProblem(p, MC1, x_max=oracle.matching_point(p, MC1))
     energies = np.linspace(*UNIT_WINDOW, 240)
     g0s, g1s, g2 = problem.g_coefficients(energies)
     _, total, _ = oracle.jost_sums(g0s, g1s, g2, q, 1.0, problem.x_max)
@@ -370,16 +398,7 @@ def test_jost_roots_match_robin_roots_in_a_deep_well(q):
 
     # the series converges on the node itself, where its sum vanishes
     brentq(psi_j, energies[nodes[0]], energies[nodes[0] + 1], xtol=1e-300)
-    tail_h = problem.h / 10.0
-
-    def robin(energies):
-        g, u, v, head_scale, x_end = oracle._shoot(problem, energies)
-        u, v, tail_scale = rk4_sweep(*g, q, 1.0, x_end, u, v, tail_h,
-                                     int(round((25.0 - x_end) / tail_h)))
-        return (v + np.sqrt(-g[0]) * u) * np.exp(head_scale + tail_scale)
-
-    brackets = _scan_brackets(robin, energies)
-    reference = _polish_brackets(robin, energies[brackets], energies[brackets + 1])
+    reference = _robin_roots(problem, energies, 10)
     roots = oracle.salpeter_levels(p, MC1, window=UNIT_WINDOW)
     assert len(reference) >= 2
     assert len(roots) == len(reference)
@@ -389,9 +408,9 @@ def test_jost_roots_match_robin_roots_in_a_deep_well(q):
 @pytest.mark.parametrize("v0, alpha, masses", [(0.9, 1.0, MC1), (0.1425, 0.15, MC1),
                                                (0.915, 1.0, MassConfig(0.8, 1.3))])
 def test_coarse_step_roots_match_the_closed_form(v0, alpha, masses):
-    # at h = 0.049/alpha the steps stop at 5.008/alpha, not at the 5/alpha
-    # matching point; the series must be taken where they stop, or the roots
-    # move by rel ~1e-4
+    # at h = 0.049/alpha the matching point is a step end of the coarse
+    # grid; were the series taken off the point where the steps stop, by up
+    # to h/2, the roots would move by rel ~1e-4
     p = PotentialParams(v0, alpha, 1.0)
     roots = oracle.salpeter_levels(p, masses, h=0.049 / alpha)
     physical = sorted(state.energy.real for n in range(8)
@@ -406,7 +425,7 @@ def test_jost_log_derivative_against_an_inward_reference_tail(v0, alpha, q):
     # integrate 40/alpha inward from a Robin start: the decaying solution
     # grows inward and the start's error, of order exp(-45), does not
     p = PotentialParams(v0, alpha, q)
-    x_m = oracle.matching_point(p)
+    x_m = oracle.matching_point(p, MC1)
     problem = oracle.EffectiveProblem(p, MC1)
     energies = np.array([-1.5, -0.3, -0.015])
     g0s, g1s, g2 = problem.g_coefficients(energies)
@@ -428,7 +447,7 @@ def test_residual_stays_finite_where_the_solution_outgrows_a_float():
     # window's lower edge: the residual applies at most exp(SCALE_CAP) of
     # that scale and keeps the sign of the rescaled Wronskian
     p = PotentialParams(0.9e-3, 1e-3, 1.0)
-    problem = oracle.EffectiveProblem(p, MC1, x_max=oracle.matching_point(p))
+    problem = oracle.EffectiveProblem(p, MC1, x_max=oracle.matching_point(p, MC1))
     energies = np.linspace(*UNIT_WINDOW, 240)
     (g0s, g1s, g2), u, v, log_scale, x_end = oracle._shoot(problem, energies)
     assert log_scale.max() > 2.0 * oracle.SCALE_CAP
@@ -440,13 +459,46 @@ def test_residual_stays_finite_where_the_solution_outgrows_a_float():
     assert len(oracle.salpeter_levels(p, MC1)) == 1
 
 
-def test_matching_point():
-    for q in (1.0, 0.5, -1.0, -40.0, 1e-300, 0.0):
-        x_m = oracle.matching_point(PotentialParams(0.9, 2.0, q))
-        assert abs(q) * math.exp(-2.0 * x_m) <= math.exp(-5.0) * (1.0 + 1e-12)
-        # and it is the nearest such point at or beyond 5/alpha
-        assert (2.0 * x_m == pytest.approx(5.0)
-                or abs(q) * math.exp(-2.0 * x_m) == pytest.approx(math.exp(-5.0)))
+def _old_matching_point(p):
+    """(5 + max(0, ln|q|))/alpha, the fixed matching point that matching_point is capped at."""
+    return (5.0 + (max(0.0, math.log(abs(p.q))) if p.q else 0.0)) / p.alpha
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(box=st.sampled_from(["single", "multi", "deep"]), alpha=st.floats(0.0, 1.0),
+       ratio=st.floats(0.0, 1.0), q=st.sampled_from([1.0, 0.9, 0.5, 0.0, -1.0, -40.0]),
+       masses=st.sampled_from([(1.0, 1.0), (0.8, 1.3), (1.0, 2.0)]),
+       h_alpha=st.sampled_from([0.0, 0.049]))
+def test_jost_series_converges_at_the_matching_point(box, alpha, ratio, q, masses, h_alpha):
+    # criterion-5's boxes (single-level alpha in [0.6, 1.1], V0/alpha in
+    # [0.86, 0.96]; multi-level alpha in [0.12, 0.18], V0/alpha in [0.9,
+    # 0.97]) and a deep one, V0/alpha in [5, 250]: the majorant's point must
+    # pass jost_sums' check for every energy of the window, never lie beyond
+    # the old fixed point, leave at least one step, and be where the steps stop
+    if box == "single":
+        alpha, ratio = 0.6 + 0.5 * alpha, 0.86 + 0.1 * ratio
+    elif box == "multi":
+        alpha, ratio = 0.12 + 0.06 * alpha, 0.9 + 0.07 * ratio
+    else:
+        alpha, ratio = 0.3 + 1.2 * alpha, 5.0 + 245.0 * ratio
+    p, mc = PotentialParams(ratio * alpha, alpha, q), MassConfig(*masses)
+    x_m = oracle.matching_point(p, mc, h_alpha / alpha)
+    problem = oracle.EffectiveProblem(p, mc, x_max=x_m, h=h_alpha / alpha)
+    x0, _, x_end = problem.steps()
+    assert x_m - x0 >= problem.h
+    assert x_m <= _old_matching_point(p)
+    assert x_end == x_m
+    energies = np.linspace(-2.0 * mc.m_tilde + 1e-8, -1e-8, 240)
+    oracle.jost_sums(*problem.g_coefficients(energies), q, alpha, x_m)
+
+
+def test_matching_point_at_the_ends_of_the_float_range():
+    # where the majorant overflows, the old point; where it vanishes, one step
+    for v0, alpha in ((1e300, 1.0), (1e-300, 1e-300), (0.9, 1e-160)):
+        p = PotentialParams(v0, alpha, 0.5)
+        assert oracle.matching_point(p, MC1) == _old_matching_point(p)
+    assert oracle.matching_point(PotentialParams(0.0, 2.0, 0.0), MC1) == 0.005
+    assert oracle.matching_point(PotentialParams(0.0, 2.0, 1.0), MC1, 0.02) == 0.27
 
 
 def _convolution_jost_sums(g0s, g1s, g2, q, alpha, x):
@@ -470,7 +522,7 @@ def test_jost_recurrence_against_the_convolution(q, alpha):
     # the three-term recurrence is the convolution with (1 - q s)^2 cleared;
     # both are exact, so they differ by rounding alone
     p = PotentialParams(2.0 * alpha, alpha, q)
-    x_m = oracle.matching_point(p)
+    x_m = oracle.matching_point(p, MC1)
     problem = oracle.EffectiveProblem(p, MC1, x_max=x_m)
     g0s, g1s, g2 = problem.g_coefficients(np.linspace(*UNIT_WINDOW, 240))
     for x in (x_m, 1.3 * x_m):
@@ -504,7 +556,7 @@ def test_every_root_is_bracketed_and_physical(alpha, ratio):
     p = PotentialParams(ratio * alpha, alpha, 1.0)
     roots = oracle.salpeter_levels(p, MC1)
     assert roots
-    problem = oracle.EffectiveProblem(p, MC1, x_max=oracle.matching_point(p))
+    problem = oracle.EffectiveProblem(p, MC1, x_max=oracle.matching_point(p, MC1))
     physical = [state.energy.real for n in range(8)
                 for state in bound_states(p, MC1, n) if state.physical]
     for root in roots:
@@ -543,8 +595,9 @@ def test_polish_never_takes_more_passes_than_the_multisection(kind, alpha, ratio
 def test_jost_function_does_not_depend_on_the_matching_point(v0, alpha, q):
     # F = residual exp(-kappa x_end) is the Wronskian of the regular and the
     # Jost solution, constant in x; taken at the matching point and at 1.5
-    # times it, it differs only by the RK4 step error, rel 2e-10 at the
-    # default step, which falls about 16-fold when the step halves
+    # times it, or at the old fixed point (5 + max(0, ln|q|))/alpha, it
+    # differs only by the RK4 step error, rel 2e-10 at the default step,
+    # which falls about 16-fold when the step halves
     p = PotentialParams(v0, alpha, q)
     energies = np.array([-1.9, -1.5, -1.0, -0.6, -0.3, -0.1])
 
@@ -553,13 +606,26 @@ def test_jost_function_does_not_depend_on_the_matching_point(v0, alpha, q):
         kappa = np.sqrt(-problem.g_coefficients(energies)[0])
         return oracle._jost_residual(problem, energies) * np.exp(-kappa * problem.steps()[2])
 
-    x_m = oracle.matching_point(p)
+    x_m = oracle.matching_point(p, MC1)
     gaps = []
     for h in (0.01 / alpha, 0.005 / alpha):
         near, far = jost(x_m, h), jost(1.5 * x_m, h)
         gaps.append(np.max(np.abs(near / far - 1.0)))
     assert gaps[0] < 1e-9
     assert gaps[1] < gaps[0] / 8.0
+    old = jost(_old_matching_point(p), 0.01 / alpha)
+    assert np.max(np.abs(jost(x_m, 0.01 / alpha) / old - 1.0)) < 1e-9
+
+
+@pytest.mark.parametrize("v0, alpha, q", BRENT_CASES)
+def test_default_roots_match_the_old_matching_point(v0, alpha, q):
+    # the roots move by the RK4 step error of the stretch no longer
+    # integrated, at most rel 4.2e-11 on these cases
+    p = PotentialParams(v0, alpha, q)
+    roots = oracle.salpeter_levels(p, MC1)
+    old = oracle.salpeter_levels(p, MC1, x_max=_old_matching_point(p))
+    assert len(roots) == len(old) >= 1
+    np.testing.assert_allclose(roots, old, rtol=1e-9, atol=0)
 
 
 @pytest.mark.parametrize("q, v0, level", [(0.5, 1.5, -0.0189), (1.0, 0.9, -0.0150)],
