@@ -7,15 +7,19 @@ the step grid and, at q = 1, the Frobenius series and its indicial root.
 
 psi'' = -g psi is linear, so one classical RK4 step is exactly a 2x2 matrix
 per energy, built from g at the step's start, midpoint and end. The kernel
-builds these propagators for BLOCK_STEPS steps at a time, each coefficient
-one numpy expression over a (steps, batch) array, which leaves the step loop
+builds these propagators a block of steps at a time, each coefficient one
+numpy expression over a (steps, batch) array, which leaves the step loop
 with one matrix-vector product per step (and, for the Dirichlet mismatch,
-one |psi| row for the running peak). The block is a fixed number of steps,
-not of elements: the overflow rescale, and the peak, are applied at block
-ends, which then fall on the same step indices for any batch size, so each
-energy in a batch gives the same bits as that energy alone; the block's
-arrays stay small whatever the batch. Otherwise the solution is left
-unnormalized and each rescale is carried out as a per-energy log scale.
+one |psi| row for the running peak). Blocks start every BLOCK_STEPS steps,
+and the last one takes in any remainder shorter than that, so a sweep of
+fewer than 2 BLOCK_STEPS steps builds its coefficients once. The blocks are
+counted in steps, not elements: the overflow rescale, and the peak, are
+applied at block ends, which then fall on the same step indices for any
+batch size, so each energy in a batch gives the same bits as that energy
+alone; the block's arrays stay small whatever the batch. Otherwise the
+solution is left unnormalized and each rescale is carried out as a
+per-energy log scale. r and g2 r^2 on the step grid do not depend on the
+energy; `step_grid` builds them once for every sweep of a problem.
 
 The Dirichlet mismatch psi(x_max)/peak of a wide sweep is exactly +-1 for
 almost every energy: once the tail is classically forbidden for good and psi
@@ -38,15 +42,29 @@ BLOCK_STEPS = 16
 FORBIDDEN_MARGIN = 1e-12     # relative margin of the retirement test on g < 0
 
 
-def rk4_sweep(g0s, g1s, g2, q, alpha, x0, u0s, v0s, h, nsteps, *, dirichlet=False):
+def step_grid(g2, q, alpha, x0, h, nsteps):
+    """(r, g2 r^2) at the step ends x0 + k h, k = 0..nsteps, then at the step midpoints.
+
+    r = s/(1 - q s) with s = exp(-alpha x); the step ends are accumulated
+    step by step. Both arrays have 2 nsteps + 1 entries and serve every
+    rk4_sweep over these steps, whatever the energies.
+    """
+    h, nsteps = float(h), int(nsteps)
+    nodes = np.cumsum(np.concatenate(([float(x0)], np.full(nsteps, h))))
+    s = np.exp(-float(alpha) * np.concatenate((nodes, nodes[:-1] + 0.5 * h)))
+    r = s / (1.0 - float(q) * s)
+    return r, float(g2) * r * r
+
+
+def rk4_sweep(g0s, g1s, grid, u0s, v0s, h, nsteps, *, dirichlet=False):
     """Integrate psi'' + g psi = 0 outward for a batch of energies.
 
     g = g0 + g1 r + g2 r^2 with r = s/(1 - q s), s = exp(-alpha x); each
-    energy has its own (g0, g1) and start state (psi, psi'). The batch shares
-    x0, so r is computed once per grid point. Returns (psi, psi', log_scale)
-    at x0 + nsteps * h, where psi exp(log_scale) and psi' exp(log_scale) are
-    the unnormalized solution; with dirichlet=True, psi divided by the
-    running peak of |psi| alone, the Dirichlet mismatch.
+    energy has its own (g0, g1) and start state (psi, psi'). grid is
+    `step_grid(g2, q, alpha, x0, h, nsteps)`, shared by the batch. Returns
+    (psi, psi', log_scale) at x0 + nsteps * h, where psi exp(log_scale) and
+    psi' exp(log_scale) are the unnormalized solution; with dirichlet=True,
+    psi divided by the running peak of |psi| alone, the Dirichlet mismatch.
 
     With g_lo, g_mid, g_hi at x, x + h/2 and x + h, one RK4 step is
     psi <- A psi + B psi', psi' <- C psi + D psi' with
@@ -54,12 +72,13 @@ def rk4_sweep(g0s, g1s, g2, q, alpha, x0, u0s, v0s, h, nsteps, *, dirichlet=Fals
     B = h - h^3/6 g_mid,
     C = -h/6 (g_lo + 4 g_mid + g_hi) + h^3/12 g_mid (g_lo + g_hi),
     D = 1 - h^2/6 (2 g_mid + g_hi) + h^4/24 g_mid g_hi.
-    At the end of every block of BLOCK_STEPS steps, an energy whose
-    m = max(|psi|, |psi'|) exceeds OVERFLOW_GUARD has both divided by m, and
-    log(m) added to its log_scale (in dirichlet mode, its peak divided by m
-    too). A step grows |psi| by at most about (g h^2)^2 / 24 where |g| h^2
-    is large, so a block stays inside the 1e208 left above the guard unless
-    |g| h^2 exceeds ~1e7; the oracle's steps have it near 1e-4.
+    At the end of every block (BLOCK_STEPS steps, the last one up to
+    2 BLOCK_STEPS - 1), an energy whose m = max(|psi|, |psi'|) exceeds
+    OVERFLOW_GUARD has both divided by m, and log(m) added to its log_scale
+    (in dirichlet mode, its peak divided by m too). A step grows |psi| by at
+    most about (g h^2)^2 / 24 where |g| h^2 is large, so a block stays
+    inside the 1e208 left above the guard unless |g| h^2 exceeds ~1e4; the
+    oracle's steps have it near 1e-4.
 
     With dirichlet=True, an energy leaves the batch at the first block end
     where `dirichlet_settled` certifies that the rest of the integration
@@ -69,7 +88,7 @@ def rk4_sweep(g0s, g1s, g2, q, alpha, x0, u0s, v0s, h, nsteps, *, dirichlet=Fals
     g1s = np.asarray(g1s, dtype=float)
     u = np.array(u0s, dtype=float)
     v = np.array(v0s, dtype=float)
-    g2, q, alpha, h, nsteps = float(g2), float(q), float(alpha), float(h), int(nsteps)
+    h, nsteps = float(h), int(nsteps)
     if dirichlet:
         # the batch is kept flat, so energies can leave it by index
         shape = u.shape
@@ -77,19 +96,18 @@ def rk4_sweep(g0s, g1s, g2, q, alpha, x0, u0s, v0s, h, nsteps, *, dirichlet=Fals
         psi = np.empty(u.size)       # filled as energies leave the batch
         live = np.arange(u.size)
         peak = np.abs(u)
-        rows = np.empty((BLOCK_STEPS,) + u.shape)
+        rows = np.empty((min(nsteps, 2 * BLOCK_STEPS - 1),) + u.shape)
     else:
         log_scale = np.zeros(u.shape)
-    # step ends x0 + k h (accumulated step by step), then the midpoints
-    nodes = np.cumsum(np.concatenate(([float(x0)], np.full(nsteps, h))))
-    s = np.exp(-alpha * np.concatenate((nodes, nodes[:-1] + 0.5 * h)))
-    r = (s / (1.0 - q * s)).reshape((-1,) + (1,) * u.ndim)
+    col = (-1,) + (1,) * u.ndim
+    r, g2r2 = (np.reshape(part, col) for part in grid)
     r_end, r_mid = r[:nsteps + 1], r[nsteps + 1:]
+    g2r2_end, g2r2_mid = g2r2[:nsteps + 1], g2r2[nsteps + 1:]
     for k in range(0, nsteps, BLOCK_STEPS):
-        n = min(BLOCK_STEPS, nsteps - k)
+        n = nsteps - k if nsteps - k < 2 * BLOCK_STEPS else BLOCK_STEPS
         re, rm = r_end[k:k + n + 1], r_mid[k:k + n]
-        g_end = g0s + g1s * re + g2 * re * re
-        g_mid = g0s + g1s * rm + g2 * rm * rm
+        g_end = g0s + g1s * re + g2r2_end[k:k + n + 1]
+        g_mid = g0s + g1s * rm + g2r2_mid[k:k + n]
         g_lo, g_hi = g_end[:-1], g_end[1:]
         a = 1.0 - h * h / 6.0 * (g_lo + 2.0 * g_mid) + h ** 4 / 24.0 * g_mid * g_lo
         b = h - h ** 3 / 6.0 * g_mid
@@ -113,7 +131,7 @@ def rk4_sweep(g0s, g1s, g2, q, alpha, x0, u0s, v0s, h, nsteps, *, dirichlet=Fals
             else:
                 log_scale[mask] += np.log(m[mask])
         if dirichlet:
-            done = dirichlet_settled(g0s, g1s, g2, re[-1], g_end[-1], u, v, peak)
+            done = dirichlet_settled(g0s, g1s, re[-1], g2r2_end[k + n], g_end[-1], u, v, peak)
             if np.any(done):
                 psi[live[done]] = np.sign(u[done])
                 keep = ~done
@@ -122,17 +140,19 @@ def rk4_sweep(g0s, g1s, g2, q, alpha, x0, u0s, v0s, h, nsteps, *, dirichlet=Fals
                 rows = rows[:, :live.size]
                 if live.size == 0:
                     break
+        if k + n == nsteps:
+            break
     if not dirichlet:
         return u, v, log_scale
     psi[live] = u / np.where(peak == 0.0, 1.0, peak)
     return psi.reshape(shape)
 
 
-def dirichlet_settled(g0s, g1s, g2, r_c, g_c, u, v, peak):
+def dirichlet_settled(g0s, g1s, r_c, g2r2_c, g_c, u, v, peak):
     """Energies whose Dirichlet result psi/peak at the far end is already sign(psi).
 
     Takes the state at a block end x_c, after the peak and rescale, with
-    r_c = r(x_c) and g_c = g(x_c). The certificate:
+    r_c = r(x_c), g2r2_c = g2 r_c^2 and g_c = g(x_c). The certificate:
     * the tail stays forbidden: max(g0, g_c) < -FORBIDDEN_MARGIN
       (|g0| + |g1| r_c + g2 r_c^2). g is convex in r (g2 >= 0) and r falls
       monotonically to 0, so g < 0 at every later node; the margin covers
@@ -147,7 +167,7 @@ def dirichlet_settled(g0s, g1s, g2, r_c, g_c, u, v, peak):
     both by the same m, and the full integration ends at psi/peak = sign(psi)
     bit for bit.
     """
-    scale = np.abs(g0s) + np.abs(g1s) * r_c + g2 * r_c * r_c
+    scale = np.abs(g0s) + np.abs(g1s) * r_c + g2r2_c
     sign = np.sign(u)
     return ((np.maximum(g0s, g_c) < -FORBIDDEN_MARGIN * scale)
             & (sign != 0.0) & (sign == np.sign(v)) & (np.abs(u) == peak))
@@ -170,21 +190,48 @@ def _exp_ratio_taylor(n_terms: int) -> np.ndarray:
     return f
 
 
-def g_laurent_q1(g0, g1, g2, alpha, order: int = 16) -> np.ndarray:
+def laurent_rows_q1(g2, alpha, order: int = 16):
+    """The energy-independent rows of g_laurent_q1: r and g2 r^2 in powers of x, j = -2..order.
+
+    Uses 1/(e^{alpha x} - 1) = (1/(alpha x)) * sum f_k (alpha x)^k.
+    """
+    r = _exp_ratio_taylor(order + 2) * alpha ** np.arange(-1.0, order + 1.0)   # j = -1..order
+    return np.concatenate(([0.0], r)), g2 * np.convolve(r, r)[:order + 3]
+
+
+def g_laurent_q1(g0, g1, rows) -> np.ndarray:
     """Laurent coefficients of g(x) about x = 0 for q = 1: row j + 2 holds G_j.
 
-    Uses 1/(e^{alpha x} - 1) = (1/(alpha x)) * sum f_k (alpha x)^k. A batch of
-    (g0, g1) runs along the trailing axis; r and r^2 are built once for it.
+    rows is `laurent_rows_q1(g2, alpha, order)`; a batch of (g0, g1) runs
+    along the trailing axis.
     """
-    f = _exp_ratio_taylor(order + 2)
-    r = np.array([f[k] * alpha ** (k - 1) for k in range(order + 2)])  # j = -1..order
-    r_rows = np.concatenate(([0.0], r))                                 # j = -2..order
-    r2_rows = np.convolve(r, r)[:order + 3]                             # j = -2..order
+    r_rows, g2r2_rows = rows
     col = (-1,) + (1,) * np.ndim(g1)
     out = r_rows.reshape(col) * g1
     out[2] += g0
-    out += (g2 * r2_rows).reshape(col)
+    out += g2r2_rows.reshape(col)
     return out
+
+
+def _frobenius_columns(g, order):
+    """(nu, a_k) of frobenius_coefficients with the batch flattened to at least two columns.
+
+    Over two or more columns an axis-0 sum adds the rows one by one, in
+    order; over one column numpy sums pairwise, so a lone energy is doubled
+    to get the bits it gets in any batch.
+    """
+    disc = 1.0 - 4.0 * np.ravel(g[0])[0]
+    if disc < 0:
+        raise ValueError("supercritical inverse-square strength at the origin")
+    nu = 0.5 * (1.0 + math.sqrt(disc))
+    cols = g.reshape(len(g), -1)
+    if cols.shape[1] == 1:
+        cols = np.repeat(cols, 2, axis=1)
+    a = np.empty((order + 1, cols.shape[1]))
+    a[0] = 1.0
+    for k, a_k in enumerate(a[1:], 1):
+        np.divide((cols[1:k + 1] * a[k - 1::-1]).sum(axis=0), -(k * (k + 2.0 * nu - 1.0)), out=a_k)
+    return nu, a
 
 
 def frobenius_coefficients(g_coeffs, order: int = 16):
@@ -195,22 +242,8 @@ def frobenius_coefficients(g_coeffs, order: int = 16):
     subcritical case 1 - 4 G_{-2} >= 0.
     """
     g = np.asarray(g_coeffs, dtype=float)
-    disc = 1.0 - 4.0 * np.ravel(g[0])[0]
-    if disc < 0:
-        raise ValueError("supercritical inverse-square strength at the origin")
-    nu = 0.5 * (1.0 + math.sqrt(disc))
-    # over two or more columns an axis-0 sum adds the rows one by one, in the
-    # order of the Cauchy product; over one column numpy sums pairwise, so a
-    # lone energy is doubled to get the bits it gets in any batch
-    cols = g.reshape(len(g), -1)
-    n = cols.shape[1]
-    if n == 1:
-        cols = np.repeat(cols, 2, axis=1)
-    a = np.zeros((order + 1, cols.shape[1]))
-    a[0] = 1.0
-    for k in range(1, order + 1):
-        a[k] = -(cols[1:k + 1] * a[k - 1::-1]).sum(axis=0) / (k * (k + 2.0 * nu - 1.0))
-    return nu, a[:, :n].reshape((order + 1,) + g.shape[1:])
+    nu, a = _frobenius_columns(g, order)
+    return nu, a[:, :g[0].size].reshape((order + 1,) + g.shape[1:])
 
 
 def frobenius_values(g_coeffs, xs, order: int = 16):
@@ -221,9 +254,17 @@ def frobenius_values(g_coeffs, xs, order: int = 16):
 
 
 def frobenius_start(g_coeffs, x0: float, order: int = 16):
-    """(psi, psi') of the regular solution at x0, elementwise over the batch axes."""
-    nu, a = frobenius_coefficients(g_coeffs, order)
-    ks = np.arange(order + 1.0).reshape((-1,) + (1,) * (a.ndim - 1))
-    u = x0 ** nu * polyval(x0, a)
-    v = x0 ** (nu - 1.0) * polyval(x0, a * (nu + ks))
-    return u, v
+    """(psi, psi') of the regular solution at x0, elementwise over the batch axes.
+
+    Sums a_k x0^k and (nu + k) a_k x0^k along the coefficient axis, over the
+    columns of `_frobenius_columns`, so each energy gets the same bits in
+    any batch.
+    """
+    g = np.asarray(g_coeffs, dtype=float)
+    nu, a = _frobenius_columns(g, order)
+    ks = np.arange(order + 1.0)[:, None]
+    a *= x0 ** ks
+    u = x0 ** nu * a.sum(axis=0)
+    v = x0 ** (nu - 1.0) * ((nu + ks) * a).sum(axis=0)
+    n, shape = g[0].size, g.shape[1:]
+    return u[:n].reshape(shape)[()], v[:n].reshape(shape)[()]

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import potentials
-from ._kernels import frobenius_start, g_laurent_q1, rk4_sweep
+from ._kernels import frobenius_start, g_laurent_q1, laurent_rows_q1, rk4_sweep, step_grid
 from .errors import (
     NonConvergentError,
     NotConvergedError,
@@ -56,8 +56,15 @@ POLISH_POINTS = 128            # subintervals per bracket and polish pass
 JOST_TERMS = 24                # terms c_1..c_K of the Jost series after c_0 = 1
 JOST_TOL = 1e-14               # largest last term K |c_K s^K| next to sum_k |c_k s^k|
 SCALE_CAP = 400.0              # largest log scale of the regular solution the residual applies
-SCAN_STENCIL = 8               # scan values per bracket in the first pass's root estimate
+SCAN_STENCIL = 12              # scan values per bracket in the first pass's root estimate
 STEP_ALPHA = 0.01              # default step h alpha of the shooting integrator
+
+_JOST_K = np.arange(0.0, JOST_TERMS + 1.0).reshape(-1, 1)    # the index k of the Jost terms
+_PROBE_OFFSETS = np.array([-0.4, 0.4])                        # the probes' offsets in tol
+_FOUR = np.arange(4)                                          # the polish's cubic stencil
+for _row in (_JOST_K, _PROBE_OFFSETS, _FOUR):
+    _row.flags.writeable = False
+_FOUR_ULPS = 4.0 * np.finfo(float).eps
 
 
 def _start_point(params: PotentialParams) -> float:
@@ -78,7 +85,10 @@ class EffectiveProblem:
     once its value is certain, so most energies stop a few decay lengths
     out. salpeter_levels instead passes its matching point
     (`matching_point`), a twentieth to a fifth of that length. x_max and h
-    must be finite, and x_max must leave at least one step after x0.
+    must be finite, and x_max must leave at least one step after x0. What
+    does not depend on the energy is built once, on construction: the
+    steps, r and g2 r^2 on the step grid (`step_grid`) and, at q = 1, the
+    Laurent rows of r and r^2 (`laurent_rows_q1`).
     """
 
     params: PotentialParams
@@ -89,7 +99,7 @@ class EffectiveProblem:
     def __post_init__(self):
         if self.params.regime is not Regime.REAL:
             raise ValidationError("the oracle handles the Real regime only")
-        alpha = self.params.alpha
+        alpha, q = self.params.alpha, self.params.q
         if self.x_max <= 0.0:
             object.__setattr__(self, "x_max", 25.0 / alpha)
         if self.h <= 0.0:
@@ -98,11 +108,17 @@ class EffectiveProblem:
             raise ValidationError("x_max and h must be finite")
         if self.h * alpha > 0.05:
             raise StepTooCoarseError(f"h * alpha = {self.h * alpha:.3g} > 0.05")
-        if self.params.q > 1.0:
+        if q > 1.0:
             raise PoleOnGridError("potential pole inside the integration domain for q > 1")
-        x0, nsteps, _ = self.steps()
+        x0 = _start_point(self.params)
+        nsteps = int(round((self.x_max - x0) / self.h))
         if nsteps < 1:
             raise ValidationError(f"x_max = {self.x_max:.6g} leaves no step after x0 = {x0:.6g}")
+        g2 = self.g_coefficients(0.0)[2]
+        object.__setattr__(self, "_steps", (x0, nsteps, x0 + nsteps * self.h))
+        object.__setattr__(self, "_grid", step_grid(g2, q, alpha, x0, self.h, nsteps))
+        object.__setattr__(self, "_laurent", laurent_rows_q1(g2, alpha, FROBENIUS_ORDER)
+                           if q == 1.0 else None)
 
     def g_coefficients(self, energy):
         """(g0, g1, g2) of g = g0 + g1 r + g2 r^2, r = s/(1 - q s); energy may be an array."""
@@ -125,9 +141,7 @@ class EffectiveProblem:
 
         x_end = x0 + nsteps h is x_max only to within h/2.
         """
-        x0 = _start_point(self.params)
-        nsteps = int(round((self.x_max - x0) / self.h))
-        return x0, nsteps, x0 + nsteps * self.h
+        return self._steps
 
     def start_state(self, energy):
         """Initial (x0, psi, psi') honoring psi(0) = 0, for a float or an array.
@@ -137,17 +151,20 @@ class EffectiveProblem:
         solution behaves like x^nu; the integration then starts from a
         Frobenius series evaluated at x0 = 0.5/alpha.
         """
-        x0 = self.steps()[0]
-        if self.params.q != 1.0:
-            return x0, np.zeros(np.shape(energy)), np.ones(np.shape(energy))
-        coeffs = g_laurent_q1(*self.g_coefficients(energy), self.params.alpha, FROBENIUS_ORDER)
+        g0, g1, _ = self.g_coefficients(energy)
+        return (self._steps[0],) + self._start(g0, g1)
+
+    def _start(self, g0, g1):
+        """(psi, psi') at x0 for the energies with these (g0, g1); see start_state."""
+        if self._laurent is None:
+            return np.zeros(np.shape(g0)), np.ones(np.shape(g0))
+        coeffs = g_laurent_q1(g0, g1, self._laurent)
         try:
-            u0, v0 = frobenius_start(coeffs, x0, FROBENIUS_ORDER)
+            return frobenius_start(coeffs, self._steps[0], FROBENIUS_ORDER)
         except ValueError as exc:
             raise NonConvergentError(
                 "supercritical attractive 1/x^2 tail at the origin; "
                 "the Dirichlet spectrum is not well defined") from exc
-        return x0, u0, v0
 
 
 def fd_eigenvalues(params: PotentialParams, mu: float, count: int,
@@ -156,7 +173,8 @@ def fd_eigenvalues(params: PotentialParams, mu: float, count: int,
 
     Symmetric tridiagonal discretization on two grids (h and h/2) with
     Richardson extrapolation of the O(h^2) error. Raises NotConverged when
-    the two-grid difference exceeds 10x the accuracy target.
+    the two-grid difference exceeds 10x the accuracy target. x_max and h
+    must be finite, and the grid must hold at least count interior points.
     """
     if params.regime is not Regime.REAL:
         raise ValidationError("the oracle handles the Real regime only")
@@ -167,10 +185,15 @@ def fd_eigenvalues(params: PotentialParams, mu: float, count: int,
         x_max = 25.0 / alpha
     if h <= 0.0:
         h = 0.01 / alpha
+    if not (math.isfinite(x_max) and math.isfinite(h)):
+        raise ValidationError("x_max and h must be finite")
     from scipy.linalg import eigvalsh_tridiagonal   # 0.2 s to import; used only here
 
     def eigs(step):
         npts = int(round(x_max / step))
+        if npts - 1 < count:
+            raise ValidationError(f"x_max = {x_max:.6g} at h = {step:.6g} leaves "
+                                  f"{max(npts - 1, 0)} grid points for count = {count} levels")
         xs = step * np.arange(1, npts)
         v = potentials._values(params, xs)
         if np.max(np.abs(v.imag)) > 1e-12 * (1.0 + np.max(np.abs(v.real))):
@@ -199,19 +222,19 @@ def _shoot(problem: EffectiveProblem, energies, dirichlet=False):
     for which energies whose value is settled stop early.
     """
     energies = np.atleast_1d(np.asarray(energies, dtype=float))
-    g = problem.g_coefficients(energies)
-    x0, nsteps, x_end = problem.steps()
-    _, u0s, v0s = problem.start_state(energies)
+    g0s, g1s, g2 = problem.g_coefficients(energies)
+    _, nsteps, x_end = problem.steps()
+    u0s, v0s = problem._start(g0s, g1s)
     try:
-        out = rk4_sweep(*g, problem.params.q, problem.params.alpha,
-                        x0, u0s, v0s, problem.h, nsteps, dirichlet=dirichlet)
+        out = rk4_sweep(g0s, g1s, problem._grid, u0s, v0s, problem.h, nsteps,
+                        dirichlet=dirichlet)
     except ArithmeticError as exc:
         # h^4 overflows a float where alpha is tiny
         raise ShootingOverflowError(f"shooting steps leave the float range: {exc}") from exc
     u, v, log_scale = (out, None, None) if dirichlet else out
     if not (np.all(np.isfinite(u)) and (dirichlet or np.all(np.isfinite(v)))):
         raise ShootingOverflowError("non-finite shooting mismatch")
-    return g, u, v, log_scale, x_end
+    return (g0s, g1s, g2), u, v, log_scale, x_end
 
 
 def jost_sums(g0s, g1s, g2, q, alpha, x):
@@ -232,16 +255,17 @@ def jost_sums(g0s, g1s, g2, q, alpha, x):
     """
     kappa = np.sqrt(-np.asarray(g0s, dtype=float))
     s = math.exp(-alpha * x)
-    j = np.arange(0.0, JOST_TERMS + 1.0).reshape(-1, 1)
-    den = j * alpha * (2.0 * kappa + j * alpha)       # row k is D_k, D_0 = 0
+    k_alpha = _JOST_K * alpha
+    den = k_alpha * (2.0 * kappa + k_alpha)           # row k is D_k, D_0 = 0
     # rows k - 1 and k - 2 of these multiply t_{k-1} and t_{k-2} for t_k
     near = (2.0 * q * den[:-1] - g1s) * s
     far = (q * q * den[:-2] - g1s * q + g2) * (s * s)
     t = np.empty((JOST_TERMS + 1,) + kappa.shape)
     t[0] = 1.0
-    t[1] = near[0] / den[1]
-    for k in range(2, JOST_TERMS + 1):
-        t[k] = (near[k - 1] * t[k - 1] - far[k - 2] * t[k - 2]) / den[k]
+    rows = list(t)                                    # views of t, written in place
+    np.divide(near[0], den[1], out=rows[1])
+    for k, near_k, far_k, den_k in zip(range(2, JOST_TERMS + 1), near[1:], far, den[2:]):
+        np.divide(near_k * rows[k - 1] - far_k * rows[k - 2], den_k, out=rows[k])
     tail = JOST_TERMS * np.abs(t[-1])
     scale = np.abs(t).sum(axis=0)
     if not np.all(tail <= JOST_TOL * scale):
@@ -251,7 +275,7 @@ def jost_sums(g0s, g1s, g2, q, alpha, x):
             f"Jost series not converged at x = {x:.6g}: its last term K |t_K| is {worst:.3g} "
             f"of sum_k |t_k|, above {JOST_TOL:g}; the series ratio |q| exp(-alpha x) is "
             f"{abs(q * s):.3g} and the depth of the well adds to it")
-    return kappa, t.sum(axis=0), (j * t).sum(axis=0)
+    return kappa, t.sum(axis=0), (_JOST_K * t).sum(axis=0)
 
 
 def _jost_residual(problem: EffectiveProblem, energies):
@@ -299,11 +323,16 @@ def matching_point(params: PotentialParams, masses: MassConfig, h: float = 0.0) 
         # overflow gives inf or nan, never a finite wrong bound: every term is >= 0
         g1 = 2.0 * masses.mu * abs(params.v0)
         g2 = masses.mu * params.v0 * params.v0 / masses.m_tilde
-        bound = (g1 * abs(q) ** j + g2 * j * abs(q) ** np.maximum(j - 1.0, 0.0)) / (alpha * alpha)
-        c = np.zeros(JOST_TERMS + 1)
-        c[0] = 1.0
+        bound = ((g1 * abs(q) ** j + g2 * j * abs(q) ** np.maximum(j - 1.0, 0.0))
+                 / (alpha * alpha)).tolist()
+        # on plain floats, summed in the order of a dot product: c_k is
+        # sum_i bound[i] c_(k-1-i) / k^2
+        c = [1.0]
         for k in range(1, JOST_TERMS + 1):
-            c[k] = bound[:k] @ c[k - 1::-1] / (k * k)
+            acc = 0.0
+            for bound_i, c_i in zip(bound, reversed(c)):
+                acc += bound_i * c_i
+            c.append(acc / (k * k))
         x_need = np.log(2.0 * JOST_TERMS * c[-1] / JOST_TOL) / (JOST_TERMS * alpha)
         n = float(np.ceil((x_need - x0) / h))           # -inf where V0 = 0
     if not x0 + n * h < cap:                            # also where n is nan
@@ -323,9 +352,10 @@ def _inverse_interpolation(xs, fs):
     Lagrange's form, taken relative to each row's first x; where two values
     of f are equal the result is not finite, without a warning.
     """
+    diag = np.arange(fs.shape[1])
     with np.errstate(all="ignore"):
-        diff = fs[:, None, :] - fs[:, :, None]           # [i, j] = f_j - f_i
-        ratio = np.where(np.eye(fs.shape[1], dtype=bool), 1.0, fs[:, None, :] / diff)
+        ratio = fs[:, None, :] / (fs[:, None, :] - fs[:, :, None])    # [i, j] = f_j/(f_j - f_i)
+        ratio[:, diag, diag] = 1.0
         return xs[:, 0] + ((xs - xs[:, :1]) * ratio.prod(axis=2)).sum(axis=1)
 
 
@@ -355,8 +385,8 @@ def _scan_centres(problem: EffectiveProblem, energies, values, i):
     mu, mt = problem.masses.mu, problem.masses.m_tilde
     kappa = np.sqrt(-problem.g_coefficients(energies)[0])
     jost = values * np.exp(-kappa * problem.steps()[2])
-    cols = np.clip(i - SCAN_STENCIL // 2 + 1, 0, energies.size - SCAN_STENCIL)[:, None]
-    cols = cols + np.arange(SCAN_STENCIL)
+    first = np.minimum(np.maximum(i - SCAN_STENCIL // 2 + 1, 0), energies.size - SCAN_STENCIL)
+    cols = first[:, None] + np.arange(SCAN_STENCIL)
     lo, hi = energies[i], energies[i + 1]
     with np.errstate(all="ignore"):
         # E^2 + 2 m_tilde E + c = 0 with c = m_tilde kappa^2 / mu
@@ -393,37 +423,37 @@ def _polish(residual, lo, hi, f_lo, f_hi, centre):
     inner = np.arange(1, POLISH_POINTS) / POLISH_POINTS
     while True:
         width = hi - lo
-        tol = ROOT_XTOL + 4.0 * np.finfo(float).eps * np.maximum(np.abs(lo), np.abs(hi))
+        tol = ROOT_XTOL + _FOUR_ULPS * np.maximum(np.abs(lo), np.abs(hi))
         todo = np.flatnonzero(width > tol)
         if todo.size == 0:
             return 0.5 * (lo + hi)
-        a, b, fa, fb = lo[todo], hi[todo], f_lo[todo], f_hi[todo]
-        grid = a[:, None] + width[todo, None] * inner
-        probes = np.clip(centre[todo, None] + np.array([-0.4, 0.4]) * tol[todo, None],
-                         a[:, None], b[:, None])
-        energies = np.hstack((grid, probes))
+        rows = np.arange(todo.size)
+        a, b, fa, fb = lo[todo, None], hi[todo, None], f_lo[todo, None], f_hi[todo, None]
+        grid = a + width[todo, None] * inner
+        probes = np.minimum(np.maximum(centre[todo, None] + _PROBE_OFFSETS * tol[todo, None], a), b)
+        energies = np.concatenate((grid, probes), axis=1)
         values = residual(energies.ravel()).reshape(energies.shape)
-        order = np.argsort(energies, axis=1, kind="stable")
-        edges = np.column_stack((a, np.take_along_axis(energies, order, axis=1), b))
-        fs = np.column_stack((fa, np.take_along_axis(values, order, axis=1), fb))
+        order = rows[:, None], np.argsort(energies, axis=1, kind="stable")
+        edges = np.concatenate((a, energies[order], b), axis=1)
+        fs = np.concatenate((fa, values[order], fb), axis=1)
         # an interior value leaving the lower end's sign ends the kept
         # subinterval; with none, the last subinterval is kept
         interior = fs[:, 1:-1]
-        leaves = (interior == 0.0) | (np.sign(interior) != np.sign(fa[:, None]))
-        k = np.argmax(np.hstack((leaves, np.ones((todo.size, 1), dtype=bool))), axis=1)
-        rows = np.arange(todo.size)
-        hi[todo], f_hi[todo] = edges[rows, k + 1], fs[rows, k + 1]
-        zero = fs[rows, k + 1] == 0.0
-        lo[todo] = np.where(zero, hi[todo], edges[rows, k])
-        f_lo[todo] = np.where(zero, 0.0, fs[rows, k])
+        leaves = (interior == 0.0) | (np.sign(interior) != np.sign(fa))
+        k = np.where(leaves.any(axis=1), leaves.argmax(axis=1), leaves.shape[1])
+        new_hi, new_f_hi = edges[rows, k + 1], fs[rows, k + 1]
+        zero = new_f_hi == 0.0
+        new_lo = np.where(zero, new_hi, edges[rows, k])
+        new_f_lo = np.where(zero, 0.0, fs[rows, k])
+        lo[todo], hi[todo], f_lo[todo], f_hi[todo] = new_lo, new_hi, new_f_lo, new_f_hi
         # the uniform subinterval j holds the kept one; take its ends and one
         # more uniform point either side
-        j = (grid <= lo[todo, None]).sum(axis=1)
-        cols = np.clip(j - 1, 0, POLISH_POINTS - 3)[:, None] + np.arange(4)
-        uniform_e = np.column_stack((a, grid, b))[rows[:, None], cols]
-        uniform_f = np.column_stack((fa, values[:, :-2], fb))[rows[:, None], cols]
+        j = (grid <= new_lo[:, None]).sum(axis=1)
+        cols = rows[:, None], np.minimum(np.maximum(j - 1, 0), POLISH_POINTS - 3)[:, None] + _FOUR
+        uniform_e = np.concatenate((a, grid, b), axis=1)[cols]
+        uniform_f = np.concatenate((fa, values[:, :-2], fb), axis=1)[cols]
         centre[todo] = _probe_centres(_inverse_interpolation(uniform_e, uniform_f),
-                                      lo[todo], hi[todo], f_lo[todo], f_hi[todo])
+                                      new_lo, new_hi, new_f_lo, new_f_hi)
 
 
 def salpeter_levels(params: PotentialParams, masses: MassConfig, window=None,

@@ -13,6 +13,7 @@ verdict and never silently hides a branch. All formulas use hbar = c = 1.
 """
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -121,15 +122,32 @@ def spectral_auxiliaries(params: PotentialParams, masses: MassConfig, n: int) ->
     try:
         return _auxiliaries(params, masses, n)
     except ArithmeticError as exc:
-        # a = alpha^2/(2 mu) underflows to 0, or a square overflows
+        # 1/(2q) at q = 0
+        raise ValidationError(f"auxiliary quantities leave the float range: {exc}") from exc
+
+
+def _aux_quotients(params, masses):
+    """(eps2^2, beta, (V0/alpha)^2): the quotients of the snapshot whose divisor can underflow.
+
+    Raises ValidationError where one does (a = alpha^2/(2 mu) or q alpha^2
+    is 0). At q != 0 these are the only float-range failures of the snapshot,
+    so bound_states runs this check up front and builds the rest on demand.
+    """
+    v0, alpha, q = params.v0, params.alpha, params.q
+    mu, mt = masses.mu, masses.m_tilde
+    try:
+        a = alpha * alpha / (2.0 * mu)
+        eps2_sq = v0 * v0 / (2.0 * mt * a)
+        beta = 2.0 * mu * v0 / (q * alpha * alpha) if q != 0 else complex("nan")
+        return eps2_sq, beta, v0 * v0 / (alpha * alpha)
+    except ArithmeticError as exc:
         raise ValidationError(f"auxiliary quantities leave the float range: {exc}") from exc
 
 
 def _auxiliaries(params, masses, n):
     v0, alpha, q = params.v0, params.alpha, params.q
-    mu, mt = masses.mu, masses.m_tilde
-    a = alpha * alpha / (2.0 * mu)
-    eps2_sq = v0 * v0 / (2.0 * mt * a)
+    mt = masses.m_tilde
+    eps2_sq, beta, ratio = _aux_quotients(params, masses)
     b = _csqrt(q * q - 4.0 * eps2_sq)
     big_c = b + q * (2 * n + 1)
     big_d = (big_c * big_c + 4.0 * eps2_sq) / q if q != 0 else complex("nan")
@@ -144,12 +162,10 @@ def _auxiliaries(params, masses, n):
                       - 2 * q * alpha * (2 * n + 1) * root_p)
     m_half = mt / 2.0  # equals the constituent mass for equal masses
     chi_sq = _chi_squared_pair(v0, q, m_half)
-    beta = 2.0 * mu * v0 / (q * alpha * alpha) if q != 0 else complex("nan")
     return SpectralAuxiliaries(
         b=b, big_c=big_c, big_d=big_d, xi=xi, kappa=kappa, xi_tilde=xi_tilde,
         varsigma=varsigma, varsigma_tilde=varsigma_tilde, chi_sq=chi_sq, beta=beta,
-        c=_csqrt(q * q + v0 * v0 / (alpha * alpha)),
-        d=_csqrt(q * q - v0 * v0 / (alpha * alpha)),
+        c=_csqrt(q * q + ratio), d=_csqrt(q * q - ratio),
     )
 
 
@@ -394,16 +410,25 @@ def quantization_residual(params: PotentialParams, masses: MassConfig, n: int, e
 
 @dataclass(frozen=True)
 class BoundState:
-    """One labelled branch of an energy pair plus its physicality verdict."""
+    """One labelled branch of an energy pair plus its physicality verdict.
+
+    aux, the spectral_auxiliaries snapshot of params, masses and n, is built
+    when it is first read.
+    """
 
     n: int
     energy: complex
     branch: Branch
     physical: bool
-    aux: SpectralAuxiliaries
     energy_pair: EnergyPair
     regime: Regime
+    params: PotentialParams
+    masses: MassConfig
     kinematics: str = "salpeter"
+
+    @functools.cached_property
+    def aux(self) -> SpectralAuxiliaries:
+        return spectral_auxiliaries(self.params, self.masses, self.n)
 
 
 def _physical_real(params, masses, n, energy) -> bool:
@@ -435,7 +460,7 @@ def bound_states(params: PotentialParams, masses: MassConfig, n: int):
             pair = complex_v0q_energy(params, m, n, strict=False)
         else:
             pair = all_complex_energy(params, m, n)
-    aux = spectral_auxiliaries(params, masses, n)
+    _aux_quotients(params, masses)     # the snapshot's float-range check; .aux builds it
     states = []
     for branch, e in ((Branch.MINUS, pair.minus), (Branch.PLUS, pair.plus)):
         if regime is Regime.REAL:
@@ -443,5 +468,6 @@ def bound_states(params: PotentialParams, masses: MassConfig, n: int):
         else:
             phys = abs(e.imag) <= IM_TOL * (1.0 + abs(e))
         states.append(BoundState(n=n, energy=complex(e), branch=branch, physical=phys,
-                                 aux=aux, energy_pair=pair, regime=regime))
+                                 energy_pair=pair, regime=regime, params=params,
+                                 masses=masses))
     return tuple(states)

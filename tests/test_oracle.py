@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import warnings
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.polynomial import polyval
 from scipy.optimize import brentq
 
 from conftest import reference_rk4_trajectory
@@ -13,10 +15,13 @@ from salpeter_hulthen import MassConfig, PotentialParams, Regime, bound_states
 from salpeter_hulthen import _kernels, cli, oracle
 from salpeter_hulthen._kernels import (
     OVERFLOW_GUARD,
+    frobenius_coefficients,
     frobenius_start,
     frobenius_values,
     g_laurent_q1,
+    laurent_rows_q1,
     rk4_sweep,
+    step_grid,
 )
 from salpeter_hulthen.errors import (
     NonConvergentError,
@@ -58,20 +63,26 @@ def test_effective_problem_defaults():
             PotentialParams(0.9, 1.0, 1.0, Regime.COMPLEX_ALPHA), MC1)
 
 
-@pytest.mark.parametrize("solver", ["salpeter_levels", "mismatch_sweep"])
+@pytest.mark.parametrize("solver", ["salpeter_levels", "mismatch_sweep", "fd_eigenvalues"])
 @pytest.mark.parametrize("kwargs", [{"x_max": 0.3}, {"x_max": 0.504}, {"x_max": math.inf},
-                                    {"x_max": math.nan}, {"h": math.nan}, {"h": math.inf}])
+                                    {"x_max": math.nan}, {"h": math.nan}, {"h": math.inf},
+                                    {"x_max": 0.01}])
 def test_bad_box_or_step_is_a_validation_error(solver, kwargs):
     # at q = 1 the steps start at x0 = 0.5/alpha: x_max = 0.3 asked for a
     # negative step count (numpy's "negative dimensions" ValueError) and
     # 0.504 for none (the mismatch of the start state); a non-finite x_max
-    # or h raised OverflowError or ValueError from int(round(...))
+    # or h raised OverflowError or ValueError from int(round(...)). The
+    # finite-difference grids of these boxes hold 0, 29 and 49 interior
+    # points at h = 0.01, fewer than the 60 levels asked of them: numpy's
+    # "zero-size array" ValueError, or scipy's "select_range out of bounds"
     p = PotentialParams(0.9, 1.0, 1.0)
     with pytest.raises(ValidationError):
         if solver == "salpeter_levels":
             oracle.salpeter_levels(p, MC1, **kwargs)
-        else:
+        elif solver == "mismatch_sweep":
             oracle.mismatch_sweep(p, MC1, [-0.5, -0.01], **kwargs)
+        else:
+            oracle.fd_eigenvalues(p, 0.5, 60, **kwargs)
 
 
 def test_g_single_source_of_truth():
@@ -174,7 +185,7 @@ def test_salpeter_levels_two_states_sturm_order():
         x0, u0, v0 = prob.start_state(root)
         nsteps = int((x_stop - x0) / prob.h)
         _, us = reference_rk4_trajectory(g_of_x, x0, u0, v0, prob.h, nsteps)
-        series = g_laurent_q1(g0, g1, g2, p.alpha, 16)
+        series = g_laurent_q1(g0, g1, laurent_rows_q1(g2, p.alpha, 16))
         head = frobenius_values(series, np.linspace(x0 / 400, x0, 400))
         full = np.concatenate([head, us[1:] / (us[0] / head[-1])])
         kept = full[np.abs(full) > 1e-9 * np.max(np.abs(full))]
@@ -226,11 +237,12 @@ def test_shooting_agrees_with_fd_on_linear_problem():
 
     def mismatch(energies):
         g0, g1, g2 = 2 * mu * energies, np.full_like(energies, 2 * mu * p.v0), 0.0
-        coeffs = g_laurent_q1(g0, g1, g2, p.alpha, 16)
+        coeffs = g_laurent_q1(g0, g1, laurent_rows_q1(g2, p.alpha, 16))
         x0 = 0.5 / p.alpha
         u0, v0 = frobenius_start(coeffs, x0, 16)
         nsteps = int((60.0 - x0) / 0.004)
-        u, _, _ = rk4_sweep(g0, g1, g2, p.q, p.alpha, x0, u0, v0, 0.004, nsteps)
+        grid = step_grid(g2, p.q, p.alpha, x0, 0.004, nsteps)
+        u, _, _ = rk4_sweep(g0, g1, grid, u0, v0, 0.004, nsteps)
         return u
 
     shoot = _polish_brackets(mismatch, [-0.26], [-0.24])[0]
@@ -264,7 +276,7 @@ def test_polish_is_one_kernel_call_per_pass():
     width = (2.0 - 4e-8) / 239                 # scan step of the default window
     passes = _uniform_passes(width)
     assert passes == 5
-    cases = [(0.1425, 0.15, 1.0, 0.0, 2, 3), (0.9, 1.0, 1.0, 0.0, 1, 3),
+    cases = [(0.1425, 0.15, 1.0, 0.0, 2, 3), (0.9, 1.0, 1.0, 0.0, 1, 2),
              (3.8, 1.0, 0.5, 0.049, 1, 2), (6.2, 1.0, -1.0, 0.049, 1, 2),
              (0.62, 0.71, 1.0, 0.049, 1, 2), (250.0, 1.0, 0.5, 0.0, 3, 3)]
     for v0, alpha, q, h_alpha, levels, kernel_calls in cases:
@@ -279,8 +291,8 @@ def test_polish_is_one_kernel_call_per_pass():
         assert [n * per_bracket for n in open_brackets] == sizes
         assert open_brackets == sorted(open_brackets, reverse=True) and open_brackets[-1] >= 1
         assert len(calls) <= 1 + passes
-        # (0.9, 1, 1) closes on the second probe pair, the coarse-step q != 1
-        # levels on the scan-predicted first pair, and the two levels of
+        # (0.9, 1, 1) and the coarse-step q != 1 levels close on the
+        # scan-predicted first probe pair, and the two levels of
         # (0.1425, 0.15, 1) in two passes. (0.62, 0.71, 1) needs the scan
         # interpolated in kappa, not in E, and the deep well's third level a
         # stencil without the probes
@@ -352,10 +364,11 @@ def _robin_roots(problem, energies, refine):
     tail_h = problem.h / refine
 
     def robin(energies):
-        g, u, v, head_scale, x_end = oracle._shoot(problem, energies)
-        u, v, tail_scale = rk4_sweep(*g, q, alpha, x_end, u, v, tail_h,
-                                     int(round((25.0 / alpha - x_end) / tail_h)))
-        return (v + np.sqrt(-g[0]) * u) * np.exp(head_scale + tail_scale)
+        (g0s, g1s, g2), u, v, head_scale, x_end = oracle._shoot(problem, energies)
+        tail_steps = int(round((25.0 / alpha - x_end) / tail_h))
+        u, v, tail_scale = rk4_sweep(g0s, g1s, step_grid(g2, q, alpha, x_end, tail_h, tail_steps),
+                                     u, v, tail_h, tail_steps)
+        return (v + np.sqrt(-g0s) * u) * np.exp(head_scale + tail_scale)
 
     brackets = _scan_brackets(robin, energies)
     return _polish_brackets(robin, energies[brackets], energies[brackets + 1])
@@ -673,25 +686,86 @@ def test_wide_sweep_against_reference_integrator(v0, q):
         assert vals[i] == oracle.shooting_mismatch(p, MC1, energies[i])
 
 
-@pytest.mark.parametrize("nsteps", [0, 1, 15, 16, 17])
+@pytest.mark.parametrize("nsteps", [0, 1, 15, 16, 17, 31, 32, 33, 37])
 def test_kernel_step_counts_against_reference_integrator(nsteps):
-    # no step, one step, and block boundaries (BLOCK_STEPS = 16) with an
-    # oscillating g, so psi is not pinned to its growing tail
+    # no step, one step, and block boundaries (BLOCK_STEPS = 16; the last
+    # block takes in a remainder shorter than that: 31 steps make one block,
+    # 32 and 33 two) with an oscillating g, so psi is not pinned to its
+    # growing tail
     g0s = np.array([30.0, 200.0, 400.0])
     g1s = np.array([1.0, -2.0, 0.5])
     g2, q, alpha, x0, h = 0.3, 0.5, 1.0, 0.2, 0.05
     u0s, v0s = np.array([0.3, -0.2, 1.0]), np.array([1.0, 2.0, -1.0])
-    u, v, log_scale = rk4_sweep(g0s, g1s, g2, q, alpha, x0, u0s, v0s, h, nsteps)
+    grid = step_grid(g2, q, alpha, x0, h, nsteps)
+    u, v, log_scale = rk4_sweep(g0s, g1s, grid, u0s, v0s, h, nsteps)
     for j in range(3):
         _, us, vs = reference_rk4_trajectory(_g_of_x(g0s[j], g1s[j], g2, alpha, q),
                                              x0, u0s[j], v0s[j], h, nsteps, slopes=True)
         assert u[j] * np.exp(log_scale[j]) == pytest.approx(us[-1], rel=1e-10)
         assert v[j] * np.exp(log_scale[j]) == pytest.approx(vs[-1], rel=1e-10)
-        alone = rk4_sweep(g0s[j:j + 1], g1s[j:j + 1], g2, q, alpha, x0,
-                          u0s[j:j + 1], v0s[j:j + 1], h, nsteps)
+        alone = rk4_sweep(g0s[j:j + 1], g1s[j:j + 1], grid, u0s[j:j + 1], v0s[j:j + 1],
+                          h, nsteps)
         assert (alone[0][0], alone[1][0], alone[2][0]) == (u[j], v[j], log_scale[j])
         if nsteps >= 15:
             assert abs(us[-1]) < np.max(np.abs(us))
+
+
+@pytest.mark.parametrize("nsteps, blocks", [(1, 1), (15, 1), (16, 1), (18, 1), (31, 1), (32, 2),
+                                            (33, 2), (47, 2), (48, 3)])
+def test_last_block_takes_in_a_remainder_shorter_than_a_block(monkeypatch, nsteps, blocks):
+    # the dirichlet mode checks its certificate once per block end; g > 0
+    # keeps every energy in the batch to the end
+    ends = []
+    settled = _kernels.dirichlet_settled
+
+    def spy(*args):
+        ends.append(settled(*args))
+        return ends[-1]
+
+    monkeypatch.setattr(_kernels, "dirichlet_settled", spy)
+    g0s, g1s, h = np.array([30.0, 200.0]), np.array([1.0, -2.0]), 0.05
+    rk4_sweep(g0s, g1s, step_grid(0.3, 0.5, 1.0, 0.2, h, nsteps), np.zeros(2), np.ones(2), h,
+              nsteps, dirichlet=True)
+    assert len(ends) == blocks and not np.any(ends)
+
+
+def _polyval_start(coeffs, x0, order=16):
+    """(psi, psi') of frobenius_start summed by two Horner loops, the reference form."""
+    nu, a = frobenius_coefficients(coeffs, order)
+    ks = np.arange(order + 1.0).reshape((-1,) + (1,) * (a.ndim - 1))
+    return x0 ** nu * polyval(x0, a), x0 ** (nu - 1.0) * polyval(x0, a * (nu + ks))
+
+
+@pytest.mark.parametrize("v0, alpha, masses", [(0.9, 1.0, (1.0, 1.0)), (0.1425, 0.15, (1.0, 1.0)),
+                                               (0.915, 1.0, (0.8, 1.3))])
+def test_frobenius_start_gives_each_energy_its_batch_bits(v0, alpha, masses):
+    mc = MassConfig(*masses)
+    prob = oracle.EffectiveProblem(PotentialParams(v0, alpha, 1.0), mc)
+    x0 = prob.steps()[0]
+    rows = laurent_rows_q1(prob.g_coefficients(0.0)[2], alpha, 16)
+    edge = min(mc.total, 2.0 * mc.m_tilde)
+    energies = np.linspace(-edge + 1e-8, -1e-8, 240)
+
+    def series(e):
+        g0, g1, _ = prob.g_coefficients(e)
+        return g_laurent_q1(g0, g1, rows)
+
+    u, v = frobenius_start(series(energies), x0, 16)
+    assert u.shape == v.shape == (240,)
+    for j in range(0, 240, 7):
+        for batch in (energies[j], energies[j:j + 1], energies[j:j + 2]):
+            u_j, v_j = frobenius_start(series(batch), x0, 16)
+            assert np.shape(u_j) == np.shape(v_j) == np.shape(batch)
+            assert _bits(np.ravel(u_j)[0]) == _bits(u[j]) and _bits(np.ravel(v_j)[0]) == _bits(v[j])
+    # to rel 1e-14 of the series summed in absolute value: near a node of
+    # psi at x0 the sum cancels (1500-fold at (0.1425, 0.15, 1), where the
+    # Horner form is itself 2.5e-14 off the exactly summed series)
+    nu, a = frobenius_coefficients(series(energies), 16)
+    ks = np.arange(17.0)[:, None]
+    terms = np.abs(a) * x0 ** ks
+    sizes = x0 ** nu * terms.sum(axis=0), x0 ** (nu - 1.0) * ((nu + ks) * terms).sum(axis=0)
+    for got, ref, size in zip((u, v), _polyval_start(series(energies), x0), sizes):
+        assert np.all(np.abs(got - ref) <= 1e-14 * size)
 
 
 def test_overflow_rescale_keeps_the_tail_slope():
@@ -709,8 +783,8 @@ def test_overflow_rescale_keeps_the_tail_slope():
     assert kappa * (nsteps - half) * prob.h < 0.7 * math.log(OVERFLOW_GUARD)
 
     def sweep(sl, x_start, u_start, v_start, steps):
-        return rk4_sweep(g0s[sl], g1s[sl], g2, p.q, p.alpha, x_start, u_start, v_start,
-                         prob.h, steps)
+        grid = step_grid(g2, p.q, p.alpha, x_start, prob.h, steps)
+        return rk4_sweep(g0s[sl], g1s[sl], grid, u_start, v_start, prob.h, steps)
 
     u, v, log_scale = sweep(slice(None), x0, u0s, v0s, nsteps)
     u1, v1, scale1 = sweep(slice(0, 1), x0, u0s[:1], v0s[:1], half)
@@ -799,6 +873,26 @@ def test_retired_sweep_is_bitwise_the_full_integration(monkeypatch, v0, alpha, q
         assert np.sqrt(-g0s[0]) * x_max > math.log(OVERFLOW_GUARD)
 
 
+def test_mismatch_sweep_bits_off_q1_are_pinned():
+    # off q = 1 the start state is exact and no rescale falls inside these
+    # sweeps, so taking a short remainder into the last kernel block leaves
+    # every bit as it was; the digest was recorded before that change
+    settings = [((1.5, 1.0, 0.5), (1.0, 1.0), _WINDOW[:2], 0.0, 0.0),
+                ((2.0, 1.0, 0.0), (1.0, 1.0), _WINDOW[:2], 0.0, 0.0),
+                ((6.2, 1.0, -1.0), (1.0, 1.0), _WINDOW[:2], 0.0, 0.0),
+                ((1.5, 1.0, 0.5), (1.0, 2.0), (-3.0 + 1e-6, -1e-6), 0.0, 0.0),
+                ((250.0, 1.0, 0.0), (1.0, 1.0), _DEEP[:2], 0.0, 0.0),
+                ((3.8, 1.0, 0.5), (1.0, 1.0), _WINDOW[:2], 0.0, 0.049),
+                ((1.5, 1.0, 0.5), (1.0, 1.0), (-1.9, -0.01), 300.0, 0.05)]
+    digest = hashlib.sha256()
+    for params, masses, window, x_max, h in settings:
+        energies = np.linspace(*window, 2000)
+        vals = oracle.mismatch_sweep(PotentialParams(*params), MassConfig(*masses), energies,
+                                     h=h, x_max=x_max)
+        digest.update(np.ascontiguousarray(vals, dtype=float).tobytes())
+    assert digest.hexdigest() == "4c27b587704ce8f58c80d4652d5df87c6a518965762f182c9d283aad71e836aa"
+
+
 def test_opposite_signs_with_an_underflowing_product_do_not_retire(monkeypatch):
     # steps of 1e-20 leave psi = 1e-200 = peak and psi' = -1e-200 as they
     # are in a forbidden region; psi * psi' underflows to -0.0, but the
@@ -806,7 +900,8 @@ def test_opposite_signs_with_an_underflowing_product_do_not_retire(monkeypatch):
     g0s, g1s = np.array([-1.0]), np.array([0.0])
     u0s, v0s = np.array([1e-200]), np.array([-1e-200])
     assert u0s[0] * v0s[0] == 0.0
-    args = (g0s, g1s, 0.0, 0.5, 1.0, 0.5, u0s, v0s, 1e-20, 3 * _kernels.BLOCK_STEPS)
+    nsteps = 3 * _kernels.BLOCK_STEPS
+    args = (g0s, g1s, step_grid(0.0, 0.5, 1.0, 0.5, 1e-20, nsteps), u0s, v0s, 1e-20, nsteps)
     settled = _kernels.dirichlet_settled
     _retire_nothing(monkeypatch)
     full = rk4_sweep(*args, dirichlet=True)
@@ -817,7 +912,7 @@ def test_opposite_signs_with_an_underflowing_product_do_not_retire(monkeypatch):
     assert _bits(psi) == _bits(full)
     # with psi' of psi's sign the same state passes at the first block end
     retired = _record_retirements(monkeypatch, 1)
-    assert rk4_sweep(*args[:7], -v0s, *args[8:], dirichlet=True) == 1.0
+    assert rk4_sweep(*args[:4], -v0s, *args[5:], dirichlet=True) == 1.0
     assert retired == [0]
 
 

@@ -343,3 +343,21 @@ def test_dimensionless_consistency():
     assert d.eps2_sq == pytest.approx(d.eps1**2 * 1.0 / (4 * MC1.mu * MC1.m_tilde), rel=1e-12)
     assert d.eps.imag == pytest.approx(0.0, abs=1e-14)
     assert d.eps.real >= 0
+
+
+@pytest.mark.parametrize("params, masses", [
+    (PotentialParams(0.9, 1.0, 1.0), MC1),
+    (PotentialParams(0.915, 1.0, 1.0), MassConfig(0.8, 1.3)),
+    (PotentialParams(1.0, 1.0, 2.0, Regime.COMPLEX_ALPHA), MC1),
+    (PotentialParams(0.9, 1.0, 1.0, Regime.COMPLEX_V0_Q), MC1),
+    (PotentialParams(1.0, 1.0, 2.0, Regime.ALL_COMPLEX), MC1),
+], ids=["Real", "Real-unequal", "ComplexAlpha", "ComplexV0Q", "AllComplex"])
+def test_bound_state_aux_is_the_snapshot_built_on_first_read(params, masses):
+    for n in range(3):
+        for state in bound_states(params, masses, n):
+            assert "aux" not in vars(state)
+            want = spectra.spectral_auxiliaries(params, masses, n)
+            for name in spectra.SpectralAuxiliaries.__dataclass_fields__:
+                # NaN fields compare equal
+                np.testing.assert_array_equal(getattr(state.aux, name), getattr(want, name))
+            assert state.aux is state.aux

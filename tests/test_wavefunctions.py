@@ -113,9 +113,8 @@ def test_assemble_all_complex_regime():
 def test_assemble_nonrelativistic_complex():
     p = PotentialParams(1.0, 1.0, 1.0, Regime.COMPLEX_ALPHA)
     e = spectra.nonrelativistic_energy(p, 0.5, 0)
-    aux = spectra.spectral_auxiliaries(p, MC1, 0)
     state = spectra.BoundState(n=0, energy=complex(e), branch=spectra.Branch.PLUS,
-                               physical=True, aux=aux,
+                               physical=True, params=p, masses=MC1,
                                energy_pair=spectra.EnergyPair(complex(e), complex(e)),
                                regime=Regime.COMPLEX_ALPHA, kinematics="nonrelativistic")
     wf = wfp.assemble(p, MC1, state)
@@ -224,9 +223,8 @@ def test_ode_residual_nonrelativistic_complex_alpha():
     p = PotentialParams(1.0, 1.0, 1.0, Regime.COMPLEX_ALPHA)
     for n in range(3):
         e = spectra.nonrelativistic_energy(p, 0.5, n)
-        aux = spectra.spectral_auxiliaries(p, MC1, n)
         state = spectra.BoundState(n=n, energy=complex(e), branch=spectra.Branch.PLUS,
-                                   physical=True, aux=aux,
+                                   physical=True, params=p, masses=MC1,
                                    energy_pair=spectra.EnergyPair(complex(e), complex(e)),
                                    regime=Regime.COMPLEX_ALPHA,
                                    kinematics="nonrelativistic")
@@ -238,9 +236,8 @@ def test_ode_residual_nonrelativistic_complex_alpha():
 def test_ode_residual_nonrelativistic():
     p = PotentialParams(2.0, 1.0, 1.0)
     e = spectra.nonrelativistic_energy(p, 0.5, 0)
-    aux = spectra.spectral_auxiliaries(p, MC1, 0)
     state = spectra.BoundState(n=0, energy=complex(e), branch=spectra.Branch.PLUS,
-                               physical=True, aux=aux,
+                               physical=True, params=p, masses=MC1,
                                energy_pair=spectra.EnergyPair(complex(e), complex(e)),
                                regime=Regime.REAL, kinematics="nonrelativistic")
     wf = wfp.assemble(p, MC1, state)
@@ -267,9 +264,8 @@ def test_fd_eigenvector_nodes_agree_with_closed_form():
         vec = vecs[:, n]
         sign_changes = np.sum(np.abs(np.diff(np.sign(
             vec[np.abs(vec) > 1e-9 * np.max(np.abs(vec))]))) > 1)
-        aux = spectra.spectral_auxiliaries(p, MC1, n)
         state = spectra.BoundState(n=n, energy=complex(e), branch=spectra.Branch.PLUS,
-                                   physical=True, aux=aux,
+                                   physical=True, params=p, masses=MC1,
                                    energy_pair=spectra.EnergyPair(complex(e), complex(e)),
                                    regime=Regime.REAL, kinematics="nonrelativistic")
         wf = wfp.assemble(p, MC1, state)
