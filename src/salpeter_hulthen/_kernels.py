@@ -2,8 +2,11 @@
 
 The sweep over trial energies is the only hot loop in the package. It is a
 numpy loop over the steps, vectorized over the energy batch, so a batch of
-240 energies costs little more than a single one. The batch shares r(x) on
-the step grid and, at q = 1, the Frobenius series and its indicial root.
+240 energies costs little more than a single one. Every function here takes
+the batch as a 1-D array (g0, g1 and the start state one entry per energy);
+the oracle module flattens the caller's energies and restores their shape.
+The batch shares r(x) on the step grid and, at q = 1, the Frobenius series'
+order and indicial root.
 
 psi'' = -g psi is linear, so one classical RK4 step is exactly a 2x2 matrix
 per energy, built from g at the step's start, midpoint and end. The kernel
@@ -57,14 +60,15 @@ def step_grid(g2, q, alpha, x0, h, nsteps):
 
 
 def rk4_sweep(g0s, g1s, grid, u0s, v0s, h, nsteps, *, dirichlet=False):
-    """Integrate psi'' + g psi = 0 outward for a batch of energies.
+    """Integrate psi'' + g psi = 0 outward for a 1-D batch of energies.
 
     g = g0 + g1 r + g2 r^2 with r = s/(1 - q s), s = exp(-alpha x); each
-    energy has its own (g0, g1) and start state (psi, psi'). grid is
-    `step_grid(g2, q, alpha, x0, h, nsteps)`, shared by the batch. Returns
-    (psi, psi', log_scale) at x0 + nsteps * h, where psi exp(log_scale) and
-    psi' exp(log_scale) are the unnormalized solution; with dirichlet=True,
-    psi divided by the running peak of |psi| alone, the Dirichlet mismatch.
+    energy has its own (g0, g1) and start state (psi, psi'), the entries of
+    g0s, g1s, u0s and v0s. grid is `step_grid(g2, q, alpha, x0, h, nsteps)`,
+    shared by the batch. Returns 1-D (psi, psi', log_scale) at
+    x0 + nsteps * h, where psi exp(log_scale) and psi' exp(log_scale) are the
+    unnormalized solution; with dirichlet=True, psi divided by the running
+    peak of |psi| alone, the Dirichlet mismatch.
 
     With g_lo, g_mid, g_hi at x, x + h/2 and x + h, one RK4 step is
     psi <- A psi + B psi', psi' <- C psi + D psi' with
@@ -90,17 +94,13 @@ def rk4_sweep(g0s, g1s, grid, u0s, v0s, h, nsteps, *, dirichlet=False):
     v = np.array(v0s, dtype=float)
     h, nsteps = float(h), int(nsteps)
     if dirichlet:
-        # the batch is kept flat, so energies can leave it by index
-        shape = u.shape
-        g0s, g1s, u, v = g0s.ravel(), g1s.ravel(), u.ravel(), v.ravel()
         psi = np.empty(u.size)       # filled as energies leave the batch
         live = np.arange(u.size)
         peak = np.abs(u)
-        rows = np.empty((min(nsteps, 2 * BLOCK_STEPS - 1),) + u.shape)
+        rows = np.empty((min(nsteps, 2 * BLOCK_STEPS - 1), u.size))
     else:
-        log_scale = np.zeros(u.shape)
-    col = (-1,) + (1,) * u.ndim
-    r, g2r2 = (np.reshape(part, col) for part in grid)
+        log_scale = np.zeros(u.size)
+    r, g2r2 = (part[:, None] for part in grid)
     r_end, r_mid = r[:nsteps + 1], r[nsteps + 1:]
     g2r2_end, g2r2_mid = g2r2[:nsteps + 1], g2r2[nsteps + 1:]
     for k in range(0, nsteps, BLOCK_STEPS):
@@ -145,7 +145,7 @@ def rk4_sweep(g0s, g1s, grid, u0s, v0s, h, nsteps, *, dirichlet=False):
     if not dirichlet:
         return u, v, log_scale
     psi[live] = u / np.where(peak == 0.0, 1.0, peak)
-    return psi.reshape(shape)
+    return psi
 
 
 def dirichlet_settled(g0s, g1s, r_c, g2r2_c, g_c, u, v, peak):
@@ -190,10 +190,12 @@ def _exp_ratio_taylor(n_terms: int) -> np.ndarray:
     return f
 
 
-def laurent_rows_q1(g2, alpha, order: int = 16):
+def laurent_rows_q1(g2, alpha, order: int):
     """The energy-independent rows of g_laurent_q1: r and g2 r^2 in powers of x, j = -2..order.
 
-    Uses 1/(e^{alpha x} - 1) = (1/(alpha x)) * sum f_k (alpha x)^k.
+    Uses 1/(e^{alpha x} - 1) = (1/(alpha x)) * sum f_k (alpha x)^k. The
+    Frobenius series built from these rows runs to x^order: the functions
+    below read the order as len(rows) - 3.
     """
     r = _exp_ratio_taylor(order + 2) * alpha ** np.arange(-1.0, order + 1.0)   # j = -1..order
     return np.concatenate(([0.0], r)), g2 * np.convolve(r, r)[:order + 3]
@@ -202,69 +204,56 @@ def laurent_rows_q1(g2, alpha, order: int = 16):
 def g_laurent_q1(g0, g1, rows) -> np.ndarray:
     """Laurent coefficients of g(x) about x = 0 for q = 1: row j + 2 holds G_j.
 
-    rows is `laurent_rows_q1(g2, alpha, order)`; a batch of (g0, g1) runs
-    along the trailing axis.
+    rows is `laurent_rows_q1(g2, alpha, order)`. The 1-D batch of (g0, g1)
+    takes columns 1 onward. Column 0 holds the energy-independent part
+    g2 r^2 alone (g0 = g1 = 0), which carries G_-2 = g2/alpha^2 whatever
+    the batch, even an empty one.
     """
     r_rows, g2r2_rows = rows
-    col = (-1,) + (1,) * np.ndim(g1)
-    out = r_rows.reshape(col) * g1
-    out[2] += g0
-    out += g2r2_rows.reshape(col)
+    out = r_rows[:, None] * np.append(0.0, g1)
+    out[2, 1:] += g0
+    out += g2r2_rows[:, None]
     return out
 
 
-def _frobenius_columns(g, order):
-    """(nu, a_k) of frobenius_coefficients with the batch flattened to at least two columns.
+def _frobenius_columns(g):
+    """(nu, a_k), k = 0..len(g) - 3, of the regular solution psi = x^nu sum a_k x^k, per column.
 
-    Over two or more columns an axis-0 sum adds the rows one by one, in
-    order; over one column numpy sums pairwise, so a lone energy is doubled
-    to get the bits it gets in any batch.
+    g are the rows of g_laurent_q1. nu is the larger indicial root of
+    nu(nu-1) + G_-2 = 0, read from the energy-independent column 0 (G_-2 =
+    g2/alpha^2 is one per batch); requires 1 - 4 G_-2 >= 0. That column
+    also keeps every batch two or more columns wide, where an axis-0 sum
+    adds the rows one by one (over one column numpy sums pairwise), so each
+    energy gets the same bits in any batch.
     """
-    disc = 1.0 - 4.0 * np.ravel(g[0])[0]
+    disc = 1.0 - 4.0 * g[0, 0]
     if disc < 0:
         raise ValueError("supercritical inverse-square strength at the origin")
     nu = 0.5 * (1.0 + math.sqrt(disc))
-    cols = g.reshape(len(g), -1)
-    if cols.shape[1] == 1:
-        cols = np.repeat(cols, 2, axis=1)
-    a = np.empty((order + 1, cols.shape[1]))
+    a = np.empty((len(g) - 2, g.shape[1]))
     a[0] = 1.0
     for k, a_k in enumerate(a[1:], 1):
-        np.divide((cols[1:k + 1] * a[k - 1::-1]).sum(axis=0), -(k * (k + 2.0 * nu - 1.0)), out=a_k)
+        np.divide((g[1:k + 1] * a[k - 1::-1]).sum(axis=0), -(k * (k + 2.0 * nu - 1.0)), out=a_k)
     return nu, a
 
 
-def frobenius_coefficients(g_coeffs, order: int = 16):
-    """(nu, a_k) of the regular solution psi = x^nu sum a_k x^k at the origin.
-
-    g_coeffs are the rows of g_laurent_q1. nu is the larger indicial root of
-    nu(nu-1) + G_{-2} = 0, one per batch as G_{-2} = g2/alpha^2; requires the
-    subcritical case 1 - 4 G_{-2} >= 0.
-    """
-    g = np.asarray(g_coeffs, dtype=float)
-    nu, a = _frobenius_columns(g, order)
-    return nu, a[:, :g[0].size].reshape((order + 1,) + g.shape[1:])
-
-
-def frobenius_values(g_coeffs, xs, order: int = 16):
+def frobenius_values(g_coeffs, xs):
     """Regular-solution values on a grid inside the series radius, for one energy."""
-    nu, a = frobenius_coefficients(g_coeffs, order)
+    nu, a = _frobenius_columns(g_coeffs)
     xs = np.asarray(xs, dtype=float)
-    return xs**nu * polyval(xs, a)
+    return xs**nu * polyval(xs, a[:, 1])
 
 
-def frobenius_start(g_coeffs, x0: float, order: int = 16):
-    """(psi, psi') of the regular solution at x0, elementwise over the batch axes.
+def frobenius_start(g_coeffs, x0: float):
+    """1-D (psi, psi') of the regular solution at x0, one entry per energy of the batch.
 
-    Sums a_k x0^k and (nu + k) a_k x0^k along the coefficient axis, over the
-    columns of `_frobenius_columns`, so each energy gets the same bits in
-    any batch.
+    g_coeffs are the rows of g_laurent_q1. Sums a_k x0^k and
+    (nu + k) a_k x0^k along the coefficient axis, over all the columns of
+    `_frobenius_columns`, so each energy gets the same bits in any batch.
     """
-    g = np.asarray(g_coeffs, dtype=float)
-    nu, a = _frobenius_columns(g, order)
-    ks = np.arange(order + 1.0)[:, None]
+    nu, a = _frobenius_columns(g_coeffs)
+    ks = np.arange(float(len(a)))[:, None]
     a *= x0 ** ks
     u = x0 ** nu * a.sum(axis=0)
     v = x0 ** (nu - 1.0) * ((nu + ks) * a).sum(axis=0)
-    n, shape = g[0].size, g.shape[1:]
-    return u[:n].reshape(shape)[()], v[:n].reshape(shape)[()]
+    return u[1:], v[1:]

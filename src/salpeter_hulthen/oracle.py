@@ -50,12 +50,13 @@ from .errors import (
 )
 from .potentials import MassConfig, PotentialParams, Regime
 
-FROBENIUS_ORDER = 16
+FROBENIUS_ORDER = 16           # the q = 1 start's series runs to x^FROBENIUS_ORDER
 ROOT_XTOL = 1e-12              # absolute energy tolerance of the polish
 POLISH_POINTS = 128            # subintervals per bracket and polish pass
 JOST_TERMS = 24                # terms c_1..c_K of the Jost series after c_0 = 1
 JOST_TOL = 1e-14               # largest last term K |c_K s^K| next to sum_k |c_k s^k|
 SCALE_CAP = 400.0              # largest log scale of the regular solution the residual applies
+SCAN_POINTS = 240              # energies of the level search's scan
 SCAN_STENCIL = 12              # scan values per bracket in the first pass's root estimate
 STEP_ALPHA = 0.01              # default step h alpha of the shooting integrator
 
@@ -79,16 +80,16 @@ class EffectiveProblem:
     g(x; E) = 2 mu [ (E - V(x)) + (V(x) - E)^2 / (2 m_tilde) ] with V taken
     from the potentials module (single source of truth). Defaults keep
     alpha * x_max >= 25 and alpha * h <= 0.01. The long default box serves
-    the Dirichlet mismatch psi(x_max)/peak of shooting_mismatch and
-    mismatch_sweep, which brackets a level only where the growing tail has
-    swamped everything else; their kernel drops an energy from the batch
-    once its value is certain, so most energies stop a few decay lengths
-    out. salpeter_levels instead passes its matching point
-    (`matching_point`), a twentieth to a fifth of that length. x_max and h
-    must be finite, and x_max must leave at least one step after x0. What
-    does not depend on the energy is built once, on construction: the
-    steps, r and g2 r^2 on the step grid (`step_grid`) and, at q = 1, the
-    Laurent rows of r and r^2 (`laurent_rows_q1`).
+    the Dirichlet mismatch psi(x_max)/peak of mismatch_sweep, which brackets
+    a level only where the growing tail has swamped everything else; its
+    kernel drops an energy from the batch once its value is certain, so most
+    energies stop a few decay lengths out. salpeter_levels instead passes
+    its matching point (`matching_point`), a twentieth to a fifth of that
+    length. x_max and h must be finite, and x_max must leave at least one
+    step after x0. What does not depend on the energy is built once, on
+    construction: the steps, r and g2 r^2 on the step grid (`step_grid`)
+    and, at q = 1, the Laurent rows of r and r^2 to FROBENIUS_ORDER
+    (`laurent_rows_q1`).
     """
 
     params: PotentialParams
@@ -146,21 +147,24 @@ class EffectiveProblem:
     def start_state(self, energy):
         """Initial (x0, psi, psi') honoring psi(0) = 0, for a float or an array.
 
-        x0 is shared by every energy; psi and psi' take the shape of energy.
-        For q = 1 the origin is a pole of the potential and the regular
-        solution behaves like x^nu; the integration then starts from a
-        Frobenius series evaluated at x0 = 0.5/alpha.
+        x0 is shared by every energy; psi and psi' take the shape of energy,
+        and are numpy scalars for a float. For q = 1 the origin is a pole of
+        the potential and the regular solution behaves like x^nu; the
+        integration then starts from a Frobenius series evaluated at
+        x0 = 0.5/alpha.
         """
-        g0, g1, _ = self.g_coefficients(energy)
-        return (self._steps[0],) + self._start(g0, g1)
+        shape = np.shape(energy)
+        g0, g1, _ = self.g_coefficients(np.asarray(energy, dtype=float).ravel())
+        u, v = self._start(g0, g1)
+        return self._steps[0], u.reshape(shape)[()], v.reshape(shape)[()]
 
     def _start(self, g0, g1):
-        """(psi, psi') at x0 for the energies with these (g0, g1); see start_state."""
+        """1-D (psi, psi') at x0 for the energies with these 1-D (g0, g1); see start_state."""
         if self._laurent is None:
-            return np.zeros(np.shape(g0)), np.ones(np.shape(g0))
+            return np.zeros(g0.size), np.ones(g0.size)
         coeffs = g_laurent_q1(g0, g1, self._laurent)
         try:
-            return frobenius_start(coeffs, self._steps[0], FROBENIUS_ORDER)
+            return frobenius_start(coeffs, self._steps[0])
         except ValueError as exc:
             raise NonConvergentError(
                 "supercritical attractive 1/x^2 tail at the origin; "
@@ -215,14 +219,14 @@ def fd_eigenvalues(params: PotentialParams, mu: float, count: int,
 def _shoot(problem: EffectiveProblem, energies, dirichlet=False):
     """((g0, g1, g2), psi, psi', log_scale, x_end) per energy where the integration stops.
 
+    The energies are flattened: g0, g1, psi, psi' and log_scale are 1-D.
     psi exp(log_scale) and psi' exp(log_scale) are the regular solution with
     its start state unnormalized; x_end = x0 + nsteps h is where the fixed
     steps stop (`EffectiveProblem.steps`). With dirichlet=True, psi' and
     log_scale are None and psi is rk4_sweep's Dirichlet mismatch psi/peak,
     for which energies whose value is settled stop early.
     """
-    energies = np.atleast_1d(np.asarray(energies, dtype=float))
-    g0s, g1s, g2 = problem.g_coefficients(energies)
+    g0s, g1s, g2 = problem.g_coefficients(np.asarray(energies, dtype=float).ravel())
     _, nsteps, x_end = problem.steps()
     u0s, v0s = problem._start(g0s, g1s)
     try:
@@ -340,12 +344,6 @@ def matching_point(params: PotentialParams, masses: MassConfig, h: float = 0.0) 
     return x0 + max(n, 1.0) * h
 
 
-def shooting_mismatch(params: PotentialParams, masses: MassConfig, energy: float,
-                      h: float = 0.0, x_max: float = 0.0) -> float:
-    """psi(x_max) for the outward integration, rescaled by its running maximum."""
-    return float(mismatch_sweep(params, masses, [energy], h=h, x_max=x_max)[0])
-
-
 def _inverse_interpolation(xs, fs):
     """Value at f = 0 of the polynomial x(f) through the points (f, x) of each row.
 
@@ -457,10 +455,10 @@ def _polish(residual, lo, hi, f_lo, f_hi, centre):
 
 
 def salpeter_levels(params: PotentialParams, masses: MassConfig, window=None,
-                    scan_points: int = 240, h: float = 0.0, x_max: float = 0.0):
+                    h: float = 0.0, x_max: float = 0.0):
     """Eigenvalues of the energy-nonlinear reduced equation inside the window.
 
-    Scans the Jost Wronskian psi_J psi' - psi_J' psi over scan_points
+    Scans the Jost Wronskian psi_J psi' - psi_J' psi over SCAN_POINTS
     energies and polishes every sign change at once with a batched
     multisection (`_polish`): each pass integrates POLISH_POINTS - 1 interior
     energies of every bracket and two probes around an interpolated root,
@@ -484,8 +482,6 @@ def salpeter_levels(params: PotentialParams, masses: MassConfig, window=None,
     converged there, which a forced x_max with |q| exp(-alpha x_max) near 1
     can cause. Returns the roots in ascending order.
     """
-    if scan_points < 100:
-        raise ValidationError("scan_points must be >= 100")
     mt = masses.m_tilde
     if window is None:
         edge = min(masses.total, 2.0 * mt)
@@ -497,7 +493,7 @@ def salpeter_levels(params: PotentialParams, masses: MassConfig, window=None,
     if x_max <= 0.0:
         x_max = matching_point(params, masses, h)
     problem = EffectiveProblem(params, masses, x_max=x_max, h=h)
-    energies = np.linspace(lo, hi, scan_points)
+    energies = np.linspace(lo, hi, SCAN_POINTS)
     values = _jost_residual(problem, energies)
     # a scan value of exactly zero is a root: a bracket of zero width
     zero = values[:-1] == 0.0
@@ -510,14 +506,16 @@ def salpeter_levels(params: PotentialParams, masses: MassConfig, window=None,
 
 def mismatch_sweep(params: PotentialParams, masses: MassConfig, energies,
                    h: float = 0.0, x_max: float = 0.0):
-    """Batch Dirichlet mismatch psi(x_max)/peak, the quantity shooting_mismatch returns.
+    """Dirichlet mismatch psi(x_max)/peak of the outward integration, in the shape of energies.
 
-    Most energies of a wide sweep end at exactly +-1: their growing tail has
-    become its own running peak a few decay lengths out. The kernel's
+    A float energy gives a one-entry array. Most energies of a wide sweep
+    end at exactly +-1: their growing tail has become its own running peak
+    a few decay lengths out. The kernel's
     dirichlet mode drops each such energy from the batch once a certificate
     shows the rest of the integration cannot change that value
     (`_kernels.dirichlet_settled`), so the result is bitwise that of the
     full integration.
     """
+    energies = np.atleast_1d(np.asarray(energies, dtype=float))
     problem = EffectiveProblem(params, masses, x_max=x_max, h=h)
-    return _shoot(problem, energies, dirichlet=True)[1]
+    return _shoot(problem, energies, dirichlet=True)[1].reshape(energies.shape)

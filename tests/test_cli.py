@@ -173,6 +173,29 @@ def test_verify_salpeter(tmp_path):
     assert matched and matched[0]["rel_delta"] < 1e-4
 
 
+def test_verify_salpeter_lists_a_root_no_formula_level_matches(tmp_path):
+    # no closed-form branch is physical here, but the oracle finds a level
+    code, text = run(tmp_path, {**BASE, "V0": 3.8, "q": 0.5}, "--command", "verify")
+    assert code == 0
+    rows = json.loads(text)["rows"]
+    assert len(rows) == 1
+    assert rows[0]["formula"] is None and rows[0]["n"] is None and rows[0]["branch"] is None
+    assert rows[0]["oracle"] == pytest.approx(-0.898976, abs=1e-6)
+    assert rows[0]["abs_delta"] is None and rows[0]["rel_delta"] is None
+
+
+def test_verify_salpeter_lists_a_formula_level_no_root_matches(tmp_path):
+    # the physical level lies above the default window's -1e-8 edge, so the
+    # oracle's scan cannot find it
+    code, text = run(tmp_path, {**BASE, "V0": 0.80005}, "--command", "verify")
+    assert code == 0
+    rows = json.loads(text)["rows"]
+    assert len(rows) == 1
+    assert rows[0]["oracle"] is None and rows[0]["n"] == 0
+    assert -1e-8 < rows[0]["formula"] < 0.0
+    assert rows[0]["abs_delta"] is None and rows[0]["rel_delta"] is None
+
+
 def test_count_command(tmp_path):
     code, text = run(tmp_path, BASE, "--command", "count")
     assert code == 0

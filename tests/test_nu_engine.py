@@ -149,6 +149,36 @@ def test_weight_and_phi_exponential():
     assert rho.exp_rate == pytest.approx(-2j * eps2, abs=1e-12)
 
 
+def _selected_hulthen():
+    prob = nu.hulthen_problem(0.8, 1.5, 0.1, 0.7, 0.9)
+    return prob, nu.select_solution(prob)
+
+
+def _exponential():
+    # tau' is imaginary at q = 0, so no branch is admissible; take the one
+    # of test_weight_and_phi_exponential
+    prob = nu.exponential_problem(0.7, 1.1, 0.4, 0.3)
+    return prob, nu.solve_with_k(prob, 1.4 - 0.56j, nu.SignChoice.MINUS)
+
+
+@pytest.mark.parametrize("case", [_selected_hulthen, _exponential], ids=["hulthen", "exponential"])
+def test_exponent_forms_solve_their_equations(case):
+    # the evaluated records, not just their exponents: (sigma rho)' = tau rho
+    # and phi'/phi = pi/sigma, by central differences at a few s in (0, 1)
+    prob, sol = case()
+    rho, phi = nu.weight_and_phi(sol, prob)
+    assert (rho.exp_rate is None) == (prob.sigma[2] != 0.0)
+    s = np.array([0.1, 0.35, 0.6, 0.85])
+    h = 1e-6
+
+    def diff(f):
+        return (f(s + h) - f(s - h)) / (2.0 * h)
+
+    sigma, tau, pi = (npoly.Polynomial(c) for c in (prob.sigma, sol.tau, sol.pi))
+    np.testing.assert_allclose(diff(lambda x: sigma(x) * rho(x)), tau(s) * rho(s), rtol=1e-7)
+    np.testing.assert_allclose(diff(phi) / phi(s), pi(s) / sigma(s), rtol=1e-7)
+
+
 def test_weight_and_phi_unsupported_sigma():
     prob = nu.NuProblem(sigma=[1.0, 0.0, -1.0], sigma_tilde=[0.1], tau_tilde=[1.0])
     sol = nu.NuSolution(k=0.0, pi=np.array([0.0, -1.0], dtype=complex),

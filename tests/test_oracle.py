@@ -15,7 +15,6 @@ from salpeter_hulthen import MassConfig, PotentialParams, Regime, bound_states
 from salpeter_hulthen import _kernels, cli, oracle
 from salpeter_hulthen._kernels import (
     OVERFLOW_GUARD,
-    frobenius_coefficients,
     frobenius_start,
     frobenius_values,
     g_laurent_q1,
@@ -133,11 +132,11 @@ def test_fd_not_converged_signal():
 def test_shooting_sign_structure():
     p = PotentialParams(0.9, 1.0, 1.0)
     root = -0.014964221403
-    below = oracle.shooting_mismatch(p, MC1, -1.5)
-    deep = oracle.shooting_mismatch(p, MC1, -1.0)
+    below = oracle.mismatch_sweep(p, MC1, [-1.5])[0]
+    deep = oracle.mismatch_sweep(p, MC1, [-1.0])[0]
     assert np.sign(below) == np.sign(deep)   # no node below the ground state
-    lo = oracle.shooting_mismatch(p, MC1, root * 1.3)
-    hi = oracle.shooting_mismatch(p, MC1, root * 0.7)
+    lo = oracle.mismatch_sweep(p, MC1, [root * 1.3])[0]
+    hi = oracle.mismatch_sweep(p, MC1, [root * 0.7])[0]
     assert np.sign(lo) * np.sign(hi) < 0     # bracketing the eigenvalue
 
 
@@ -239,7 +238,7 @@ def test_shooting_agrees_with_fd_on_linear_problem():
         g0, g1, g2 = 2 * mu * energies, np.full_like(energies, 2 * mu * p.v0), 0.0
         coeffs = g_laurent_q1(g0, g1, laurent_rows_q1(g2, p.alpha, 16))
         x0 = 0.5 / p.alpha
-        u0, v0 = frobenius_start(coeffs, x0, 16)
+        u0, v0 = frobenius_start(coeffs, x0)
         nsteps = int((60.0 - x0) / 0.004)
         grid = step_grid(g2, p.q, p.alpha, x0, 0.004, nsteps)
         u, _, _ = rk4_sweep(g0, g1, grid, u0, v0, 0.004, nsteps)
@@ -662,7 +661,7 @@ def test_backend_against_reference_integrator(q, v0, level):
     ref = us[-1] / np.max(np.abs(us))
     assert vals[1] == pytest.approx(ref, rel=1e-10)
     # each batch row is the same computation as that energy on its own
-    singles = [oracle.shooting_mismatch(p, MC1, energy) for energy in energies]
+    singles = [oracle.mismatch_sweep(p, MC1, [energy])[0] for energy in energies]
     np.testing.assert_array_equal(vals, singles)
 
 
@@ -683,7 +682,7 @@ def test_wide_sweep_against_reference_integrator(v0, q):
         _, us = reference_rk4_trajectory(_g_of_x(g0, g1, g2, p.alpha, q), x0, u0, du0,
                                          prob.h, nsteps)
         assert vals[i] == pytest.approx(us[-1] / np.max(np.abs(us)), rel=1e-10)
-        assert vals[i] == oracle.shooting_mismatch(p, MC1, energies[i])
+        assert vals[i] == oracle.mismatch_sweep(p, MC1, [energies[i]])[0]
 
 
 @pytest.mark.parametrize("nsteps", [0, 1, 15, 16, 17, 31, 32, 33, 37])
@@ -729,10 +728,16 @@ def test_last_block_takes_in_a_remainder_shorter_than_a_block(monkeypatch, nstep
     assert len(ends) == blocks and not np.any(ends)
 
 
-def _polyval_start(coeffs, x0, order=16):
+def _series_coefficients(coeffs):
+    """(nu, a_k) of the regular solution for the energies of g_laurent_q1's rows coeffs."""
+    nu, a = _kernels._frobenius_columns(coeffs)
+    return nu, a[:, 1:]     # column 0 is the energy-independent part
+
+
+def _polyval_start(coeffs, x0):
     """(psi, psi') of frobenius_start summed by two Horner loops, the reference form."""
-    nu, a = frobenius_coefficients(coeffs, order)
-    ks = np.arange(order + 1.0).reshape((-1,) + (1,) * (a.ndim - 1))
+    nu, a = _series_coefficients(coeffs)
+    ks = np.arange(float(len(a)))[:, None]
     return x0 ** nu * polyval(x0, a), x0 ** (nu - 1.0) * polyval(x0, a * (nu + ks))
 
 
@@ -750,17 +755,21 @@ def test_frobenius_start_gives_each_energy_its_batch_bits(v0, alpha, masses):
         g0, g1, _ = prob.g_coefficients(e)
         return g_laurent_q1(g0, g1, rows)
 
-    u, v = frobenius_start(series(energies), x0, 16)
+    u, v = frobenius_start(series(energies), x0)
     assert u.shape == v.shape == (240,)
     for j in range(0, 240, 7):
-        for batch in (energies[j], energies[j:j + 1], energies[j:j + 2]):
-            u_j, v_j = frobenius_start(series(batch), x0, 16)
+        for batch in (energies[j:j + 1], energies[j:j + 2]):
+            u_j, v_j = frobenius_start(series(batch), x0)
             assert np.shape(u_j) == np.shape(v_j) == np.shape(batch)
-            assert _bits(np.ravel(u_j)[0]) == _bits(u[j]) and _bits(np.ravel(v_j)[0]) == _bits(v[j])
+            assert _bits(u_j[0]) == _bits(u[j]) and _bits(v_j[0]) == _bits(v[j])
+        # a float energy gets scalars with the same bits
+        _, u_j, v_j = prob.start_state(float(energies[j]))
+        assert np.shape(u_j) == np.shape(v_j) == ()
+        assert _bits(u_j) == _bits(u[j]) and _bits(v_j) == _bits(v[j])
     # to rel 1e-14 of the series summed in absolute value: near a node of
     # psi at x0 the sum cancels (1500-fold at (0.1425, 0.15, 1), where the
     # Horner form is itself 2.5e-14 off the exactly summed series)
-    nu, a = frobenius_coefficients(series(energies), 16)
+    nu, a = _series_coefficients(series(energies))
     ks = np.arange(17.0)[:, None]
     terms = np.abs(a) * x0 ** ks
     sizes = x0 ** nu * terms.sum(axis=0), x0 ** (nu - 1.0) * ((nu + ks) * terms).sum(axis=0)
@@ -916,9 +925,14 @@ def test_opposite_signs_with_an_underflowing_product_do_not_retire(monkeypatch):
     assert retired == [0]
 
 
-def test_scan_points_validation():
-    with pytest.raises(ValidationError):
-        oracle.salpeter_levels(PotentialParams(0.9, 1.0, 1.0), MC1, scan_points=50)
+@pytest.mark.parametrize("q", [1.0, 0.5])
+def test_empty_energy_batch_gives_empty_results(q):
+    # at q = 1 the indicial root comes from the energy-independent Laurent
+    # rows, so a batch with no energy needs no first column to read it from
+    p = PotentialParams(0.9, 1.0, q)
+    assert oracle.mismatch_sweep(p, MC1, []).shape == (0,)
+    x0, u0s, v0s = oracle.EffectiveProblem(p, MC1).start_state(np.array([]))
+    assert u0s.shape == v0s.shape == (0,)
 
 
 def test_window_validation():
