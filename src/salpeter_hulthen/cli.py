@@ -59,6 +59,14 @@ SCAN_POINTS_CAP = 1_000
 
 @dataclass(frozen=True)
 class RunConfig:
+    """A validated command configuration.
+
+    tolerance is validated (finite, positive) and echoed in
+    metadata.config_echo, but no command reads it: the level search closes
+    its brackets at oracle.ROOT_XTOL and fd_eigenvalues uses its own
+    accuracy target.
+    """
+
     command: str
     params: PotentialParams
     masses: MassConfig
@@ -412,7 +420,8 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--n-max", type=int, default=None, dest="n_max")
     parser.add_argument("--grid-points", type=int, default=None, dest="grid_points")
     parser.add_argument("--x-max", type=float, default=None, dest="x_max")
-    parser.add_argument("--tolerance", type=float, default=None)
+    parser.add_argument("--tolerance", type=float, default=None,
+                        help="validated and echoed in the output metadata; no command reads it")
     parser.add_argument("--mode", choices=("salpeter", "nonrelativistic"), default=None)
     return parser
 

@@ -18,16 +18,21 @@ Two solvers, deliberately unrelated to the closed forms:
   psi' + kappa psi = 0 of asymptotic matching (Cooley, Math. Comp. 15 (1961)
   363), which needs a far longer domain. The regular solution is carried
   unnormalized, so the residual is smooth in E and its scan values predict
-  the roots. Roots of the residual are bracketed by a scan and polished all
-  at once by a batched multisection: each pass integrates POLISH_POINTS - 1
-  interior energies of every open bracket in one kernel call and keeps a
-  subinterval over which the residual changes sign. Each pass also
-  integrates two probes either side of an inverse interpolation of the
-  root, keeping the bracket as Brent's method does (Brent, Algorithms for
-  Minimization without Derivatives, 1973): on the first pass from the scan
-  values nearest the sign change, later from the last pass's uniform
-  values. Where the probes straddle the root the bracket closes, so most
-  roots take one or two passes.
+  the roots. Roots of the residual are bracketed by a scan spaced uniformly
+  in the angle theta, E = -2 m_tilde sin^2(theta/2), which is uniform in
+  kappa at threshold, where the shallow levels of a weakly screened well
+  crowd. One kernel call integrates just two probes either side of each
+  bracket's root, inverse-interpolated in theta from the scan values nearest
+  the sign change, keeping the bracket as Brent's method does (Brent,
+  Algorithms for Minimization without Derivatives, 1973); where the probes
+  straddle the root the bracket closes, as most do. The rest are polished
+  all at once by a batched multisection: each pass integrates the
+  POLISH_POINTS - 1 interior energies of every open bracket in one kernel
+  call, with two probes around an interpolated root (first the secant
+  through the earlier probes, later a cubic through the last pass's uniform
+  values), and keeps a subinterval over which the residual changes sign. A
+  level search takes the scan, the probe call and at most P passes, where P
+  is the plain multisection's count: 2 + P kernel calls at worst.
 
 Only the Real regime is handled here; complex regimes are checked through
 algebraic identities instead (see the spectra tests).
@@ -369,29 +374,64 @@ def _probe_centres(est, lo, hi, f_lo, f_hi):
     return np.where(np.isfinite(est), est, 0.5 * (lo + hi))
 
 
-def _scan_centres(problem: EffectiveProblem, energies, values, i):
+def _scan_centres(problem: EffectiveProblem, thetas, energies, values, i):
     """First-pass root estimates for the scan brackets [energies[i], energies[i + 1]].
 
-    The Jost function F = residual exp(-kappa x_end) is analytic in
-    kappa = sqrt(-g0(E)), where the residual's growth and E's threshold
-    branch are not, so kappa is inverse-interpolated in F through the
-    SCAN_STENCIL scan values nearest each sign change and mapped back to E
-    on the bracket's side of E = -m_tilde, where g0 = (mu/m_tilde)((E +
-    m_tilde)^2 - m_tilde^2) turns. `_probe_centres` replaces an estimate
-    outside the bracket.
+    The scan energies are E = -2 m_tilde sin^2(theta/2) at the angles thetas,
+    where kappa = sqrt(-g0(E)) = sqrt(mu m_tilde) sin(theta). The Jost
+    function F = residual exp(-kappa x_end) is analytic in kappa, and so in
+    theta, where the residual's growth and E's threshold branch are not, so
+    theta is inverse-interpolated in F through the SCAN_STENCIL scan values
+    nearest each sign change and mapped back to E in the same sin^2 form.
+    `_probe_centres` replaces an estimate outside the bracket.
     """
     mu, mt = problem.masses.mu, problem.masses.m_tilde
-    kappa = np.sqrt(-problem.g_coefficients(energies)[0])
-    jost = values * np.exp(-kappa * problem.steps()[2])
+    jost = values * np.exp(-math.sqrt(mu * mt) * np.sin(thetas) * problem.steps()[2])
     first = np.minimum(np.maximum(i - SCAN_STENCIL // 2 + 1, 0), energies.size - SCAN_STENCIL)
     cols = first[:, None] + np.arange(SCAN_STENCIL)
-    lo, hi = energies[i], energies[i + 1]
     with np.errstate(all="ignore"):
-        # E^2 + 2 m_tilde E + c = 0 with c = m_tilde kappa^2 / mu
-        c = mt / mu * _inverse_interpolation(kappa[cols], jost[cols]) ** 2
-        d = np.sqrt(mt * mt - c)
-        est = np.where(lo + hi > -2.0 * mt, -c / (mt + d), -(mt + d))
-    return _probe_centres(est, lo, hi, jost[i], jost[i + 1])
+        est = -2.0 * mt * np.sin(0.5 * _inverse_interpolation(thetas[cols], jost[cols])) ** 2
+    return _probe_centres(est, energies[i], energies[i + 1], jost[i], jost[i + 1])
+
+
+def _open(lo, hi):
+    """(tol, indices of the brackets [lo, hi] still wider than their closing width tol)."""
+    tol = ROOT_XTOL + _FOUR_ULPS * np.maximum(np.abs(lo), np.abs(hi))
+    return tol, np.flatnonzero(hi - lo > tol)
+
+
+def _probes(centre, tol, a, b):
+    """The two probes centre -+ 0.4 tol of each bracket [a, b], kept inside it, a row each."""
+    return np.minimum(np.maximum(centre[:, None] + _PROBE_OFFSETS * tol[:, None], a), b)
+
+
+def _narrow(residual, brackets, todo, energies):
+    """One pass over the open brackets todo; returns the residual at energies.
+
+    brackets is (lo, hi, f_lo, f_hi), updated in place; row k of energies
+    lies inside bracket todo[k]. Per bracket the pass keeps the first
+    subinterval of the sorted energies whose ends differ in sign; an
+    interior value of exactly zero is the root itself, a bracket of zero
+    width.
+    """
+    lo, hi, f_lo, f_hi = brackets
+    rows = np.arange(todo.size)
+    a, b, fa, fb = lo[todo, None], hi[todo, None], f_lo[todo, None], f_hi[todo, None]
+    values = residual(energies.ravel()).reshape(energies.shape)
+    order = rows[:, None], np.argsort(energies, axis=1, kind="stable")
+    edges = np.concatenate((a, energies[order], b), axis=1)
+    fs = np.concatenate((fa, values[order], fb), axis=1)
+    # an interior value leaving the lower end's sign ends the kept
+    # subinterval; with none, the last subinterval is kept
+    interior = fs[:, 1:-1]
+    leaves = (interior == 0.0) | (np.sign(interior) != np.sign(fa))
+    k = np.where(leaves.any(axis=1), leaves.argmax(axis=1), leaves.shape[1])
+    new_hi, new_f_hi = edges[rows, k + 1], fs[rows, k + 1]
+    zero = new_f_hi == 0.0
+    lo[todo] = np.where(zero, new_hi, edges[rows, k])
+    f_lo[todo] = np.where(zero, 0.0, fs[rows, k])
+    hi[todo], f_hi[todo] = new_hi, new_f_hi
+    return values
 
 
 def _polish(residual, lo, hi, f_lo, f_hi, centre):
@@ -406,8 +446,7 @@ def _polish(residual, lo, hi, f_lo, f_hi, centre):
     later the inverse cubic interpolation through the four uniform points of
     the last pass nearest the kept sign change (`_probe_centres`), the
     probes left out, as two points 0.8 tol apart spoil the cubic. It keeps,
-    per bracket, the first subinterval of the sorted energies whose ends
-    differ in sign; an interior value of exactly zero is the root itself.
+    per bracket, a subinterval whose ends differ in sign (`_narrow`).
     When the probes straddle the root the bracket is 0.8 tol wide and
     closes; otherwise the kept subinterval still lies inside a uniform one.
     A bracket closes at ROOT_XTOL wide, or at 4 eps |E| where that is wider
@@ -415,43 +454,39 @@ def _polish(residual, lo, hi, f_lo, f_hi, centre):
     would stall the bracket); until then each pass shrinks it at least about
     POLISH_POINTS-fold, so the probes never cost a pass.
     """
-    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    f_lo, f_hi = np.array(f_lo, dtype=float), np.array(f_hi, dtype=float)
+    brackets = lo, hi, f_lo, f_hi = [np.array(v, dtype=float) for v in (lo, hi, f_lo, f_hi)]
     centre = np.array(centre, dtype=float)
     inner = np.arange(1, POLISH_POINTS) / POLISH_POINTS
     while True:
-        width = hi - lo
-        tol = ROOT_XTOL + _FOUR_ULPS * np.maximum(np.abs(lo), np.abs(hi))
-        todo = np.flatnonzero(width > tol)
+        tol, todo = _open(lo, hi)
         if todo.size == 0:
             return 0.5 * (lo + hi)
         rows = np.arange(todo.size)
         a, b, fa, fb = lo[todo, None], hi[todo, None], f_lo[todo, None], f_hi[todo, None]
-        grid = a + width[todo, None] * inner
-        probes = np.minimum(np.maximum(centre[todo, None] + _PROBE_OFFSETS * tol[todo, None], a), b)
-        energies = np.concatenate((grid, probes), axis=1)
-        values = residual(energies.ravel()).reshape(energies.shape)
-        order = rows[:, None], np.argsort(energies, axis=1, kind="stable")
-        edges = np.concatenate((a, energies[order], b), axis=1)
-        fs = np.concatenate((fa, values[order], fb), axis=1)
-        # an interior value leaving the lower end's sign ends the kept
-        # subinterval; with none, the last subinterval is kept
-        interior = fs[:, 1:-1]
-        leaves = (interior == 0.0) | (np.sign(interior) != np.sign(fa))
-        k = np.where(leaves.any(axis=1), leaves.argmax(axis=1), leaves.shape[1])
-        new_hi, new_f_hi = edges[rows, k + 1], fs[rows, k + 1]
-        zero = new_f_hi == 0.0
-        new_lo = np.where(zero, new_hi, edges[rows, k])
-        new_f_lo = np.where(zero, 0.0, fs[rows, k])
-        lo[todo], hi[todo], f_lo[todo], f_hi[todo] = new_lo, new_hi, new_f_lo, new_f_hi
+        grid = a + (b - a) * inner
+        probes = _probes(centre[todo], tol[todo], a, b)
+        values = _narrow(residual, brackets, todo, np.concatenate((grid, probes), axis=1))
         # the uniform subinterval j holds the kept one; take its ends and one
         # more uniform point either side
-        j = (grid <= new_lo[:, None]).sum(axis=1)
+        j = (grid <= lo[todo, None]).sum(axis=1)
         cols = rows[:, None], np.minimum(np.maximum(j - 1, 0), POLISH_POINTS - 3)[:, None] + _FOUR
         uniform_e = np.concatenate((a, grid, b), axis=1)[cols]
         uniform_f = np.concatenate((fa, values[:, :-2], fb), axis=1)[cols]
         centre[todo] = _probe_centres(_inverse_interpolation(uniform_e, uniform_f),
-                                      new_lo, new_hi, new_f_lo, new_f_hi)
+                                      lo[todo], hi[todo], f_lo[todo], f_hi[todo])
+
+
+def _scan_grid(lo, hi, m_tilde):
+    """(theta, E) of the SCAN_POINTS scan energies, E ascending from lo to hi.
+
+    The angles are uniform, with E = -2 m_tilde sin^2(theta/2), which does
+    not cancel near E = 0; the ends are pinned to exactly lo and hi.
+    """
+    ends = 2.0 * np.arcsin(np.sqrt(np.array([lo, hi]) / (-2.0 * m_tilde)))
+    thetas = np.linspace(ends[0], ends[1], SCAN_POINTS)
+    energies = -2.0 * m_tilde * np.sin(0.5 * thetas) ** 2
+    energies[0], energies[-1] = lo, hi
+    return thetas, energies
 
 
 def salpeter_levels(params: PotentialParams, masses: MassConfig, window=None,
@@ -459,19 +494,24 @@ def salpeter_levels(params: PotentialParams, masses: MassConfig, window=None,
     """Eigenvalues of the energy-nonlinear reduced equation inside the window.
 
     Scans the Jost Wronskian psi_J psi' - psi_J' psi over SCAN_POINTS
-    energies and polishes every sign change at once with a batched
-    multisection (`_polish`): each pass integrates POLISH_POINTS - 1 interior
-    energies of every bracket and two probes around an interpolated root,
-    in one kernel call, and keeps a subinterval whose ends differ in sign.
-    The bracket ends keep their scan values, and the first pass's probes
-    aim at the root that the scan values nearest the sign change predict
-    (`_scan_centres`). The residual is continuous in E, so each kept
+    energies spaced uniformly in theta, E = -2 m_tilde sin^2(theta/2)
+    (`_scan_grid`), so kappa = sqrt(mu m_tilde) sin(theta): the scan is
+    uniform in kappa at threshold, where the shallow levels of a weakly
+    screened well crowd, and about ten times finer there than a scan
+    uniform in E. The root of each sign change is then estimated from the
+    scan values nearest it (`_scan_centres`), and one kernel call
+    integrates only two probes around each estimate, 0.8 tol apart; the
+    brackets they straddle close. The rest go to a batched multisection
+    (`_polish`), aimed by the secant through the two probe values: each
+    pass integrates POLISH_POINTS - 1 interior energies of every open
+    bracket and two probes around an interpolated root, in one kernel call,
+    and keeps a subinterval whose ends differ in sign. No scan energy is
+    integrated again. The residual is continuous in E, so each kept
     subinterval still holds a root, and the polish converges whatever the
-    shape of the residual. From the default window a bracket closes after
-    the first pass where the scan-predicted probes straddle its root, after
-    two where the next pair does, and after at most five, the plain
-    multisection's count, where none does; each pass serves all brackets at
-    once.
+    shape of the residual. A level search takes the scan, the probe call and
+    at most P polish passes, the plain multisection's count from the widest
+    scan step (P = 5 from the default window at unit masses): 2 + P kernel
+    calls at worst, each serving all brackets at once.
     The window must lie inside (-2 m_tilde, 0), where g0 < 0 and the tail
     decays. x_max is the matching point, by default `matching_point(params,
     masses, h)`: the step end nearest the origin where the Jost series
@@ -493,15 +533,25 @@ def salpeter_levels(params: PotentialParams, masses: MassConfig, window=None,
     if x_max <= 0.0:
         x_max = matching_point(params, masses, h)
     problem = EffectiveProblem(params, masses, x_max=x_max, h=h)
-    energies = np.linspace(lo, hi, SCAN_POINTS)
+    thetas, energies = _scan_grid(lo, hi, mt)
     values = _jost_residual(problem, energies)
     # a scan value of exactly zero is a root: a bracket of zero width
     zero = values[:-1] == 0.0
     i = np.flatnonzero(zero | (np.sign(values[:-1]) * np.sign(values[1:]) < 0))
-    lo = energies[i]
-    hi = np.where(zero[i], lo, energies[i + 1])
-    return _polish(lambda e: _jost_residual(problem, e), lo, hi, values[i], values[i + 1],
-                   _scan_centres(problem, energies, values, i)).tolist()
+    brackets = lo, hi, f_lo, f_hi = (energies[i], np.where(zero[i], energies[i], energies[i + 1]),
+                                     values[i], values[i + 1])
+    centre = _scan_centres(problem, thetas, energies, values, i)
+
+    def residual(e):
+        return _jost_residual(problem, e)
+
+    tol, todo = _open(lo, hi)
+    if todo.size:
+        probes = _probes(centre[todo], tol[todo], lo[todo, None], hi[todo, None])
+        centre[todo] = _probe_centres(
+            _inverse_interpolation(probes, _narrow(residual, brackets, todo, probes)),
+            lo[todo], hi[todo], f_lo[todo], f_hi[todo])
+    return _polish(residual, lo, hi, f_lo, f_hi, centre).tolist()
 
 
 def mismatch_sweep(params: PotentialParams, masses: MassConfig, energies,

@@ -340,8 +340,10 @@ def test_writer_numpy_bools_and_arrays():
 # count's oracle root was re-recorded when the default matching point moved
 # in: only its digits changed, -0.014964221403390448 -> -0.01496422140373788;
 # and again when the first polish pass took its probes from a 12-point scan
-# stencil: -0.01496422140373788 -> -0.014964221403716537, both within
-# ROOT_XTOL of the residual's sign change
+# stencil: -0.01496422140373788 -> -0.014964221403716537; and when the scan
+# was spaced in angle and the brackets first probed on their own:
+# -0.014964221403716537 -> -0.014964221403739585, each within ROOT_XTOL of
+# the residual's sign change
 GOLDEN = {
     "spectrum": ({**BASE, "regime": "AllComplex", "q": 0.5},
                  ["--command", "spectrum", "--n-max", "2"],
@@ -361,7 +363,7 @@ GOLDEN = {
                                ["--command", "verify", "--n-max", "1"],
                                "f3ae6923c7274c8a6e6eb85fafb3fd1dac689b91571b70d7c76b7a84dd731fd8"),
     "count": (BASE, ["--command", "count"],
-              "dd118c3ab2c6cea749236a58c819bc2e885fe0ba358e77cabc29549720dd6d24"),
+              "20d541521865aeec7b1830df399073549633336a3a09449845886205c6b3e823"),
 }
 
 

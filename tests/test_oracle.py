@@ -269,33 +269,50 @@ def _counted_levels(params, masses=MC1, h=0.0):
 
 
 def test_polish_is_one_kernel_call_per_pass():
-    # the scan, then one batched call per polish pass for all open brackets
-    # at once, never more passes than the plain multisection
+    # the scan, then one call of two probes per bracket, then one batched
+    # call per polish pass for all brackets still open
     per_bracket = oracle.POLISH_POINTS + 1     # the uniform interior points and two probes
-    width = (2.0 - 4e-8) / 239                 # scan step of the default window
+    width = 2.0 * math.pi / 239                # bounds the widest angle-spaced scan step
     passes = _uniform_passes(width)
     assert passes == 5
-    cases = [(0.1425, 0.15, 1.0, 0.0, 2, 3), (0.9, 1.0, 1.0, 0.0, 1, 2),
+    cases = [(0.1425, 0.15, 1.0, 0.0, 2, 2), (0.9, 1.0, 1.0, 0.0, 1, 2),
              (3.8, 1.0, 0.5, 0.049, 1, 2), (6.2, 1.0, -1.0, 0.049, 1, 2),
              (0.62, 0.71, 1.0, 0.049, 1, 2), (250.0, 1.0, 0.5, 0.0, 3, 3)]
     for v0, alpha, q, h_alpha, levels, kernel_calls in cases:
         roots, calls = _counted_levels(PotentialParams(v0, alpha, q), h=h_alpha / alpha)
         assert len(roots) == levels
         assert calls[0].size == 240
-        assert calls[1].size == per_bracket * len(roots)
+        assert calls[1].size == 2 * len(roots)
         # the bracket ends keep their scan values: no scan energy is integrated again
         assert not np.isin(calls[1], calls[0]).any()
-        sizes = [batch.size for batch in calls[1:]]
+        sizes = [batch.size for batch in calls[2:]]
         open_brackets = [size // per_bracket for size in sizes]
         assert [n * per_bracket for n in open_brackets] == sizes
-        assert open_brackets == sorted(open_brackets, reverse=True) and open_brackets[-1] >= 1
+        assert open_brackets == sorted(open_brackets, reverse=True)
+        assert all(n >= 1 for n in open_brackets)
         assert len(calls) <= 1 + passes
-        # (0.9, 1, 1) and the coarse-step q != 1 levels close on the
-        # scan-predicted first probe pair, and the two levels of
-        # (0.1425, 0.15, 1) in two passes. (0.62, 0.71, 1) needs the scan
-        # interpolated in kappa, not in E, and the deep well's third level a
-        # stencil without the probes
+        # (0.9, 1, 1), the coarse-step q != 1 levels and both levels of
+        # (0.1425, 0.15, 1) close on the scan-predicted probe pair.
+        # (0.62, 0.71, 1) needs the scan interpolated in an analytic
+        # variable, not in E, and the deep well's third level one polish pass
         assert len(calls) == kernel_calls
+
+
+def test_scan_is_uniform_in_angle():
+    # E = -2 m_tilde sin^2(theta/2) at uniform theta, the ends exactly the
+    # window's, so kappa = sqrt(mu m_tilde) sin(theta) is uniform at threshold
+    mc = MassConfig(0.8, 1.3)
+    lo, hi = -2.0 * mc.m_tilde + 1e-8, -1e-8
+    thetas, energies = oracle._scan_grid(lo, hi, mc.m_tilde)
+    assert energies.size == oracle.SCAN_POINTS
+    assert (energies[0], energies[-1]) == (lo, hi)
+    assert np.all(np.diff(energies) > 0)
+    np.testing.assert_allclose(np.diff(thetas), np.diff(thetas)[0], rtol=1e-9)
+    g0 = oracle.EffectiveProblem(PotentialParams(0.9, 1.0, 1.0), mc).g_coefficients(energies)[0]
+    kappa = np.sqrt(mc.mu * mc.m_tilde) * np.sin(thetas)
+    np.testing.assert_allclose(np.sqrt(-g0)[1:-1], kappa[1:-1], rtol=1e-12)
+    # the first step above threshold is about ten times finer than a uniform scan's
+    assert hi - energies[-2] < (hi - lo) / 239 / 10
 
 
 def test_polish_on_closed_form_residuals():
@@ -576,6 +593,43 @@ def test_every_root_is_bracketed_and_physical(alpha, ratio):
             problem, [root - oracle.ROOT_XTOL, root + oracle.ROOT_XTOL])
         assert np.sign(below) * np.sign(above) < 0
         assert min(abs(e - root) for e in physical) <= 1e-4 * abs(root)
+
+
+def _physical_levels(params, masses=MC1):
+    """Physical closed-form levels inside the default window, ascending."""
+    edge = min(masses.total, 2.0 * masses.m_tilde)
+    delta = 1e-8 * max(1.0, edge)
+    levels = [state.energy.real for n in range(12)
+              for state in bound_states(params, masses, n) if state.physical]
+    return sorted(e for e in levels if -edge + delta < e < -delta)
+
+
+@pytest.mark.parametrize("v0, alpha, q, count", [(0.054, 0.06, 1.0, 4), (0.035, 0.0625, 0.0, 2),
+                                                 (0.1, 0.055, 0.9, 5)])
+def test_shallow_level_pairs_are_not_lost(v0, alpha, q, count):
+    # at small alpha the shallowest levels crowd toward threshold, where a
+    # scan uniform in E put two of them into its last step and lost both
+    p = PotentialParams(v0, alpha, q)
+    roots = oracle.salpeter_levels(p, MC1)
+    assert len(roots) == count
+    if q == 1.0:
+        assert len(_physical_levels(p)) == count
+    problem = oracle.EffectiveProblem(p, MC1, x_max=oracle.matching_point(p, MC1))
+    for root in roots:
+        below, above = oracle._jost_residual(
+            problem, [root - oracle.ROOT_XTOL, root + oracle.ROOT_XTOL])
+        assert np.sign(below) * np.sign(above) < 0
+    assert len(oracle.salpeter_levels(p, MC1, h=0.0025 / alpha)) == count
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(alpha=st.floats(0.05, 0.075), ratio=st.floats(0.86, 0.96))
+def test_small_alpha_root_count_matches_the_closed_form(alpha, ratio):
+    # counts only: at small alpha the deeper values carry the truncation
+    # error of the order-16 Frobenius start (rel 4e-4 on the ground level of
+    # (0.054, 0.06, 1), where order 32 meets the closed form)
+    p = PotentialParams(ratio * alpha, alpha, 1.0)
+    assert len(oracle.salpeter_levels(p, MC1)) == len(_physical_levels(p))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
