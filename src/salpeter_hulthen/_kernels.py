@@ -38,7 +38,6 @@ import functools
 import math
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval
 
 OVERFLOW_GUARD = 1e100
 BLOCK_STEPS = 16
@@ -235,13 +234,6 @@ def _frobenius_columns(g):
     for k, a_k in enumerate(a[1:], 1):
         np.divide((g[1:k + 1] * a[k - 1::-1]).sum(axis=0), -(k * (k + 2.0 * nu - 1.0)), out=a_k)
     return nu, a
-
-
-def frobenius_values(g_coeffs, xs):
-    """Regular-solution values on a grid inside the series radius, for one energy."""
-    nu, a = _frobenius_columns(g_coeffs)
-    xs = np.asarray(xs, dtype=float)
-    return xs**nu * polyval(xs, a[:, 1])
 
 
 def frobenius_start(g_coeffs, x0: float):

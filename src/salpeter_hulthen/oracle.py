@@ -21,18 +21,20 @@ Two solvers, deliberately unrelated to the closed forms:
   the roots. Roots of the residual are bracketed by a scan spaced uniformly
   in the angle theta, E = -2 m_tilde sin^2(theta/2), which is uniform in
   kappa at threshold, where the shallow levels of a weakly screened well
-  crowd. One kernel call integrates just two probes either side of each
-  bracket's root, inverse-interpolated in theta from the scan values nearest
-  the sign change, keeping the bracket as Brent's method does (Brent,
-  Algorithms for Minimization without Derivatives, 1973); where the probes
-  straddle the root the bracket closes, as most do. The rest are polished
-  all at once by a batched multisection: each pass integrates the
-  POLISH_POINTS - 1 interior energies of every open bracket in one kernel
-  call, with two probes around an interpolated root (first the secant
-  through the earlier probes, later a cubic through the last pass's uniform
-  values), and keeps a subinterval over which the residual changes sign. A
-  level search takes the scan, the probe call and at most P passes, where P
-  is the plain multisection's count: 2 + P kernel calls at worst.
+  crowd. The roots are then polished all at once by a batched multisection,
+  each pass one kernel call for every open bracket, which keeps a
+  subinterval over which the residual changes sign. Its first pass
+  integrates just two probes either side of each bracket's root; where they
+  straddle the root the bracket closes, as most do. Every later pass
+  integrates the POLISH_POINTS - 1 interior energies of each open bracket,
+  with two probes again. One rule aims every pass's probes: inverse
+  interpolation through the values nearest the sign change (the scan's, in
+  theta, for the first pass; then the secant through the probes; later a
+  cubic through the last pass's uniform values), kept inside the bracket as
+  Brent's method does (Brent, Algorithms for Minimization without
+  Derivatives, 1973). A level search takes the scan, the probe pass and at
+  most P later passes, where P is the plain multisection's count: 2 + P
+  kernel calls at worst.
 
 Only the Real regime is handled here; complex regimes are checked through
 algebraic identities instead (see the spectra tests).
@@ -67,8 +69,7 @@ STEP_ALPHA = 0.01              # default step h alpha of the shooting integrator
 
 _JOST_K = np.arange(0.0, JOST_TERMS + 1.0).reshape(-1, 1)    # the index k of the Jost terms
 _PROBE_OFFSETS = np.array([-0.4, 0.4])                        # the probes' offsets in tol
-_FOUR = np.arange(4)                                          # the polish's cubic stencil
-for _row in (_JOST_K, _PROBE_OFFSETS, _FOUR):
+for _row in (_JOST_K, _PROBE_OFFSETS):
     _row.flags.writeable = False
 _FOUR_ULPS = 4.0 * np.finfo(float).eps
 
@@ -134,13 +135,6 @@ class EffectiveProblem:
         g1 = 2.0 * mu * v0 * (1.0 + energy / mt)
         g2 = mu * v0 * v0 / mt
         return g0, g1, g2
-
-    def g_values(self, energy: float, xs):
-        """g(x; E) composed through potentials.evaluate, for cross-checks."""
-        v = potentials._values(self.params, xs).real
-        mu, mt = self.masses.mu, self.masses.m_tilde
-        w = v - energy
-        return 2.0 * mu * (-w + w * w / (2.0 * mt))
 
     def steps(self):
         """(x0, nsteps, x_end): the start point, the fixed steps toward x_max, and where they stop.
@@ -349,60 +343,31 @@ def matching_point(params: PotentialParams, masses: MassConfig, h: float = 0.0) 
     return x0 + max(n, 1.0) * h
 
 
-def _inverse_interpolation(xs, fs):
-    """Value at f = 0 of the polynomial x(f) through the points (f, x) of each row.
+def _aim(xs, fs, k, width, lo, hi, f_lo, f_hi, remap=None):
+    """Root estimates inside the brackets [lo, hi] with end values f_lo, f_hi, one per row.
 
-    Lagrange's form, taken relative to each row's first x; where two values
-    of f are equal the result is not finite, without a warning.
+    Row r of xs and fs (or their one row, shared by every bracket) holds
+    points (x, f) whose f changes sign between columns k[r] and k[r] + 1.
+    The estimate is the value at f = 0 of the polynomial x(f) through the
+    width columns nearest that sign change, clipped to the row, in
+    Lagrange's form relative to the stencil's first x, and taken through
+    remap where the brackets are in another variable than x (the tests
+    below then act in that variable). Where it is not finite (two equal values of f) or not inside the bracket, the
+    regula-falsi point of the ends replaces it, as in Brent's method; where
+    that too is not finite, the midpoint.
     """
-    diag = np.arange(fs.shape[1])
+    first = np.minimum(np.maximum(k - width // 2 + 1, 0), xs.shape[1] - width)
+    cols = first[:, None] + np.arange(width)
+    x, f = np.take_along_axis(xs, cols, axis=1), np.take_along_axis(fs, cols, axis=1)
+    diag = np.arange(width)
     with np.errstate(all="ignore"):
-        ratio = fs[:, None, :] / (fs[:, None, :] - fs[:, :, None])    # [i, j] = f_j/(f_j - f_i)
+        ratio = f[:, None, :] / (f[:, None, :] - f[:, :, None])    # [i, j] = f_j/(f_j - f_i)
         ratio[:, diag, diag] = 1.0
-        return xs[:, 0] + ((xs - xs[:, :1]) * ratio.prod(axis=2)).sum(axis=1)
-
-
-def _probe_centres(est, lo, hi, f_lo, f_hi):
-    """Root estimates inside the brackets [lo, hi] with end values f_lo, f_hi.
-
-    est where it is finite and inside the bracket; otherwise the regula-falsi
-    point of the ends; where that too is not finite, the midpoint.
-    """
-    with np.errstate(all="ignore"):
+        est = x[:, 0] + ((x - x[:, :1]) * ratio.prod(axis=2)).sum(axis=1)
+        est = est if remap is None else remap(est)
         falsi = lo - f_lo * (hi - lo) / (f_hi - f_lo)
     est = np.where(np.isfinite(est) & (lo < est) & (est < hi), est, falsi)
     return np.where(np.isfinite(est), est, 0.5 * (lo + hi))
-
-
-def _scan_centres(problem: EffectiveProblem, thetas, energies, values, i):
-    """First-pass root estimates for the scan brackets [energies[i], energies[i + 1]].
-
-    The scan energies are E = -2 m_tilde sin^2(theta/2) at the angles thetas,
-    where kappa = sqrt(-g0(E)) = sqrt(mu m_tilde) sin(theta). The Jost
-    function F = residual exp(-kappa x_end) is analytic in kappa, and so in
-    theta, where the residual's growth and E's threshold branch are not, so
-    theta is inverse-interpolated in F through the SCAN_STENCIL scan values
-    nearest each sign change and mapped back to E in the same sin^2 form.
-    `_probe_centres` replaces an estimate outside the bracket.
-    """
-    mu, mt = problem.masses.mu, problem.masses.m_tilde
-    jost = values * np.exp(-math.sqrt(mu * mt) * np.sin(thetas) * problem.steps()[2])
-    first = np.minimum(np.maximum(i - SCAN_STENCIL // 2 + 1, 0), energies.size - SCAN_STENCIL)
-    cols = first[:, None] + np.arange(SCAN_STENCIL)
-    with np.errstate(all="ignore"):
-        est = -2.0 * mt * np.sin(0.5 * _inverse_interpolation(thetas[cols], jost[cols])) ** 2
-    return _probe_centres(est, energies[i], energies[i + 1], jost[i], jost[i + 1])
-
-
-def _open(lo, hi):
-    """(tol, indices of the brackets [lo, hi] still wider than their closing width tol)."""
-    tol = ROOT_XTOL + _FOUR_ULPS * np.maximum(np.abs(lo), np.abs(hi))
-    return tol, np.flatnonzero(hi - lo > tol)
-
-
-def _probes(centre, tol, a, b):
-    """The two probes centre -+ 0.4 tol of each bracket [a, b], kept inside it, a row each."""
-    return np.minimum(np.maximum(centre[:, None] + _PROBE_OFFSETS * tol[:, None], a), b)
 
 
 def _narrow(residual, brackets, todo, energies):
@@ -439,41 +404,45 @@ def _polish(residual, lo, hi, f_lo, f_hi, centre):
 
     residual maps an energy array to an array of values; each bracket holds
     a sign change between its end values f_lo and f_hi (or lo == hi, a
-    known root), and centre is an estimate of its root. Every pass evaluates,
-    in one call for all open brackets, the POLISH_POINTS - 1 uniform interior
-    energies and two probes at e* -+ 0.4 tol, where tol is the bracket's
-    closing width and e* the root estimate: centre on the first pass, and
-    later the inverse cubic interpolation through the four uniform points of
-    the last pass nearest the kept sign change (`_probe_centres`), the
-    probes left out, as two points 0.8 tol apart spoil the cubic. It keeps,
-    per bracket, a subinterval whose ends differ in sign (`_narrow`).
-    When the probes straddle the root the bracket is 0.8 tol wide and
-    closes; otherwise the kept subinterval still lies inside a uniform one.
-    A bracket closes at ROOT_XTOL wide, or at 4 eps |E| where that is wider
-    (a few ulps: near |E| = 1e4 one ulp exceeds ROOT_XTOL, and rounding
-    would stall the bracket); until then each pass shrinks it at least about
-    POLISH_POINTS-fold, so the probes never cost a pass.
+    known root), and centre is an estimate of its root. Every pass
+    evaluates, in one call for all open brackets, two probes at e* -+ 0.4
+    tol, where tol is the bracket's closing width and e* the root estimate,
+    and keeps, per bracket, a subinterval whose ends differ in sign
+    (`_narrow`). The first pass, the probe pass, evaluates the probes alone,
+    around centre; where they straddle the root the bracket is 0.8 tol wide
+    and closes. Every later pass adds the POLISH_POINTS - 1 uniform interior
+    energies, so the kept subinterval lies inside a uniform one. The next e*
+    is `_aim`'s: after the probe pass the secant through the two probes, and
+    after a later pass the inverse cubic through the four uniform points
+    nearest the kept sign change, the probes left out, as two points 0.8 tol
+    apart spoil the cubic. A bracket closes at ROOT_XTOL wide, or at 4 eps
+    |E| where that is wider (a few ulps: near |E| = 1e4 one ulp exceeds
+    ROOT_XTOL, and rounding would stall the bracket); until then each pass
+    after the probe pass shrinks it at least about POLISH_POINTS-fold, so
+    the probes never cost a pass: 1 + P passes at most, where P is the plain
+    multisection's count from the widest bracket.
     """
     brackets = lo, hi, f_lo, f_hi = [np.array(v, dtype=float) for v in (lo, hi, f_lo, f_hi)]
     centre = np.array(centre, dtype=float)
-    inner = np.arange(1, POLISH_POINTS) / POLISH_POINTS
+    inner = np.empty(0)                                 # the probe pass has no uniform points
     while True:
-        tol, todo = _open(lo, hi)
+        tol = ROOT_XTOL + _FOUR_ULPS * np.maximum(np.abs(lo), np.abs(hi))
+        todo = np.flatnonzero(hi - lo > tol)
         if todo.size == 0:
             return 0.5 * (lo + hi)
-        rows = np.arange(todo.size)
         a, b, fa, fb = lo[todo, None], hi[todo, None], f_lo[todo, None], f_hi[todo, None]
         grid = a + (b - a) * inner
-        probes = _probes(centre[todo], tol[todo], a, b)
+        probes = np.minimum(np.maximum(centre[todo, None] + _PROBE_OFFSETS * tol[todo, None], a), b)
         values = _narrow(residual, brackets, todo, np.concatenate((grid, probes), axis=1))
-        # the uniform subinterval j holds the kept one; take its ends and one
-        # more uniform point either side
-        j = (grid <= lo[todo, None]).sum(axis=1)
-        cols = rows[:, None], np.minimum(np.maximum(j - 1, 0), POLISH_POINTS - 3)[:, None] + _FOUR
-        uniform_e = np.concatenate((a, grid, b), axis=1)[cols]
-        uniform_f = np.concatenate((fa, values[:, :-2], fb), axis=1)[cols]
-        centre[todo] = _probe_centres(_inverse_interpolation(uniform_e, uniform_f),
-                                      lo[todo], hi[todo], f_lo[todo], f_hi[todo])
+        if inner.size:
+            # the uniform subinterval j holds the kept one
+            stencil = (np.concatenate((a, grid, b), axis=1),
+                       np.concatenate((fa, values[:, :-2], fb), axis=1),
+                       (grid <= lo[todo, None]).sum(axis=1), 4)
+        else:
+            stencil = probes, values, np.zeros_like(todo), 2
+        centre[todo] = _aim(*stencil, lo[todo], hi[todo], f_lo[todo], f_hi[todo])
+        inner = np.arange(1, POLISH_POINTS) / POLISH_POINTS
 
 
 def _scan_grid(lo, hi, m_tilde):
@@ -499,19 +468,22 @@ def salpeter_levels(params: PotentialParams, masses: MassConfig, window=None,
     uniform in kappa at threshold, where the shallow levels of a weakly
     screened well crowd, and about ten times finer there than a scan
     uniform in E. The root of each sign change is then estimated from the
-    scan values nearest it (`_scan_centres`), and one kernel call
-    integrates only two probes around each estimate, 0.8 tol apart; the
-    brackets they straddle close. The rest go to a batched multisection
-    (`_polish`), aimed by the secant through the two probe values: each
-    pass integrates POLISH_POINTS - 1 interior energies of every open
-    bracket and two probes around an interpolated root, in one kernel call,
-    and keeps a subinterval whose ends differ in sign. No scan energy is
-    integrated again. The residual is continuous in E, so each kept
-    subinterval still holds a root, and the polish converges whatever the
-    shape of the residual. A level search takes the scan, the probe call and
-    at most P polish passes, the plain multisection's count from the widest
-    scan step (P = 5 from the default window at unit masses): 2 + P kernel
-    calls at worst, each serving all brackets at once.
+    SCAN_STENCIL scan values nearest it (`_aim`): theta is
+    inverse-interpolated in the Jost function F = residual exp(-kappa x_end),
+    analytic in theta where the residual's growth and E's threshold branch
+    are not, and mapped back to E. The brackets and their estimates go to a
+    batched multisection (`_polish`). Its first pass, the probe pass,
+    integrates only two probes around each estimate, 0.8 tol apart, in one
+    kernel call; the brackets they straddle close. Every later pass
+    integrates POLISH_POINTS - 1 interior energies of every open bracket and
+    two probes around an interpolated root, in one kernel call, and keeps a
+    subinterval whose ends differ in sign. No scan energy is integrated
+    again. The residual is continuous in E, so each kept subinterval still
+    holds a root, and the polish converges whatever the shape of the
+    residual. A level search takes the scan, the probe pass and at most P
+    later passes, the plain multisection's count from the widest scan step
+    (P = 5 from the default window at unit masses): 2 + P kernel calls at
+    worst, each serving all brackets at once.
     The window must lie inside (-2 m_tilde, 0), where g0 < 0 and the tail
     decays. x_max is the matching point, by default `matching_point(params,
     masses, h)`: the step end nearest the origin where the Jost series
@@ -538,20 +510,12 @@ def salpeter_levels(params: PotentialParams, masses: MassConfig, window=None,
     # a scan value of exactly zero is a root: a bracket of zero width
     zero = values[:-1] == 0.0
     i = np.flatnonzero(zero | (np.sign(values[:-1]) * np.sign(values[1:]) < 0))
-    brackets = lo, hi, f_lo, f_hi = (energies[i], np.where(zero[i], energies[i], energies[i + 1]),
-                                     values[i], values[i + 1])
-    centre = _scan_centres(problem, thetas, energies, values, i)
-
-    def residual(e):
-        return _jost_residual(problem, e)
-
-    tol, todo = _open(lo, hi)
-    if todo.size:
-        probes = _probes(centre[todo], tol[todo], lo[todo, None], hi[todo, None])
-        centre[todo] = _probe_centres(
-            _inverse_interpolation(probes, _narrow(residual, brackets, todo, probes)),
-            lo[todo], hi[todo], f_lo[todo], f_hi[todo])
-    return _polish(residual, lo, hi, f_lo, f_hi, centre).tolist()
+    jost = values * np.exp(-math.sqrt(masses.mu * mt) * np.sin(thetas) * problem.steps()[2])
+    centre = _aim(thetas[None], jost[None], i, SCAN_STENCIL, energies[i], energies[i + 1],
+                  jost[i], jost[i + 1], lambda theta: -2.0 * mt * np.sin(0.5 * theta) ** 2)
+    return _polish(lambda e: _jost_residual(problem, e), energies[i],
+                   np.where(zero[i], energies[i], energies[i + 1]), values[i], values[i + 1],
+                   centre).tolist()
 
 
 def mismatch_sweep(params: PotentialParams, masses: MassConfig, energies,

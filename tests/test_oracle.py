@@ -12,11 +12,10 @@ from scipy.optimize import brentq
 
 from conftest import reference_rk4_trajectory
 from salpeter_hulthen import MassConfig, PotentialParams, Regime, bound_states
-from salpeter_hulthen import _kernels, cli, oracle
+from salpeter_hulthen import _kernels, cli, oracle, potentials
 from salpeter_hulthen._kernels import (
     OVERFLOW_GUARD,
     frobenius_start,
-    frobenius_values,
     g_laurent_q1,
     laurent_rows_q1,
     rk4_sweep,
@@ -93,7 +92,9 @@ def test_g_single_source_of_truth():
     s = np.exp(-0.9 * xs)
     r = s / (1 - 0.6 * s)
     poly = g0 + g1 * r + g2 * r * r
-    np.testing.assert_allclose(poly, prob.g_values(e, xs), rtol=1e-13)
+    w = potentials._values(prob.params, xs).real - e
+    composed = 2.0 * MC1.mu * (-w + w * w / (2.0 * MC1.m_tilde))
+    np.testing.assert_allclose(poly, composed, rtol=1e-13)
 
 
 def test_fd_no_negative_levels_at_zero_coupling():
@@ -185,7 +186,9 @@ def test_salpeter_levels_two_states_sturm_order():
         nsteps = int((x_stop - x0) / prob.h)
         _, us = reference_rk4_trajectory(g_of_x, x0, u0, v0, prob.h, nsteps)
         series = g_laurent_q1(g0, g1, laurent_rows_q1(g2, p.alpha, 16))
-        head = frobenius_values(series, np.linspace(x0 / 400, x0, 400))
+        nu, a = _kernels._frobenius_columns(series)
+        xs = np.linspace(x0 / 400, x0, 400)
+        head = xs**nu * polyval(xs, a[:, 1])
         full = np.concatenate([head, us[1:] / (us[0] / head[-1])])
         kept = full[np.abs(full) > 1e-9 * np.max(np.abs(full))]
         nodes.append(int(np.sum(np.sign(kept[1:]) * np.sign(kept[:-1]) < 0)))
@@ -254,34 +257,64 @@ def _uniform_passes(width):
 
 
 def _counted_levels(params, masses=MC1, h=0.0):
-    """salpeter_levels(params, masses, h=h) and the g0 values of each kernel call it made."""
-    calls = []
-    sweep = oracle.rk4_sweep
+    """salpeter_levels(params, masses, h=h) and the energies of each kernel call it made."""
+    calls, kernel_calls = [], []
+    shoot, sweep = oracle._shoot, oracle.rk4_sweep
+
+    def recorded(problem, energies):
+        calls.append(np.asarray(energies, dtype=float).ravel())
+        return shoot(problem, energies)
 
     def counted(*args, **kwargs):
-        calls.append(np.array(args[0]))
+        kernel_calls.append(None)
         return sweep(*args, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_shoot", recorded)
         mp.setattr(oracle, "rk4_sweep", counted)
         roots = oracle.salpeter_levels(params, masses, h=h)
+    assert len(kernel_calls) == len(calls)
     return roots, calls
+
+
+def _assert_call_contract(calls):
+    """The level search's kernel calls, from their energies: 2 + P at most; returns P.
+
+    The scan, the probe pass, then polish passes of POLISH_POINTS - 1
+    uniform energies and two probes per open bracket, where P is the plain
+    multisection's count from the widest scan step. Behind that bound: every
+    polish pass after the probe pass leaves each bracket still open at most
+    (hi - lo)/POLISH_POINTS + tol wide.
+    """
+    assert calls[0].size == oracle.SCAN_POINTS
+    passes = _uniform_passes(np.diff(calls[0]).max())
+    assert len(calls) <= 2 + passes
+    points = oracle.POLISH_POINTS
+    brackets = []
+    for batch in calls[2:]:
+        # each row's uniform points are lo + (hi - lo) m/POLISH_POINTS, m = 1..POLISH_POINTS - 1
+        grid = batch.reshape(-1, points + 1)[:, :-2]
+        step = (grid[:, -1] - grid[:, 0]) / (points - 2)
+        brackets.append((grid[:, 0] - step, grid[:, -1] + step))
+    for (lo, hi), (lo_next, hi_next) in zip(brackets, brackets[1:]):
+        owner = np.searchsorted(lo, 0.5 * (lo_next + hi_next)) - 1
+        tol = oracle.ROOT_XTOL + 4.0 * np.finfo(float).eps * np.maximum(abs(lo_next), abs(hi_next))
+        assert np.all(hi_next - lo_next <= (hi - lo)[owner] / points + tol)
+    return passes
 
 
 def test_polish_is_one_kernel_call_per_pass():
     # the scan, then one call of two probes per bracket, then one batched
     # call per polish pass for all brackets still open
     per_bracket = oracle.POLISH_POINTS + 1     # the uniform interior points and two probes
-    width = 2.0 * math.pi / 239                # bounds the widest angle-spaced scan step
-    passes = _uniform_passes(width)
-    assert passes == 5
-    cases = [(0.1425, 0.15, 1.0, 0.0, 2, 2), (0.9, 1.0, 1.0, 0.0, 1, 2),
-             (3.8, 1.0, 0.5, 0.049, 1, 2), (6.2, 1.0, -1.0, 0.049, 1, 2),
-             (0.62, 0.71, 1.0, 0.049, 1, 2), (250.0, 1.0, 0.5, 0.0, 3, 3)]
-    for v0, alpha, q, h_alpha, levels, kernel_calls in cases:
-        roots, calls = _counted_levels(PotentialParams(v0, alpha, q), h=h_alpha / alpha)
+    cases = [(0.1425, 0.15, 1.0, 0.0, MC1, 2, 2), (0.9, 1.0, 1.0, 0.0, MC1, 1, 2),
+             (3.8, 1.0, 0.5, 0.049, MC1, 1, 2), (6.2, 1.0, -1.0, 0.049, MC1, 1, 2),
+             (0.62, 0.71, 1.0, 0.049, MC1, 1, 2), (250.0, 1.0, 0.5, 0.0, MC1, 3, 3),
+             (4.8827, 0.10725, 0.0, 0.049, MassConfig(1.0, 2.0), 16, 5)]
+    for v0, alpha, q, h_alpha, masses, levels, kernel_calls in cases:
+        roots, calls = _counted_levels(PotentialParams(v0, alpha, q), masses, h_alpha / alpha)
         assert len(roots) == levels
-        assert calls[0].size == 240
+        assert _assert_call_contract(calls) == 5
         assert calls[1].size == 2 * len(roots)
         # the bracket ends keep their scan values: no scan energy is integrated again
         assert not np.isin(calls[1], calls[0]).any()
@@ -290,12 +323,80 @@ def test_polish_is_one_kernel_call_per_pass():
         assert [n * per_bracket for n in open_brackets] == sizes
         assert open_brackets == sorted(open_brackets, reverse=True)
         assert all(n >= 1 for n in open_brackets)
-        assert len(calls) <= 1 + passes
         # (0.9, 1, 1), the coarse-step q != 1 levels and both levels of
         # (0.1425, 0.15, 1) close on the scan-predicted probe pair.
         # (0.62, 0.71, 1) needs the scan interpolated in an analytic
-        # variable, not in E, and the deep well's third level one polish pass
+        # variable, not in E, and the deep well's third level one polish pass.
+        # The 16 levels of (4.8827, 0.10725, 0) at masses (1, 2) have scan
+        # estimates 7.8e-6 to 1.4e-3 off (in units of max(1, |E|)): no probe
+        # pair straddles a root, and three polish passes follow
         assert len(calls) == kernel_calls
+
+
+def _lagrange_root(xs, fs):
+    """x at f = 0 of the polynomial x(f) through the points (f, x), in plain Python."""
+    total = 0.0
+    for i, (x_i, f_i) in enumerate(zip(xs, fs)):
+        weight = 1.0
+        for j, f_j in enumerate(fs):
+            if j != i:
+                weight *= f_j / (f_j - f_i)
+        total += x_i * weight
+    return total
+
+
+def _nearest_columns(k, width, n):
+    """The width columns of a row of n nearest a sign change between columns k and k + 1."""
+    start = min(max(k - width // 2 + 1, 0), n - width)
+    return list(range(start, start + width))
+
+
+@pytest.mark.parametrize("width", [2, 4, oracle.SCAN_STENCIL])
+def test_aim_matches_a_lagrange_reference(width):
+    # x(f) a polynomial of degree width - 1, sampled at f_j = 0.1 (j - k - 0.37),
+    # so f changes sign between columns k and k + 1; k = 0 and n - 2 clip the
+    # stencil at the row's ends, the rest keep it centred
+    n = 20
+    ks = np.array([0, 1, width // 2, n // 2, n - width // 2 - 1, n - 3, n - 2])
+    roots = 0.3 + 0.1 * np.arange(ks.size)
+    coeffs = [1.0] + [0.2 / math.factorial(d) for d in range(2, width)]
+    fs = 0.1 * (np.arange(n) - ks[:, None] - 0.37)
+    xs = roots[:, None] + sum(c * fs ** d for d, c in enumerate(coeffs, 1))
+    rows = np.arange(ks.size)
+    est = oracle._aim(xs, fs, ks, width, xs[rows, ks], xs[rows, ks + 1],
+                      fs[rows, ks], fs[rows, ks + 1])
+    for r, k in enumerate(ks):
+        cols = _nearest_columns(int(k), width, n)
+        reference = _lagrange_root(xs[r, cols].tolist(), fs[r, cols].tolist())
+        assert abs(est[r] - reference) <= 1e-14
+        assert abs(est[r] - roots[r]) <= 1e-14
+
+
+def test_aim_on_a_shared_row_and_its_fallbacks():
+    # the scan's form: one row for every bracket, here cos(3 theta) with sign
+    # changes near both ends of the row, which clip the stencil, and mid-row;
+    # cos(3 theta) is monotone across each stencil
+    thetas = np.linspace(0.5, 2.65, 200)
+    jost = np.cos(3.0 * thetas)
+    k = np.flatnonzero(np.sign(jost[:-1]) * np.sign(jost[1:]) < 0)
+    assert k.tolist() == [2, 99, 196]
+    width = oracle.SCAN_STENCIL
+    est = oracle._aim(thetas[None], jost[None], k, width, thetas[k], thetas[k + 1],
+                      jost[k], jost[k + 1])
+    for root, i in zip(est, k):
+        cols = _nearest_columns(int(i), width, thetas.size)
+        reference = _lagrange_root(thetas[cols].tolist(), jost[cols].tolist())
+        assert root == pytest.approx(reference, abs=1e-14)
+    np.testing.assert_allclose(est, np.pi * np.array([1, 3, 5]) / 6.0, atol=1e-9)
+    # equal values make the interpolation not finite: the regula-falsi point;
+    # equal end values make that not finite too: the midpoint
+    xs, fs = np.array([[0.0, 1.0, 2.0, 3.0]]), np.array([[-1.0, 1.0, 1.0, 1.0]])
+    lo, hi, k = np.zeros(1), np.ones(1), np.zeros(1, dtype=int)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        falsi = oracle._aim(xs, fs, k, 4, lo, hi, -hi, hi)
+        mid = oracle._aim(xs, fs, k, 4, lo, hi, lo, lo)
+    assert (falsi.tolist(), mid.tolist()) == ([0.5], [0.5])
 
 
 def test_scan_is_uniform_in_angle():
@@ -327,8 +428,8 @@ def test_polish_on_closed_form_residuals():
 
 def test_polish_on_a_saturated_step():
     # tanh saturates at +-1 a few 1e-8 from its root, so the interpolation
-    # meets equal values; the bracket still closes within the plain
-    # multisection's passes, without a warning
+    # meets equal values; the bracket still closes within the probe pass and
+    # the plain multisection's passes, without a warning
     calls = []
 
     def residual(energies):
@@ -339,7 +440,8 @@ def test_polish_on_a_saturated_step():
         warnings.simplefilter("error", RuntimeWarning)
         root = oracle._polish(residual, [-1.0], [0.0], [-1.0], [1.0], [-0.5])[0]
     assert abs(root + 0.3) <= oracle.ROOT_XTOL
-    assert len(calls) <= _uniform_passes(1.0)
+    assert calls[0] == 2
+    assert len(calls) <= 1 + _uniform_passes(1.0)
 
 
 BRENT_CASES = [(0.9, 1.0, 1.0), (0.1425, 0.15, 1.0), (3.8, 1.0, 0.5), (6.2, 1.0, -1.0)]
@@ -653,8 +755,7 @@ def test_polish_never_takes_more_passes_than_the_multisection(kind, alpha, ratio
         h = 0.049 / alpha if coarse else 0.0
     roots, calls = _counted_levels(PotentialParams(ratio * alpha, alpha, q), mc, h)
     assert roots
-    edge = min(mc.total, 2.0 * mc.m_tilde)
-    assert len(calls) <= 1 + _uniform_passes(edge / 239) == 1 + 5
+    assert _assert_call_contract(calls) == 5
 
 
 @pytest.mark.parametrize("v0, alpha, q", [(0.9, 1.0, 1.0), (3.8, 1.0, 0.5), (6.2, 1.0, -1.0)])
