@@ -102,11 +102,17 @@ def rk4_sweep(g0s, g1s, grid, u0s, v0s, h, nsteps, *, dirichlet=False):
     r, g2r2 = (part[:, None] for part in grid)
     r_end, r_mid = r[:nsteps + 1], r[nsteps + 1:]
     g2r2_end, g2r2_mid = g2r2[:nsteps + 1], g2r2[nsteps + 1:]
+    one_block = nsteps < 2 * BLOCK_STEPS
+    if one_block:
+        g_all = g0s + g1s * r + g2r2                   # the ends, then the midpoints
     for k in range(0, nsteps, BLOCK_STEPS):
         n = nsteps - k if nsteps - k < 2 * BLOCK_STEPS else BLOCK_STEPS
-        re, rm = r_end[k:k + n + 1], r_mid[k:k + n]
-        g_end = g0s + g1s * re + g2r2_end[k:k + n + 1]
-        g_mid = g0s + g1s * rm + g2r2_mid[k:k + n]
+        re = r_end[k:k + n + 1]
+        if one_block:
+            g_end, g_mid = g_all[:n + 1], g_all[n + 1:]
+        else:
+            g_end = g0s + g1s * re + g2r2_end[k:k + n + 1]
+            g_mid = g0s + g1s * r_mid[k:k + n] + g2r2_mid[k:k + n]
         g_lo, g_hi = g_end[:-1], g_end[1:]
         a = 1.0 - h * h / 6.0 * (g_lo + 2.0 * g_mid) + h ** 4 / 24.0 * g_mid * g_lo
         b = h - h ** 3 / 6.0 * g_mid
@@ -122,7 +128,7 @@ def rk4_sweep(g0s, g1s, grid, u0s, v0s, h, nsteps, *, dirichlet=False):
                 u, v = a_k * u + b_k * v, c_k * u + d_k * v
         m = np.maximum(np.abs(u), np.abs(v))
         mask = m > OVERFLOW_GUARD
-        if np.any(mask):
+        if np.logical_or.reduce(mask):
             u[mask] /= m[mask]
             v[mask] /= m[mask]
             if dirichlet:
@@ -131,7 +137,7 @@ def rk4_sweep(g0s, g1s, grid, u0s, v0s, h, nsteps, *, dirichlet=False):
                 log_scale[mask] += np.log(m[mask])
         if dirichlet:
             done = dirichlet_settled(g0s, g1s, re[-1], g2r2_end[k + n], g_end[-1], u, v, peak)
-            if np.any(done):
+            if np.logical_or.reduce(done):
                 psi[live[done]] = np.sign(u[done])
                 keep = ~done
                 live, u, v, peak = live[keep], u[keep], v[keep], peak[keep]
@@ -209,9 +215,12 @@ def g_laurent_q1(g0, g1, rows) -> np.ndarray:
     the batch, even an empty one.
     """
     r_rows, g2r2_rows = rows
-    out = r_rows[:, None] * np.append(0.0, g1)
-    out[2, 1:] += g0
-    out += g2r2_rows[:, None]
+    out = np.empty((len(r_rows), np.size(g1) + 1))
+    out[:, 0] = g2r2_rows
+    batch = out[:, 1:]
+    np.multiply(r_rows[:, None], g1, out=batch)
+    batch[2] += g0
+    batch += g2r2_rows[:, None]
     return out
 
 
@@ -232,7 +241,8 @@ def _frobenius_columns(g):
     a = np.empty((len(g) - 2, g.shape[1]))
     a[0] = 1.0
     for k, a_k in enumerate(a[1:], 1):
-        np.divide((g[1:k + 1] * a[k - 1::-1]).sum(axis=0), -(k * (k + 2.0 * nu - 1.0)), out=a_k)
+        np.divide(np.add.reduce(g[1:k + 1] * a[k - 1::-1], axis=0), -(k * (k + 2.0 * nu - 1.0)),
+                  out=a_k)
     return nu, a
 
 
@@ -246,6 +256,6 @@ def frobenius_start(g_coeffs, x0: float):
     nu, a = _frobenius_columns(g_coeffs)
     ks = np.arange(float(len(a)))[:, None]
     a *= x0 ** ks
-    u = x0 ** nu * a.sum(axis=0)
-    v = x0 ** (nu - 1.0) * ((nu + ks) * a).sum(axis=0)
+    u = x0 ** nu * np.add.reduce(a, axis=0)
+    v = x0 ** (nu - 1.0) * np.add.reduce((nu + ks) * a, axis=0)
     return u[1:], v[1:]

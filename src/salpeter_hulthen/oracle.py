@@ -24,23 +24,25 @@ Two solvers, deliberately unrelated to the closed forms:
   crowd. The roots are then polished all at once by a batched multisection,
   each pass one kernel call for every open bracket, which keeps a
   subinterval over which the residual changes sign. Its first pass
-  integrates just two probes either side of each bracket's root; where they
-  straddle the root the bracket closes, as most do. Every later pass
-  integrates the POLISH_POINTS - 1 interior energies of each open bracket,
-  with two probes again. One rule aims every pass's probes: inverse
-  interpolation through the values nearest the sign change (the scan's, in
-  theta, for the first pass; then the secant through the probes; later a
-  cubic through the last pass's uniform values), kept inside the bracket as
-  Brent's method does (Brent, Algorithms for Minimization without
-  Derivatives, 1973). A level search takes the scan, the probe pass and at
-  most P later passes, where P is the plain multisection's count: 2 + P
-  kernel calls at worst.
+  integrates just a ladder of ten probes, 0.8 of the closing width apart,
+  around each bracket's estimated root; where two rungs straddle the root
+  the bracket closes, as most do, even where the estimate is a few closing
+  widths off. Every later pass integrates the POLISH_POINTS - 1 interior
+  energies of each open bracket, with two probes. One rule aims every
+  pass's probes: inverse interpolation through the values nearest the sign
+  change (the scan's, in theta, for the first pass; then the secant through
+  two rungs; later a cubic through the last pass's uniform values), kept
+  inside the bracket as Brent's method does (Brent, Algorithms for
+  Minimization without Derivatives, 1973). A level search takes the scan,
+  the probe pass and at most P later passes, where P is the plain
+  multisection's count: 2 + P kernel calls at worst.
 
 Only the Real regime is handled here; complex regimes are checked through
 algebraic identities instead (see the spectra tests).
 """
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,8 +70,9 @@ SCAN_STENCIL = 12              # scan values per bracket in the first pass's roo
 STEP_ALPHA = 0.01              # default step h alpha of the shooting integrator
 
 _JOST_K = np.arange(0.0, JOST_TERMS + 1.0).reshape(-1, 1)    # the index k of the Jost terms
-_PROBE_OFFSETS = np.array([-0.4, 0.4])                        # the probes' offsets in tol
-for _row in (_JOST_K, _PROBE_OFFSETS):
+_LADDER = 0.8 * np.arange(-4.5, 5.0)         # the probe pass's offsets in tol: -3.6, -2.8, .., 3.6
+_PROBE_OFFSETS = _LADDER[4:6]                 # a later pass's two probes: -+0.4 tol
+for _row in (_JOST_K, _LADDER):
     _row.flags.writeable = False
 _FOUR_ULPS = 4.0 * np.finfo(float).eps
 
@@ -235,7 +238,8 @@ def _shoot(problem: EffectiveProblem, energies, dirichlet=False):
         # h^4 overflows a float where alpha is tiny
         raise ShootingOverflowError(f"shooting steps leave the float range: {exc}") from exc
     u, v, log_scale = (out, None, None) if dirichlet else out
-    if not (np.all(np.isfinite(u)) and (dirichlet or np.all(np.isfinite(v)))):
+    every = np.logical_and.reduce
+    if not (every(np.isfinite(u)) and (dirichlet or every(np.isfinite(v)))):
         raise ShootingOverflowError("non-finite shooting mismatch")
     return (g0s, g1s, g2), u, v, log_scale, x_end
 
@@ -270,15 +274,15 @@ def jost_sums(g0s, g1s, g2, q, alpha, x):
     for k, near_k, far_k, den_k in zip(range(2, JOST_TERMS + 1), near[1:], far, den[2:]):
         np.divide(near_k * rows[k - 1] - far_k * rows[k - 2], den_k, out=rows[k])
     tail = JOST_TERMS * np.abs(t[-1])
-    scale = np.abs(t).sum(axis=0)
-    if not np.all(tail <= JOST_TOL * scale):
+    scale = np.add.reduce(np.abs(t), axis=0)
+    if not np.logical_and.reduce(tail <= JOST_TOL * scale):
         with np.errstate(all="ignore"):
             worst = np.max(tail / scale)
         raise NonConvergentError(
             f"Jost series not converged at x = {x:.6g}: its last term K |t_K| is {worst:.3g} "
             f"of sum_k |t_k|, above {JOST_TOL:g}; the series ratio |q| exp(-alpha x) is "
             f"{abs(q * s):.3g} and the depth of the well adds to it")
-    return kappa, t.sum(axis=0), (_JOST_K * t).sum(axis=0)
+    return kappa, np.add.reduce(t, axis=0), np.add.reduce(_JOST_K * t, axis=0)
 
 
 def _jost_residual(problem: EffectiveProblem, energies):
@@ -329,13 +333,11 @@ def matching_point(params: PotentialParams, masses: MassConfig, h: float = 0.0) 
         bound = ((g1 * abs(q) ** j + g2 * j * abs(q) ** np.maximum(j - 1.0, 0.0))
                  / (alpha * alpha)).tolist()
         # on plain floats, summed in the order of a dot product: c_k is
-        # sum_i bound[i] c_(k-1-i) / k^2
+        # sum_i bound[i] c_(k-1-i) / k^2 (the builtin sum adds floats in
+        # order through CPython 3.11; from 3.12 it compensates the rounding)
         c = [1.0]
         for k in range(1, JOST_TERMS + 1):
-            acc = 0.0
-            for bound_i, c_i in zip(bound, reversed(c)):
-                acc += bound_i * c_i
-            c.append(acc / (k * k))
+            c.append(sum(map(operator.mul, bound, reversed(c))) / (k * k))
         x_need = np.log(2.0 * JOST_TERMS * c[-1] / JOST_TOL) / (JOST_TERMS * alpha)
         n = float(np.ceil((x_need - x0) / h))           # -inf where V0 = 0
     if not x0 + n * h < cap:                            # also where n is nan
@@ -352,18 +354,20 @@ def _aim(xs, fs, k, width, lo, hi, f_lo, f_hi, remap=None):
     width columns nearest that sign change, clipped to the row, in
     Lagrange's form relative to the stencil's first x, and taken through
     remap where the brackets are in another variable than x (the tests
-    below then act in that variable). Where it is not finite (two equal values of f) or not inside the bracket, the
-    regula-falsi point of the ends replaces it, as in Brent's method; where
-    that too is not finite, the midpoint.
+    below then act in that variable). Where it is not finite (two equal
+    values of f) or not inside the bracket, the regula-falsi point of the
+    ends replaces it, as in Brent's method; where that too is not finite,
+    the midpoint.
     """
     first = np.minimum(np.maximum(k - width // 2 + 1, 0), xs.shape[1] - width)
-    cols = first[:, None] + np.arange(width)
-    x, f = np.take_along_axis(xs, cols, axis=1), np.take_along_axis(fs, cols, axis=1)
     diag = np.arange(width)
+    cols = first[:, None] + diag
+    rows = np.arange(k.size)[:, None] if len(xs) > 1 else 0
+    x, f = xs[rows, cols], fs[rows, cols]
     with np.errstate(all="ignore"):
         ratio = f[:, None, :] / (f[:, None, :] - f[:, :, None])    # [i, j] = f_j/(f_j - f_i)
         ratio[:, diag, diag] = 1.0
-        est = x[:, 0] + ((x - x[:, :1]) * ratio.prod(axis=2)).sum(axis=1)
+        est = x[:, 0] + np.add.reduce((x - x[:, :1]) * np.multiply.reduce(ratio, axis=2), axis=1)
         est = est if remap is None else remap(est)
         falsi = lo - f_lo * (hi - lo) / (f_hi - f_lo)
     est = np.where(np.isfinite(est) & (lo < est) & (est < hi), est, falsi)
@@ -390,7 +394,7 @@ def _narrow(residual, brackets, todo, energies):
     # subinterval; with none, the last subinterval is kept
     interior = fs[:, 1:-1]
     leaves = (interior == 0.0) | (np.sign(interior) != np.sign(fa))
-    k = np.where(leaves.any(axis=1), leaves.argmax(axis=1), leaves.shape[1])
+    k = np.where(np.logical_or.reduce(leaves, axis=1), leaves.argmax(axis=1), leaves.shape[1])
     new_hi, new_f_hi = edges[rows, k + 1], fs[rows, k + 1]
     zero = new_f_hi == 0.0
     lo[todo] = np.where(zero, new_hi, edges[rows, k])
@@ -405,43 +409,54 @@ def _polish(residual, lo, hi, f_lo, f_hi, centre):
     residual maps an energy array to an array of values; each bracket holds
     a sign change between its end values f_lo and f_hi (or lo == hi, a
     known root), and centre is an estimate of its root. Every pass
-    evaluates, in one call for all open brackets, two probes at e* -+ 0.4
-    tol, where tol is the bracket's closing width and e* the root estimate,
-    and keeps, per bracket, a subinterval whose ends differ in sign
-    (`_narrow`). The first pass, the probe pass, evaluates the probes alone,
-    around centre; where they straddle the root the bracket is 0.8 tol wide
-    and closes. Every later pass adds the POLISH_POINTS - 1 uniform interior
-    energies, so the kept subinterval lies inside a uniform one. The next e*
-    is `_aim`'s: after the probe pass the secant through the two probes, and
-    after a later pass the inverse cubic through the four uniform points
-    nearest the kept sign change, the probes left out, as two points 0.8 tol
-    apart spoil the cubic. A bracket closes at ROOT_XTOL wide, or at 4 eps
-    |E| where that is wider (a few ulps: near |E| = 1e4 one ulp exceeds
-    ROOT_XTOL, and rounding would stall the bracket); until then each pass
-    after the probe pass shrinks it at least about POLISH_POINTS-fold, so
-    the probes never cost a pass: 1 + P passes at most, where P is the plain
-    multisection's count from the widest bracket.
+    evaluates, in one call for all open brackets, probes around the root
+    estimate e* at offsets in units of tol, the bracket's closing width, and
+    keeps, per bracket, a subinterval whose ends differ in sign (`_narrow`).
+    The first pass, the probe pass, evaluates a ladder of ten probes alone,
+    at centre + (-3.6, -2.8, .., 3.6) tol: the energies cost little next to
+    the call itself, and wherever two rungs straddle the root, as they do
+    for a centre up to 3.6 tol off, the bracket is 0.8 tol wide and closes.
+    Every later pass evaluates the POLISH_POINTS - 1 uniform interior
+    energies and two probes at e* -+ 0.4 tol, so the kept subinterval lies
+    inside a uniform one. The pass's e* is `_aim`'s, taken only for the
+    brackets still open: after the probe pass the secant through the two
+    rungs around the kept subinterval, or through the two at the end of the
+    ladder that faces it; after a later pass the inverse cubic through the
+    four uniform points nearest the kept sign change, the probes left out,
+    as two points 0.8 tol apart spoil the cubic. A bracket closes at
+    ROOT_XTOL wide, or at 4 eps |E| where that is wider (a few ulps: near
+    |E| = 1e4 one ulp exceeds ROOT_XTOL, and rounding would stall the
+    bracket); until then each pass after the probe pass shrinks it at least
+    about POLISH_POINTS-fold, so the probes never cost a pass: 1 + P passes
+    at most, where P is the plain multisection's count from the widest
+    bracket.
     """
     brackets = lo, hi, f_lo, f_hi = [np.array(v, dtype=float) for v in (lo, hi, f_lo, f_hi)]
     centre = np.array(centre, dtype=float)
     inner = np.empty(0)                                 # the probe pass has no uniform points
+    stencil = None                                      # the last pass's, a row per bracket it took
     while True:
         tol = ROOT_XTOL + _FOUR_ULPS * np.maximum(np.abs(lo), np.abs(hi))
         todo = np.flatnonzero(hi - lo > tol)
         if todo.size == 0:
             return 0.5 * (lo + hi)
+        if stencil is not None:
+            # only the brackets still open are aimed; a closed one never reopens
+            last, xs, fs, k, width = stencil
+            rows = np.searchsorted(last, todo)
+            centre[todo] = _aim(xs[rows], fs[rows], k[rows], width,
+                                lo[todo], hi[todo], f_lo[todo], f_hi[todo])
         a, b, fa, fb = lo[todo, None], hi[todo, None], f_lo[todo, None], f_hi[todo, None]
         grid = a + (b - a) * inner
-        probes = np.minimum(np.maximum(centre[todo, None] + _PROBE_OFFSETS * tol[todo, None], a), b)
+        offsets, width = (_PROBE_OFFSETS, 4) if inner.size else (_LADDER, 2)
+        probes = np.minimum(np.maximum(centre[todo, None] + offsets * tol[todo, None], a), b)
         values = _narrow(residual, brackets, todo, np.concatenate((grid, probes), axis=1))
-        if inner.size:
-            # the uniform subinterval j holds the kept one
-            stencil = (np.concatenate((a, grid, b), axis=1),
-                       np.concatenate((fa, values[:, :-2], fb), axis=1),
-                       (grid <= lo[todo, None]).sum(axis=1), 4)
-        else:
-            stencil = probes, values, np.zeros_like(todo), 2
-        centre[todo] = _aim(*stencil, lo[todo], hi[todo], f_lo[todo], f_hi[todo])
+        xs, fs = ((np.concatenate((a, grid, b), axis=1),
+                   np.concatenate((fa, values[:, :-2], fb), axis=1)) if inner.size
+                  else (probes, values))
+        # columns k and k + 1 of the row hold the kept subinterval; past the
+        # ladder's ends, _aim's clipping takes the two rungs facing it
+        stencil = todo, xs, fs, np.add.reduce(xs <= lo[todo, None], axis=1) - 1, width
         inner = np.arange(1, POLISH_POINTS) / POLISH_POINTS
 
 
@@ -473,8 +488,9 @@ def salpeter_levels(params: PotentialParams, masses: MassConfig, window=None,
     analytic in theta where the residual's growth and E's threshold branch
     are not, and mapped back to E. The brackets and their estimates go to a
     batched multisection (`_polish`). Its first pass, the probe pass,
-    integrates only two probes around each estimate, 0.8 tol apart, in one
-    kernel call; the brackets they straddle close. Every later pass
+    integrates only a ladder of ten probes around each estimate, 0.8 tol
+    apart, in one kernel call; the brackets where two rungs straddle the
+    root close, which takes in estimates up to 3.6 tol off. Every later pass
     integrates POLISH_POINTS - 1 interior energies of every open bracket and
     two probes around an interpolated root, in one kernel call, and keeps a
     subinterval whose ends differ in sign. No scan energy is integrated

@@ -251,6 +251,9 @@ def test_shooting_agrees_with_fd_on_linear_problem():
     assert shoot == pytest.approx(fd, abs=1e-7)
 
 
+LADDER = 10                     # probes per bracket of the probe pass
+
+
 def _uniform_passes(width):
     """Passes of a plain POLISH_POINTS-fold multisection from width down to ROOT_XTOL."""
     return math.ceil(math.log(width / oracle.ROOT_XTOL) / math.log(oracle.POLISH_POINTS))
@@ -304,18 +307,19 @@ def _assert_call_contract(calls):
 
 
 def test_polish_is_one_kernel_call_per_pass():
-    # the scan, then one call of two probes per bracket, then one batched
-    # call per polish pass for all brackets still open
+    # the scan, then one call of a ten-probe ladder per bracket, then one
+    # batched call per polish pass for all brackets still open
     per_bracket = oracle.POLISH_POINTS + 1     # the uniform interior points and two probes
     cases = [(0.1425, 0.15, 1.0, 0.0, MC1, 2, 2), (0.9, 1.0, 1.0, 0.0, MC1, 1, 2),
              (3.8, 1.0, 0.5, 0.049, MC1, 1, 2), (6.2, 1.0, -1.0, 0.049, MC1, 1, 2),
-             (0.62, 0.71, 1.0, 0.049, MC1, 1, 2), (250.0, 1.0, 0.5, 0.0, MC1, 3, 3),
+             (0.62, 0.71, 1.0, 0.049, MC1, 1, 2), (250.0, 1.0, 0.5, 0.0, MC1, 3, 2),
+             (0.1372536929459515, 0.14790302111495232, 1.0, 0.049, MC1, 2, 2),
              (4.8827, 0.10725, 0.0, 0.049, MassConfig(1.0, 2.0), 16, 5)]
     for v0, alpha, q, h_alpha, masses, levels, kernel_calls in cases:
         roots, calls = _counted_levels(PotentialParams(v0, alpha, q), masses, h_alpha / alpha)
         assert len(roots) == levels
         assert _assert_call_contract(calls) == 5
-        assert calls[1].size == 2 * len(roots)
+        assert calls[1].size == LADDER * len(roots)
         # the bracket ends keep their scan values: no scan energy is integrated again
         assert not np.isin(calls[1], calls[0]).any()
         sizes = [batch.size for batch in calls[2:]]
@@ -324,12 +328,14 @@ def test_polish_is_one_kernel_call_per_pass():
         assert open_brackets == sorted(open_brackets, reverse=True)
         assert all(n >= 1 for n in open_brackets)
         # (0.9, 1, 1), the coarse-step q != 1 levels and both levels of
-        # (0.1425, 0.15, 1) close on the scan-predicted probe pair.
+        # (0.1425, 0.15, 1) close on the scan-predicted ladder.
         # (0.62, 0.71, 1) needs the scan interpolated in an analytic
-        # variable, not in E, and the deep well's third level one polish pass.
-        # The 16 levels of (4.8827, 0.10725, 0) at masses (1, 2) have scan
-        # estimates 7.8e-6 to 1.4e-3 off (in units of max(1, |E|)): no probe
-        # pair straddles a root, and three polish passes follow
+        # variable, not in E. The deep well's third level and the second
+        # level of (0.13725, 0.14790, 1) have scan estimates a few tol off,
+        # past the middle rungs but on the ladder. The 16 levels of
+        # (4.8827, 0.10725, 0) at masses (1, 2) have scan estimates 7.8e-6 to
+        # 1.4e-3 off (in units of max(1, |E|)): no rung pair straddles a
+        # root, and three polish passes follow
         assert len(calls) == kernel_calls
 
 
@@ -440,8 +446,32 @@ def test_polish_on_a_saturated_step():
         warnings.simplefilter("error", RuntimeWarning)
         root = oracle._polish(residual, [-1.0], [0.0], [-1.0], [1.0], [-0.5])[0]
     assert abs(root + 0.3) <= oracle.ROOT_XTOL
-    assert calls[0] == 2
+    assert calls[0] == LADDER
     assert len(calls) <= 1 + _uniform_passes(1.0)
+
+
+@pytest.mark.parametrize("off, closes_at_once", [(0.5, True), (-1.5, True), (3.5, True),
+                                                 (-3.5, True), (5.0, False), (-5.0, False)])
+def test_probe_ladder_closes_a_centre_a_few_tol_off(off, closes_at_once):
+    # f(E) = E - r with the centre off tol units from r: a rung pair 0.8 tol
+    # apart straddles every root within 3.6 tol of the centre, and the probe
+    # pass closes the bracket; past the ladder the multisection takes over
+    r = -0.3
+    tol = oracle.ROOT_XTOL + 4.0 * np.finfo(float).eps * 1.0
+    calls = []
+
+    def residual(energies):
+        calls.append(energies.size)
+        return energies - r
+
+    root = oracle._polish(residual, [-1.0], [0.0], [-0.7], [0.3], [r + off * tol])[0]
+    # a rung pair leaves a bracket 0.8 tol wide, the multisection one tol wide at most
+    assert abs(root - r) <= (0.4 if closes_at_once else 0.5) * tol
+    assert calls[0] == LADDER
+    if closes_at_once:
+        assert len(calls) == 1
+    else:
+        assert 1 < len(calls) <= 1 + _uniform_passes(1.0)
 
 
 BRENT_CASES = [(0.9, 1.0, 1.0), (0.1425, 0.15, 1.0), (3.8, 1.0, 0.5), (6.2, 1.0, -1.0)]
