@@ -156,6 +156,57 @@ def _fmt_float(x: float) -> str:
     return f'"{float(x)!r}"'
 
 
+def _complex_format(nl: str) -> str:
+    """The %-format of a complex value on a line indented by nl, over (imag, real)."""
+    inner = nl + "  "
+    return "{" + inner + '"im": %.17g,' + inner + '"re": %.17g' + nl + "}"
+
+
+def _array_text(items, nl: str):
+    """The items in one format, each on a line indented by nl.
+
+    None unless they are all finite floats or all complex with finite parts.
+    """
+    kinds = set(map(type, items))
+    if kinds == {float}:
+        item, values = "%.17g", tuple(items)
+    elif kinds == {complex}:
+        item = _complex_format(nl)
+        values = tuple([part for z in items for part in (z.imag, z.real)])
+    else:
+        return None
+    if not math.isfinite(sum(values)):      # a sum is finite only where every term is
+        return None
+    return ("," + nl).join([item] * len(items)) % values
+
+
+def _write_items(heads, values, nl: str, out: list) -> None:
+    """Append each value after its head; nl is a newline plus the indent of the values' lines.
+
+    Finite floats and complex values, ints, bools, None and strings of
+    exactly those types are written here; every other value goes to _write.
+    """
+    complex_format = None
+    for head, value in zip(heads, values):
+        kind = type(value)
+        if kind is float and math.isfinite(value):
+            out.append("%s%.17g" % (head, value))
+        elif kind is str:
+            out.append(head + _encode_str(value))
+        elif kind is int:
+            out.append(head + str(value))
+        elif kind is bool:
+            out.append(head + ("true" if value else "false"))
+        elif value is None:
+            out.append(head + "null")
+        elif kind is complex and cmath.isfinite(value):
+            complex_format = complex_format or _complex_format(nl)
+            out.append(head + complex_format % (value.imag, value.real))
+        else:
+            out.append(head)
+            _write(value, nl, out)
+
+
 def _write(obj, nl: str, out: list) -> None:
     """Append the tokens of obj to out; nl is a newline plus the indent of obj's own line."""
     if isinstance(obj, float):              # numpy.float64 included
@@ -167,22 +218,21 @@ def _write(obj, nl: str, out: list) -> None:
             out.append("{}")
             return
         inner = nl + "  "
-        sep = "{" + inner
-        for key in sorted(obj):
-            out.append(sep + _encode_str(str(key)) + ": ")
-            _write(obj[key], inner, out)
-            sep = "," + inner
+        keys = sorted(obj)
+        heads = ["," + inner + _encode_str(str(key)) + ": " for key in keys]
+        heads[0] = "{" + heads[0][1:]
+        _write_items(heads, [obj[key] for key in keys], inner, out)
         out.append(nl + "}")
     elif isinstance(obj, (list, tuple)):
         if not obj:
             out.append("[]")
             return
         inner = nl + "  "
-        sep = "[" + inner
-        for item in obj:
-            out.append(sep)
-            _write(item, inner, out)
-            sep = "," + inner
+        text = _array_text(obj, inner)
+        if text is None:
+            _write_items(["[" + inner] + ["," + inner] * (len(obj) - 1), obj, inner, out)
+        else:
+            out.append("[" + inner + text)
         out.append(nl + "]")
     elif isinstance(obj, (bool, np.bool_)):
         out.append("true" if obj else "false")
@@ -207,6 +257,11 @@ def dumps_canonical(obj, indent: int = 0) -> str:
     every line after the first. Complex numbers become {"im", "re"} objects,
     non-finite floats the strings "nan", "inf" and "-inf", numpy scalars
     and arrays their Python values, and any other object its str().
+    The bytes do not depend on the path taken: a container writes its
+    float, complex, int, bool, None and str items itself, and a list,
+    tuple or 1-D array of finite floats, or of complex values with finite
+    parts, is formatted in one pass; numpy scalars, non-finite values,
+    str-mixin enums and mixed lists go value by value.
     """
     out = []
     _write(obj, "\n" + "  " * indent, out)
@@ -218,23 +273,18 @@ def _metadata(config: RunConfig) -> dict:
             "version": __version__, "config_echo": config_echo(config)}
 
 
-def _complex(obj) -> dict:
-    z = complex(obj)
-    return {"im": z.imag, "re": z.real}
-
-
 # ---------------------------------------------------------------------------
 # Command implementations. Each returns (payload_dict_or_text, exit_code).
 
 def _aux_dict(aux) -> dict:
-    return {
-        "b": _complex(aux.b), "C": _complex(aux.big_c), "D": _complex(aux.big_d),
-        "xi": _complex(aux.xi), "kappa": _complex(aux.kappa),
-        "xi_tilde": _complex(aux.xi_tilde), "varsigma": _complex(aux.varsigma),
-        "varsigma_tilde": _complex(aux.varsigma_tilde),
-        "chi_sq_plus": _complex(aux.chi_sq[0]), "chi_sq_minus": _complex(aux.chi_sq[1]),
-        "beta": _complex(aux.beta), "c": _complex(aux.c), "d": _complex(aux.d),
+    fields = {
+        "b": aux.b, "C": aux.big_c, "D": aux.big_d, "xi": aux.xi, "kappa": aux.kappa,
+        "xi_tilde": aux.xi_tilde, "varsigma": aux.varsigma,
+        "varsigma_tilde": aux.varsigma_tilde,
+        "chi_sq_plus": aux.chi_sq[0], "chi_sq_minus": aux.chi_sq[1],
+        "beta": aux.beta, "c": aux.c, "d": aux.d,
     }
+    return {key: complex(value) for key, value in fields.items()}
 
 
 def _finite_states(params, masses, n):
@@ -257,7 +307,7 @@ def _cmd_spectrum(config: RunConfig):
             continue
         levels.append({
             "n": n,
-            "minus": _complex(minus.energy), "plus": _complex(plus.energy),
+            "minus": complex(minus.energy), "plus": complex(plus.energy),
             "physical_minus": minus.physical, "physical_plus": plus.physical,
             "aux": _aux_dict(minus.aux),
         })
@@ -279,7 +329,7 @@ def _cmd_wavefunction(config: RunConfig):
     try:
         norm = normalization_constant(wf)
         wf = wf.with_norm(norm)
-        norm_info["N"] = _complex(norm)
+        norm_info["N"] = complex(norm)
     except SalpeterError as exc:
         norm_info["error"] = type(exc).__name__
         norm_info["message"] = str(exc)
@@ -290,16 +340,12 @@ def _cmd_wavefunction(config: RunConfig):
         # a recorded normalization error alone leaves psi finite and exits 0
         raise ValidationError("wavefunction is not finite on the grid at these parameters")
     if config.format == "csv":
-        rows = ["x,re_psi,im_psi"]
-        for x, p in zip(xs, psi):
-            rows.append(f"{_fmt_float(x)},{_fmt_float(p.real)},{_fmt_float(p.imag)}")
-        return "\n".join(rows) + "\n", 0
+        table = np.column_stack((xs, psi.real, psi.imag)).ravel().tolist()
+        return "x,re_psi,im_psi\n" + ("%.17g,%.17g,%.17g\n" * len(xs)) % tuple(table), 0
     payload = {
         "metadata": _metadata(config),
-        "n": n, "branch": state.branch.value, "energy": _complex(state.energy),
-        "normalization": norm_info,
-        "grid": [float(x) for x in xs],
-        "psi": [_complex(p) for p in psi],
+        "n": n, "branch": state.branch.value, "energy": complex(state.energy),
+        "normalization": norm_info, "grid": xs, "psi": psi,
     }
     return payload, 0
 
@@ -374,8 +420,8 @@ def _cmd_scan(config: RunConfig):
         for n in range(config.n_max + 1):
             try:
                 minus, plus = _finite_states(params, config.masses, n)
-                entry["levels"].append({"n": n, "minus": _complex(minus.energy),
-                                        "plus": _complex(plus.energy),
+                entry["levels"].append({"n": n, "minus": complex(minus.energy),
+                                        "plus": complex(plus.energy),
                                         "physical_minus": minus.physical,
                                         "physical_plus": plus.physical})
             except SalpeterError as exc:

@@ -30,12 +30,13 @@ Two solvers, deliberately unrelated to the closed forms:
   widths off. Every later pass integrates the POLISH_POINTS - 1 interior
   energies of each open bracket, with two probes. One rule aims every
   pass's probes: inverse interpolation through the values nearest the sign
-  change (the scan's, in theta, for the first pass; then the secant through
-  two rungs; later a cubic through the last pass's uniform values), kept
-  inside the bracket as Brent's method does (Brent, Algorithms for
-  Minimization without Derivatives, 1973). A level search takes the scan,
-  the probe pass and at most P later passes, where P is the plain
-  multisection's count: 2 + P kernel calls at worst.
+  change (the scan's, in theta, for the first pass; then a quadratic
+  through the ladder's outer rungs and a bracket end; later a cubic
+  through the last pass's uniform values), kept inside the bracket as
+  Brent's method does (Brent, Algorithms for Minimization without
+  Derivatives, 1973). A level search takes the scan, the probe pass and
+  at most P later passes, where P is the plain multisection's count:
+  2 + P kernel calls at worst.
 
 Only the Real regime is handled here; complex regimes are checked through
 algebraic identities instead (see the spectra tests).
@@ -419,9 +420,11 @@ def _polish(residual, lo, hi, f_lo, f_hi, centre):
     Every later pass evaluates the POLISH_POINTS - 1 uniform interior
     energies and two probes at e* -+ 0.4 tol, so the kept subinterval lies
     inside a uniform one. The pass's e* is `_aim`'s, taken only for the
-    brackets still open: after the probe pass the secant through the two
-    rungs around the kept subinterval, or through the two at the end of the
-    ladder that faces it; after a later pass the inverse cubic through the
+    brackets still open: after the probe pass, whose open brackets keep a
+    subinterval past an end of the ladder, the inverse quadratic through
+    the ladder's two outermost rungs and that subinterval's far end (a
+    secant through rungs, extrapolated thousands of tol, misses by the
+    residual's curvature); after a later pass the inverse cubic through the
     four uniform points nearest the kept sign change, the probes left out,
     as two points 0.8 tol apart spoil the cubic. A bracket closes at
     ROOT_XTOL wide, or at 4 eps |E| where that is wider (a few ulps: near
@@ -448,14 +451,19 @@ def _polish(residual, lo, hi, f_lo, f_hi, centre):
                                 lo[todo], hi[todo], f_lo[todo], f_hi[todo])
         a, b, fa, fb = lo[todo, None], hi[todo, None], f_lo[todo, None], f_hi[todo, None]
         grid = a + (b - a) * inner
-        offsets, width = (_PROBE_OFFSETS, 4) if inner.size else (_LADDER, 2)
+        offsets, width = (_PROBE_OFFSETS, 4) if inner.size else (_LADDER, 3)
         probes = np.minimum(np.maximum(centre[todo, None] + offsets * tol[todo, None], a), b)
         values = _narrow(residual, brackets, todo, np.concatenate((grid, probes), axis=1))
-        xs, fs = ((np.concatenate((a, grid, b), axis=1),
-                   np.concatenate((fa, values[:, :-2], fb), axis=1)) if inner.size
-                  else (probes, values))
-        # columns k and k + 1 of the row hold the kept subinterval; past the
-        # ladder's ends, _aim's clipping takes the two rungs facing it
+        # a row of the bracket's ends around the pass's uniform points, or
+        # around the ladder's two outermost rungs
+        if inner.size:
+            xs, fs = grid, values[:, :-2]
+        else:
+            xs, fs = probes[:, ::_LADDER.size - 1], values[:, ::_LADDER.size - 1]
+        xs = np.concatenate((a, xs, b), axis=1)
+        fs = np.concatenate((fa, fs, fb), axis=1)
+        # columns k and k + 1 of the row hold the kept subinterval (or, in a
+        # gap of the ladder, enclose it)
         stencil = todo, xs, fs, np.add.reduce(xs <= lo[todo, None], axis=1) - 1, width
         inner = np.arange(1, POLISH_POINTS) / POLISH_POINTS
 

@@ -179,23 +179,29 @@ def test_criterion_5_oracle_cross_check(findings, rng):
                 if state.physical:
                     physical.append((n, state.energy.real))
         predicted = level_count(p, 1.0)
-        matches = []
+        # recorded: the roots to 10 significant digits and the rel errors of
+        # those recorded roots (off the full-precision ones by at most half
+        # a unit of the 10th digit over |E|), so a root move far inside
+        # ROOT_XTOL leaves the artifact's bytes as they were
+        shown, shown_errors = [], []
         for root in roots:
             best = min(physical, key=lambda t: abs(t[1] - root)) if physical else None
             rel = abs(best[1] - root) / abs(root) if best else np.inf
-            matches.append(rel)
             if rel > 1e-4:
                 all_matched = False
+            shown.append(float(f"{root:.10g}"))
+            rel = abs(best[1] - shown[-1]) / abs(shown[-1]) if best else np.inf
+            shown_errors.append(float(f"{rel:.10g}"))
         # the shooting oracle's stated validity floor is |E| > 0.01 alpha^2/(2 mu);
         # nearer-threshold levels depend on the domain truncation
         floor = 0.01 * p.alpha**2 / (2.0 * MC1.mu)
         deep_formula = [t for t in physical if abs(t[1]) > floor]
         deep_roots = [r for r in roots if abs(r) > floor]
         entry = {"V0": p.v0, "alpha": p.alpha, "q": p.q,
-                 "oracle_roots": [float(r) for r in roots],
+                 "oracle_roots": shown,
                  "physical_formula": physical,
                  "level_count_bound": predicted,
-                 "root_rel_errors": matches,
+                 "root_rel_errors": shown_errors,
                  "oracle_floor": floor}
         # the closed-form count bounds real-energy pairs, not true eigenstates;
         # record the overprediction with both numbers

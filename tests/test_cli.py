@@ -286,6 +286,8 @@ def _reference_dumps(obj, indent: int = 0) -> str:
         return fmt_float(float(obj))
     if isinstance(obj, (complex, np.complexfloating)):
         return _reference_dumps({"im": float(obj.imag), "re": float(obj.real)}, indent)
+    if isinstance(obj, np.ndarray):
+        return _reference_dumps(obj.tolist(), indent)
     return json.dumps(str(obj))
 
 
@@ -298,10 +300,22 @@ _LEAVES = st.one_of(
     st.complex_numbers(allow_nan=True, allow_infinity=True),
     st.complex_numbers(allow_nan=True, allow_infinity=True).map(np.complex128),
     st.booleans(), st.none(), st.text(max_size=4), st.sampled_from(["\u00e9", "\n\t\"\\", "\x00"]))
+# long homogeneous lists, written in one format, and 1-D arrays with the
+# non-finite values and -0.0 that send an array back to value-by-value output
+_FINITE_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+_FINITE_COMPLEX = st.complex_numbers(allow_nan=False, allow_infinity=False)
+_ARRAY_FLOATS = st.one_of(_FINITE_FLOATS, _EDGE_FLOATS)
+_ARRAYS = st.one_of(
+    st.lists(_FINITE_FLOATS, min_size=5, max_size=40),
+    st.lists(_FINITE_COMPLEX, min_size=5, max_size=40),
+    st.lists(_FINITE_FLOATS, min_size=5, max_size=40).map(tuple),
+    st.lists(_ARRAY_FLOATS, max_size=40).map(lambda xs: np.array(xs, dtype=float)),
+    st.lists(st.builds(complex, _ARRAY_FLOATS, _ARRAY_FLOATS), max_size=40).map(
+        lambda zs: np.array(zs, dtype=complex)))
 _KEYS = st.one_of(st.text(max_size=4),
                   st.sampled_from(["\u00e9t\u00e9", "a\"b", "\\", "\n", "\U0001f600"]))
 _DOCUMENTS = st.recursive(
-    _LEAVES,
+    _LEAVES | _ARRAYS,
     lambda inner: st.one_of(st.lists(inner, max_size=4), st.lists(inner, max_size=3).map(tuple),
                             st.dictionaries(_KEYS, inner, max_size=4)),
     max_leaves=24)
@@ -311,6 +325,23 @@ _DOCUMENTS = st.recursive(
 @given(doc=_DOCUMENTS, indent=st.integers(0, 3))
 def test_writer_matches_the_reference_writer_byte_for_byte(doc, indent):
     assert cli.dumps_canonical(doc, indent) == _reference_dumps(doc, indent)
+
+
+@pytest.mark.parametrize("points", [1, 2, 200])
+def test_wavefunction_csv_matches_the_per_row_format(tmp_path, points):
+    # the CSV body, one format over the whole table, against rows of the
+    # value-by-value float format; the JSON grid and psi carry the same
+    # floats, exactly, in 17 significant digits (read as floats: -0 is -0.0)
+    args = ["--command", "wavefunction", "--n-max", "1", "--grid-points", str(points)]
+    code, text = run(tmp_path, BASE, *args, "--format", "csv", out="wf.csv")
+    assert code == 0
+    code, doc = run(tmp_path, BASE, *args, out="wf.json")
+    assert code == 0
+    payload = json.loads(doc, parse_int=float)
+    rows = ["x,re_psi,im_psi"]
+    for x, p in zip(payload["grid"], payload["psi"]):
+        rows.append(f"{cli._fmt_float(x)},{cli._fmt_float(p['re'])},{cli._fmt_float(p['im'])}")
+    assert text == "\n".join(rows) + "\n"
 
 
 def test_writer_edge_values():

@@ -314,7 +314,9 @@ def test_polish_is_one_kernel_call_per_pass():
              (3.8, 1.0, 0.5, 0.049, MC1, 1, 2), (6.2, 1.0, -1.0, 0.049, MC1, 1, 2),
              (0.62, 0.71, 1.0, 0.049, MC1, 1, 2), (250.0, 1.0, 0.5, 0.0, MC1, 3, 2),
              (0.1372536929459515, 0.14790302111495232, 1.0, 0.049, MC1, 2, 2),
-             (4.8827, 0.10725, 0.0, 0.049, MassConfig(1.0, 2.0), 16, 5)]
+             (4.8827, 0.10725, 0.0, 0.049, MassConfig(1.0, 2.0), 16, 5),
+             (50.59980502353933, 0.44892409313682713, -1.0, 0.10915 * 0.44892409313682713,
+              MC1, 5, 3)]
     for v0, alpha, q, h_alpha, masses, levels, kernel_calls in cases:
         roots, calls = _counted_levels(PotentialParams(v0, alpha, q), masses, h_alpha / alpha)
         assert len(roots) == levels
@@ -335,7 +337,12 @@ def test_polish_is_one_kernel_call_per_pass():
         # past the middle rungs but on the ladder. The 16 levels of
         # (4.8827, 0.10725, 0) at masses (1, 2) have scan estimates 7.8e-6 to
         # 1.4e-3 off (in units of max(1, |E|)): no rung pair straddles a
-        # root, and three polish passes follow
+        # root, and three polish passes follow. The fifth level of
+        # (50.5998, 0.44892, -1) at h = 0.10915 has a scan estimate 7.3e4
+        # tol off: a secant through any two rungs, extrapolated that far,
+        # lands 1.6 to 1.9 tol off by the residual's curvature, past the
+        # next pass's probes; the quadratic through the outer rungs and the
+        # bracket's far end closes it in that pass
         assert len(calls) == kernel_calls
 
 
