@@ -24,6 +24,14 @@ solution is left unnormalized and each rescale is carried out as a
 per-energy log scale. r and g2 r^2 on the step grid do not depend on the
 energy; `step_grid` builds them once for every sweep of a problem.
 
+The numpy step loop costs about the same per step at any batch up to a few
+hundred energies: it is bound by the dispatch of its numpy calls. A block
+whose live batch holds at most NARROW_BATCH energies runs its steps one
+energy at a time in Python floats instead (`_steps_in_floats`), from the
+block's coefficients. It makes the same IEEE float64 multiplies and adds in
+the same order, and numpy and CPython round each one alike, so an energy
+gets the same bits on either path and so in any batch.
+
 The Dirichlet mismatch psi(x_max)/peak of a wide sweep is exactly +-1 for
 almost every energy: once the tail is classically forbidden for good and psi
 grows away from zero, psi is its own running peak. In its dirichlet mode the
@@ -42,6 +50,11 @@ import numpy as np
 OVERFLOW_GUARD = 1e100
 BLOCK_STEPS = 16
 FORBIDDEN_MARGIN = 1e-12     # relative margin of the retirement test on g < 0
+# Live batches this narrow step in Python floats (`_steps_in_floats`). A
+# 16-step block costs 74-119 us in numpy at any live batch up to 48, and
+# 27 us + ~4 us per energy in floats (2 cores, numpy 2.4): the two cross at
+# 16-20 energies. On the mismatch sweep 16, 24 and 32 ran alike.
+NARROW_BATCH = 16
 
 
 def step_grid(g2, q, alpha, x0, h, nsteps):
@@ -86,6 +99,10 @@ def rk4_sweep(g0s, g1s, grid, u0s, v0s, h, nsteps, *, dirichlet=False):
     With dirichlet=True, an energy leaves the batch at the first block end
     where `dirichlet_settled` certifies that the rest of the integration
     ends at psi/peak = sign(psi), and gets exactly that value.
+
+    A block whose live batch holds at most NARROW_BATCH energies steps in
+    Python floats (`_steps_in_floats`), with the bits of the numpy loop;
+    the coefficients, the rescale and the retirement are the same on both.
     """
     g0s = np.asarray(g0s, dtype=float)
     g1s = np.asarray(g1s, dtype=float)
@@ -118,7 +135,9 @@ def rk4_sweep(g0s, g1s, grid, u0s, v0s, h, nsteps, *, dirichlet=False):
         b = h - h ** 3 / 6.0 * g_mid
         c = -h / 6.0 * (g_lo + 4.0 * g_mid + g_hi) + h ** 3 / 12.0 * g_mid * (g_lo + g_hi)
         d = 1.0 - h * h / 6.0 * (2.0 * g_mid + g_hi) + h ** 4 / 24.0 * g_mid * g_hi
-        if dirichlet:
+        if u.size <= NARROW_BATCH:
+            u, v, peak = _steps_in_floats(a, b, c, d, u, v, peak if dirichlet else None)
+        elif dirichlet:
             for a_k, b_k, c_k, d_k, row in zip(a, b, c, d, rows):
                 u, v = a_k * u + b_k * v, c_k * u + d_k * v
                 np.abs(u, out=row)
@@ -151,6 +170,32 @@ def rk4_sweep(g0s, g1s, grid, u0s, v0s, h, nsteps, *, dirichlet=False):
         return u, v, log_scale
     psi[live] = u / np.where(peak == 0.0, 1.0, peak)
     return psi
+
+
+def _steps_in_floats(a, b, c, d, u, v, peak):
+    """(u, v, peak) after a block's steps, one energy at a time in Python floats.
+
+    a, b, c and d are the block's (steps, batch) coefficients; peak is None
+    outside dirichlet mode. The bits are those of rk4_sweep's numpy loop.
+    The peak can differ from numpy's only once psi is NaN, and psi then
+    stays NaN to the end whatever the peak.
+    """
+    us, vs = u.tolist(), v.tolist()
+    peaks = None if peak is None else peak.tolist()
+    for j, coeffs in enumerate(zip(a.T.tolist(), b.T.tolist(), c.T.tolist(), d.T.tolist())):
+        u_j, v_j = us[j], vs[j]
+        if peaks is None:
+            for a_k, b_k, c_k, d_k in zip(*coeffs):
+                u_j, v_j = a_k * u_j + b_k * v_j, c_k * u_j + d_k * v_j
+        else:
+            top = peaks[j]
+            for a_k, b_k, c_k, d_k in zip(*coeffs):
+                u_j, v_j = a_k * u_j + b_k * v_j, c_k * u_j + d_k * v_j
+                if abs(u_j) > top:
+                    top = abs(u_j)
+            peaks[j] = top
+        us[j], vs[j] = u_j, v_j
+    return np.array(us), np.array(vs), None if peaks is None else np.array(peaks)
 
 
 def dirichlet_settled(g0s, g1s, r_c, g2r2_c, g_c, u, v, peak):

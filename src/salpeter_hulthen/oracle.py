@@ -552,8 +552,10 @@ def mismatch_sweep(params: PotentialParams, masses: MassConfig, energies,
     dirichlet mode drops each such energy from the batch once a certificate
     shows the rest of the integration cannot change that value
     (`_kernels.dirichlet_settled`), so the result is bitwise that of the
-    full integration.
+    full integration. Raises ValidationError for a non-finite energy.
     """
     energies = np.atleast_1d(np.asarray(energies, dtype=float))
+    if not np.isfinite(energies).all():
+        raise ValidationError("energies must be finite")
     problem = EffectiveProblem(params, masses, x_max=x_max, h=h)
     return _shoot(problem, energies, dirichlet=True)[1].reshape(energies.shape)

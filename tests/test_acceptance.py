@@ -170,6 +170,16 @@ def test_criterion_5_oracle_cross_check(findings, rng):
         alpha = rng.uniform(0.12, 0.18)
         v0 = rng.uniform(0.9, 0.97) * alpha
         draws.append(PotentialParams(v0, alpha, 1.0))
+    # more draws from the same boxes, after the first five so that those
+    # keep their values and their findings entries
+    for _ in range(60):
+        alpha = rng.uniform(0.6, 1.1)
+        v0 = rng.uniform(0.86, 0.96) * alpha
+        draws.append(PotentialParams(v0, alpha, 1.0))
+    for _ in range(40):
+        alpha = rng.uniform(0.12, 0.18)
+        v0 = rng.uniform(0.9, 0.97) * alpha
+        draws.append(PotentialParams(v0, alpha, 1.0))
     all_matched = True
     for p in draws:
         roots = oracle.salpeter_levels(p, MC1)
@@ -211,7 +221,7 @@ def test_criterion_5_oracle_cross_check(findings, rng):
             findings.record("criterion-5-subfloor", entry)
         # above the validity floor the physical-branch set must agree exactly
         assert len(deep_formula) == len(deep_roots)
-    assert _report("criterion-5 (oracle cross-check, 5 draws)", all_matched,
+    assert _report(f"criterion-5 (oracle cross-check, {len(draws)} draws)", all_matched,
                    "all roots matched a physical branch at 1e-4; "
                    "critical-coupling-bound overpredictions recorded in findings")
 

@@ -1117,6 +1117,62 @@ def test_opposite_signs_with_an_underflowing_product_do_not_retire(monkeypatch):
     assert retired == [0]
 
 
+@pytest.mark.parametrize("v0, alpha, q, box", [
+    (0.9, 1.0, 1.0, (0.0, 0.0)),
+    (1.5, 1.0, 0.5, (0.0, 0.0)),
+    (2.0, 1.0, 0.0, (0.0, 0.0)),
+    (6.2, 1.0, -1.0, (0.0, 0.0)),
+    # the guard rescales: kappa * x_max ~ 290, and at small alpha 25/alpha
+    (0.9, 1.0, 1.0, (300.0, 0.05)),
+    (0.054, 0.06, 1.0, (0.0, 0.0)),
+    (250.0, 1.0, 0.0, (0.0, 0.0)),
+], ids=["q=1", "q=0.5", "q=0", "q=-1", "rescaled-box", "small-alpha", "deep-250"])
+@pytest.mark.parametrize("size", [0, 1, _kernels.NARROW_BATCH, _kernels.NARROW_BATCH + 1])
+def test_narrow_batches_step_bit_for_bit_as_wide_ones(monkeypatch, v0, alpha, q, box, size):
+    # every block of the batch steps in numpy (a threshold below any batch),
+    # then every block steps in Python floats (a threshold above the batch):
+    # (psi, psi', log_scale) and the Dirichlet psi keep every bit
+    p = PotentialParams(v0, alpha, q)
+    x_max, h = box
+    prob = oracle.EffectiveProblem(p, MC1, x_max=x_max, h=h)
+    energies = np.linspace(-2.0 + 1e-3, -1e-3, size + 2)[1:-1]
+    g0s, g1s, g2 = prob.g_coefficients(energies)
+    x0, u0s, v0s = prob.start_state(energies)
+    _, nsteps, _ = prob.steps()
+    grid = step_grid(g2, q, alpha, x0, prob.h, nsteps)
+    narrow_blocks = []
+    steps_in_floats = _kernels._steps_in_floats
+
+    def spy(*args):
+        narrow_blocks.append(np.size(args[4]))
+        return steps_in_floats(*args)
+
+    monkeypatch.setattr(_kernels, "_steps_in_floats", spy)
+    results = []
+    for threshold in (-1, size + 1):
+        monkeypatch.setattr(_kernels, "NARROW_BATCH", threshold)
+        levels = rk4_sweep(g0s, g1s, grid, u0s, v0s, prob.h, nsteps)
+        psi = oracle.mismatch_sweep(p, MC1, energies, x_max=x_max, h=h)
+        results.append([_bits(part) for part in (*levels, psi)])
+        assert bool(narrow_blocks) == (threshold > 0)
+        narrow_blocks.clear()
+    for wide, narrow in zip(*results):
+        np.testing.assert_array_equal(narrow, wide)
+    if x_max or alpha < 0.1:
+        assert size == 0 or np.max(results[0][2].view(float)) > 0.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("size", [1, 21])
+def test_mismatch_sweep_refuses_non_finite_energies(bad, size):
+    # refused before integrating: no RuntimeWarning from the coefficients,
+    # and no overflow report for what is an input error
+    energies = np.linspace(-1.9, -0.1, size)
+    energies[size // 2] = bad
+    with pytest.raises(ValidationError, match="finite"):
+        oracle.mismatch_sweep(PotentialParams(1.5, 1.0, 0.5), MC1, energies)
+
+
 @pytest.mark.parametrize("q", [1.0, 0.5])
 def test_empty_energy_batch_gives_empty_results(q):
     # at q = 1 the indicial root comes from the energy-independent Laurent
