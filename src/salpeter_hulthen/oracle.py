@@ -180,13 +180,32 @@ def fd_eigenvalues(params: PotentialParams, mu: float, count: int,
 
     Symmetric tridiagonal discretization on two grids (h and h/2) with
     Richardson extrapolation of the O(h^2) error. Raises NotConverged when
-    the two-grid difference exceeds 10x the accuracy target. x_max and h
-    must be finite, and the grid must hold at least count interior points.
+    the two-grid difference exceeds 10x the accuracy target. mu and target
+    must be finite and positive, x_max and h finite, and the grid must hold
+    at least count interior points.
+
+    Each grid's levels come from LAPACK's bisection (dstebz) over a value
+    window (lo, hi] rather than by index, which first bisects the whole
+    Gershgorin interval: the narrower the window, the fewer Sturm counts.
+    lo lies below the whole spectrum, so the count lowest levels of the
+    window are the count lowest of all. On the coarse grid the window is
+    (Gershgorin bound, 0]. On the fine grid it is the coarse levels widened
+    by 4x the two-grid acceptance bound, which holds the fine levels
+    whenever the check below passes at a target under 1/120. Its lower end
+    counts only when dpttrf factors T - lo I as LDL^T with positive pivots,
+    the sign test of bisection's Sturm count, which proves that no level
+    lies at or below lo (else the window starts at the Gershgorin bound).
+    A window that holds fewer than count levels, as when count asks for
+    continuum states of the box, falls back to bisection by index.
     """
     if params.regime is not Regime.REAL:
         raise ValidationError("the oracle handles the Real regime only")
     if count < 1:
         raise ValidationError("count must be >= 1")
+    if not (math.isfinite(mu) and mu > 0.0):
+        raise ValidationError("mu must be finite and positive")
+    if not (math.isfinite(target) and target > 0.0):
+        raise ValidationError("target must be finite and positive")
     alpha = params.alpha
     if x_max <= 0.0:
         x_max = 25.0 / alpha
@@ -195,8 +214,10 @@ def fd_eigenvalues(params: PotentialParams, mu: float, count: int,
     if not (math.isfinite(x_max) and math.isfinite(h)):
         raise ValidationError("x_max and h must be finite")
     from scipy.linalg import eigvalsh_tridiagonal   # 0.2 s to import; used only here
+    from scipy.linalg.lapack import dpttrf
 
-    def eigs(step):
+    def matrix(step):
+        """(diagonal, off-diagonal, Gershgorin lower bound) of the grid at step."""
         npts = int(round(x_max / step))
         if npts - 1 < count:
             raise ValidationError(f"x_max = {x_max:.6g} at h = {step:.6g} leaves "
@@ -206,15 +227,30 @@ def fd_eigenvalues(params: PotentialParams, mu: float, count: int,
         if np.max(np.abs(v.imag)) > 1e-12 * (1.0 + np.max(np.abs(v.real))):
             raise ValidationError("potential is not real on the grid")
         diag = 1.0 / (mu * step * step) + v.real
-        off = np.full(npts - 2, -1.0 / (2.0 * mu * step * step))
+        hop = -1.0 / (2.0 * mu * step * step)
+        return diag, np.full(npts - 2, hop), np.min(diag) + 2.0 * hop
+
+    def lowest(diag, off, lo, hi):
+        """The count lowest levels, lo below them all: those in (lo, hi], else by index."""
+        if lo < hi:
+            vals = eigvalsh_tridiagonal(diag, off, select="v", select_range=(lo, hi))
+            if len(vals) >= count:
+                return vals[:count]
         return eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, count - 1))
 
-    coarse = eigs(h)
-    fine = eigs(h / 2.0)
+    diag, off, floor = matrix(h)
+    coarse = lowest(diag, off, floor, 0.0)
+    bound = 10.0 * max(target, 1e-12)
+    margin = 4.0 * bound * max(1.0, np.max(np.abs(coarse)))
+    diag, off, floor = matrix(h / 2.0)
+    lo = coarse[0] - margin
+    if dpttrf(diag - lo, off)[2] != 0:
+        lo = floor
+    fine = lowest(diag, off, lo, coarse[-1] + margin)
     # |fine - coarse|/3 is the classical error estimate of the fine grid;
     # the extrapolated value below is better still
     estimate = np.max(np.abs(fine - coarse)) / 3.0
-    if estimate > 10.0 * max(target, 1e-12) * max(1.0, np.max(np.abs(fine))):
+    if estimate > bound * max(1.0, np.max(np.abs(fine))):
         raise NotConvergedError("two-grid error estimate exceeds 10x the accuracy target")
     return list((4.0 * fine - coarse) / 3.0)
 

@@ -72,7 +72,10 @@ def test_criterion_2_nonrelativistic_golden(findings):
         "note": "formula n=1 equals n=0 by the x -> beta/x symmetry of the bracket "
                 "but violates the existence condition; the oracle has one bound level",
         "formula_n0": e0, "formula_n1": e1,
-        "oracle_ground": float(fd[0]), "oracle_next": float(fd[1]),
+        # to 1e-8: 100x finer than the oracle's 1e-6 target and 100x coarser
+        # than its bisection noise (~1e-10), which reaches the 10th
+        # significant digit of both values
+        "oracle_ground": round(float(fd[0]), 8), "oracle_next": round(float(fd[1]), 8),
     })
     assert _report("criterion-2 (nonrelativistic golden value)", ok,
                    f"fd={fd[0]:.9f} vs -0.25; second fd level {fd[1]:+.4f} is continuum")

@@ -374,7 +374,10 @@ def test_writer_numpy_bools_and_arrays():
 # stencil: -0.01496422140373788 -> -0.014964221403716537; and when the scan
 # was spaced in angle and the brackets first probed on their own:
 # -0.014964221403716537 -> -0.014964221403739585, each within ROOT_XTOL of
-# the residual's sign change
+# the residual's sign change. verify_nonrelativistic's oracle value was
+# re-recorded when fd_eigenvalues bisected each grid inside a value window
+# instead of by index: -0.24999999986627056 -> -0.24999999988807572, within
+# the bisection's ulp ||T|| tolerance per grid
 GOLDEN = {
     "spectrum": ({**BASE, "regime": "AllComplex", "q": 0.5},
                  ["--command", "spectrum", "--n-max", "2"],
@@ -392,7 +395,7 @@ GOLDEN = {
              "00690bd12011cfce1cff2fa617c54d6753c08b21a65b4cc26a0694148f61ae7a"),
     "verify_nonrelativistic": ({**BASE, "V0": 2.0, "mode": "nonrelativistic"},
                                ["--command", "verify", "--n-max", "1"],
-                               "f3ae6923c7274c8a6e6eb85fafb3fd1dac689b91571b70d7c76b7a84dd731fd8"),
+                               "a44e164c6d84c983c9913ffbab706959998985afdf5e32dac7afe025adfa6d59"),
     "count": (BASE, ["--command", "count"],
               "20d541521865aeec7b1830df399073549633336a3a09449845886205c6b3e823"),
 }

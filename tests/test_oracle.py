@@ -83,6 +83,17 @@ def test_bad_box_or_step_is_a_validation_error(solver, kwargs):
             oracle.fd_eigenvalues(p, 0.5, 60, **kwargs)
 
 
+@pytest.mark.parametrize("mu,target", [(0.5, math.nan), (0.5, math.inf), (0.5, 0.0),
+                                       (0.5, -1e-6), (0.0, 1e-6), (math.nan, 1e-6),
+                                       (math.inf, 1e-6), (-0.5, 1e-6)])
+def test_fd_bad_mass_or_target_is_a_validation_error(mu, target):
+    # a nan or inf target skipped the two-grid check and returned the levels;
+    # mu = 0 raised ZeroDivisionError, nan scipy's ValueError, -0.5
+    # NotConvergedError
+    with pytest.raises(ValidationError):
+        oracle.fd_eigenvalues(PotentialParams(2.0, 1.0, 1.0), mu, 1, target=target)
+
+
 def test_g_single_source_of_truth():
     # kernel coefficients against the composition through potentials.evaluate
     prob = oracle.EffectiveProblem(PotentialParams(0.7, 0.9, 0.6), MC1)
@@ -128,6 +139,59 @@ def test_fd_not_converged_signal():
     p = PotentialParams(2.0, 1.0, 1.0)
     with pytest.raises(NotConvergedError):
         oracle.fd_eigenvalues(p, 0.5, 1, h=0.01, target=1e-14)
+
+
+def _fd_norm(p, mu, step, x_max):
+    """Gershgorin bound on ||T|| of the finite-difference matrix at step."""
+    xs = step * np.arange(1, int(round(x_max / step)))
+    return 2.0 / (mu * step * step) + np.max(np.abs(potentials._values(p, xs).real))
+
+
+@pytest.mark.parametrize("args,count,kwargs,short", [
+    *[((20.0, 1.0, 1.0), c, {"h": 0.01, "target": 1e-4}, False) for c in (1, 2, 3, 4)],
+    *[((40.0, 1.0, 0.5), c, {"h": 0.01, "target": 1e-4}, False) for c in (1, 2, 3, 4)],
+    ((0.125, 0.1, 1.0), 4, {"h": 0.05, "x_max": 400.0, "target": 1e-4}, True),
+    ((2.0, 1.0, 1.0), 3, {"h": 0.005}, True),          # 2 box states above the bound level
+    ((2.0, 1.0, 1.0), 4, {"h": 0.01, "x_max": 0.05, "target": 1e3}, True),   # 4 interior points
+    ((2.0, 1.0, 1.0), 1, {"h": 0.01, "x_max": 0.02, "target": 1e3}, True),   # 1 interior point
+])
+def test_fd_value_window_matches_bisection_by_index(monkeypatch, args, count, kwargs, short):
+    # The levels by value window against those by index alone, forced by
+    # emptying every select="v" call. Both are dstebz bisections at its
+    # default absolute tolerance ulp ||T||, so each grid's two values lie
+    # within 2 ulp ||T|| of each other, and the extrapolated (4 fine -
+    # coarse) / 3 within 2 ulp (4 ||T_fine|| + ||T_coarse||) / 3.
+    import scipy.linalg
+    p, mu = PotentialParams(*args), 0.5
+    eigvalsh = scipy.linalg.eigvalsh_tridiagonal
+    calls, index_only = [], []
+
+    def spy(diag, off, select="a", select_range=None):
+        if index_only and select == "v":
+            vals = np.empty(0)
+        else:
+            vals = eigvalsh(diag, off, select=select, select_range=select_range)
+        calls.append((len(diag), select, len(vals)))
+        return vals
+
+    monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", spy)
+    window = oracle.fd_eigenvalues(p, mu, count, **kwargs)
+    coarse_n = min(c[0] for c in calls)
+    coarse = [c[1:] for c in calls if c[0] == coarse_n]
+    fine = [c[1:] for c in calls if c[0] != coarse_n]
+    # the coarse window (Gershgorin bound, 0] misses the box states above 0,
+    # which bisection by index then finds; the fine window spans the coarse
+    # levels and 4x the two-grid bound, so on every grid pair that passes
+    # the check it holds all count levels at once
+    assert coarse[0][0] == "v" and (coarse[0][1] < count) == short
+    assert coarse[1:] == ([("i", count)] if short else [])
+    assert len(fine) == 1 and fine[0][0] == "v" and fine[0][1] >= count
+    index_only.append(True)
+    by_index = oracle.fd_eigenvalues(p, mu, count, **kwargs)
+    h, x_max = kwargs["h"], kwargs.get("x_max", 25.0 / p.alpha)
+    tol = 2.0 * np.finfo(float).eps * (4.0 * _fd_norm(p, mu, h / 2.0, x_max)
+                                       + _fd_norm(p, mu, h, x_max)) / 3.0
+    np.testing.assert_allclose(window, by_index, rtol=0.0, atol=tol)
 
 
 def test_shooting_sign_structure():
