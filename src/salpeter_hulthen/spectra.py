@@ -8,6 +8,12 @@ vanishes (V0 = 4 m q at equal masses). For a negative real prefactor the
 MINUS root is the deeper level, which is the branch the zero-coupling limit
 values -3.73m belong to.
 
+At equal masses m every regime has one form at its real parameters, E = pref
+-/+ sqrt(pref^2 - (2 m V0)^2 (1 - u + u^2/4) / X) with u = X/(2 m q V0) and
+pref = V0/(2q) - 2m (`_xi_pair`). The paper's i-factors only change X: xi for
+Real and ComplexV0Q (and the default Woods-Saxon form), -varsigma for
+ComplexAlpha and -varsigma_tilde for AllComplex.
+
 Both branches are always computed; `physical` is a separate documented
 verdict and never silently hides a branch. All formulas use hbar = c = 1.
 """
@@ -57,11 +63,48 @@ def _pair(pref, disc) -> EnergyPair:
     return EnergyPair(minus=complex(pref - w), plus=complex(pref + w))
 
 
-def _require_coupling(params):
+def _check_inputs(params, n, admitted, message):
+    """Checks shared by the closed forms: admitted, nonzero V0 and q, and n >= 0."""
+    if not admitted:
+        raise ValidationError(message)
     if params.v0 == 0.0:
         raise NoBoundStateError("zero coupling admits no bound state")
     if params.q == 0.0:
         raise NoBoundStateError("q = 0 has no closed-form spectrum for real alpha")
+    if n < 0:
+        raise ValidationError("n must be nonnegative")
+
+
+def _xi(v0, alpha, q, n, sign):
+    """xi (sign = +1), or xi_tilde (q = 1, sign = -1)."""
+    k = 2 * n + 1
+    return q * alpha * (q * alpha + q * alpha * k ** 2
+                        + 2 * sign * k * _csqrt(q * q * alpha * alpha - v0 * v0))
+
+
+def _varsigma(v0, alpha, q, n, sign):
+    """varsigma (sign = +1), or varsigma_tilde (sign = -1)."""
+    k = 2 * n + 1
+    return (q * q * alpha * alpha * (1 + k ** 2)
+            + 2 * sign * q * alpha * k * _csqrt(q * q * alpha * alpha + v0 * v0))
+
+
+def _b_c_d(eps2_sq, q, n):
+    """(b, C, D) of the quantization condition eps1 + eps3 = D/4 + C eps."""
+    b = _csqrt(q * q - 4.0 * eps2_sq)
+    big_c = b + q * (2 * n + 1)
+    return b, big_c, (big_c * big_c + 4.0 * eps2_sq) / q
+
+
+def _xi_pair(x, v0, q, m):
+    """(pref, lift, disc) of the equal-mass form at X = x, with disc = pref^2 - lift/x."""
+    try:
+        u = x / (2.0 * m * q * v0)
+        pref = v0 / (2.0 * q) - 2.0 * m
+        lift = (2.0 * m * v0) ** 2 * (1.0 - u + u * u / 4.0)
+        return pref, lift, pref * pref - lift / x
+    except ArithmeticError as exc:
+        raise ValidationError(f"equal-mass closed form leaves the float range: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -119,54 +162,36 @@ class SpectralAuxiliaries:
 
 def spectral_auxiliaries(params: PotentialParams, masses: MassConfig, n: int) -> SpectralAuxiliaries:
     """Snapshot of every auxiliary combination (complex square roots allowed)."""
-    try:
-        return _auxiliaries(params, masses, n)
-    except ArithmeticError as exc:
-        # 1/(2q) at q = 0
-        raise ValidationError(f"auxiliary quantities leave the float range: {exc}") from exc
+    v0, alpha, q = params.v0, params.alpha, params.q
+    eps2_sq, beta, ratio = _aux_quotients(params, masses)
+    b, big_c, big_d = _b_c_d(eps2_sq, q, n)
+    return SpectralAuxiliaries(
+        b=b, big_c=big_c, big_d=big_d, xi=_xi(v0, alpha, q, n, 1),
+        kappa=_csqrt(q * q * alpha * alpha - v0 * v0) + q * alpha * (2 * n + 1),
+        xi_tilde=_xi(v0, alpha, 1.0, n, -1), varsigma=_varsigma(v0, alpha, q, n, 1),
+        varsigma_tilde=_varsigma(v0, alpha, q, n, -1),
+        # m_tilde/2 equals the constituent mass for equal masses
+        chi_sq=_chi_squared_pair(v0, q, masses.m_tilde / 2.0), beta=beta,
+        c=_csqrt(q * q + ratio), d=_csqrt(q * q - ratio),
+    )
 
 
 def _aux_quotients(params, masses):
     """(eps2^2, beta, (V0/alpha)^2): the quotients of the snapshot whose divisor can underflow.
 
-    Raises ValidationError where one does (a = alpha^2/(2 mu) or q alpha^2
-    is 0). At q != 0 these are the only float-range failures of the snapshot,
-    so bound_states runs this check up front and builds the rest on demand.
+    Raises ValidationError where one does (a = alpha^2/(2 mu) or q alpha^2 is
+    0, as at q = 0): the snapshot's only float-range failures, so bound_states
+    runs this check up front and builds the rest on demand.
     """
     v0, alpha, q = params.v0, params.alpha, params.q
     mu, mt = masses.mu, masses.m_tilde
     try:
         a = alpha * alpha / (2.0 * mu)
         eps2_sq = v0 * v0 / (2.0 * mt * a)
-        beta = 2.0 * mu * v0 / (q * alpha * alpha) if q != 0 else complex("nan")
+        beta = 2.0 * mu * v0 / (q * alpha * alpha)
         return eps2_sq, beta, v0 * v0 / (alpha * alpha)
     except ArithmeticError as exc:
         raise ValidationError(f"auxiliary quantities leave the float range: {exc}") from exc
-
-
-def _auxiliaries(params, masses, n):
-    v0, alpha, q = params.v0, params.alpha, params.q
-    mt = masses.m_tilde
-    eps2_sq, beta, ratio = _aux_quotients(params, masses)
-    b = _csqrt(q * q - 4.0 * eps2_sq)
-    big_c = b + q * (2 * n + 1)
-    big_d = (big_c * big_c + 4.0 * eps2_sq) / q if q != 0 else complex("nan")
-    root_m = _csqrt(q * q * alpha * alpha - v0 * v0)
-    kappa = root_m + q * alpha * (2 * n + 1)
-    xi = q * alpha * (q * alpha + q * alpha * (2 * n + 1) ** 2 + 2 * (2 * n + 1) * root_m)
-    xi_tilde = alpha * (alpha + alpha * (2 * n + 1) ** 2
-                        - 2 * (2 * n + 1) * _csqrt(alpha * alpha - v0 * v0))
-    root_p = _csqrt(q * q * alpha * alpha + v0 * v0)
-    varsigma = q * q * alpha * alpha * (1 + (2 * n + 1) ** 2) + 2 * q * alpha * (2 * n + 1) * root_p
-    varsigma_tilde = (q * q * alpha * alpha * (1 + (2 * n + 1) ** 2)
-                      - 2 * q * alpha * (2 * n + 1) * root_p)
-    m_half = mt / 2.0  # equals the constituent mass for equal masses
-    chi_sq = _chi_squared_pair(v0, q, m_half)
-    return SpectralAuxiliaries(
-        b=b, big_c=big_c, big_d=big_d, xi=xi, kappa=kappa, xi_tilde=xi_tilde,
-        varsigma=varsigma, varsigma_tilde=varsigma_tilde, chi_sq=chi_sq, beta=beta,
-        c=_csqrt(q * q + ratio), d=_csqrt(q * q - ratio),
-    )
 
 
 def _chi_squared_pair(v0, q, m):
@@ -185,11 +210,8 @@ def salpeter_energy_general(params: PotentialParams, masses: MassConfig, n: int,
     (real b) and a nonnegative radicand. strict=False evaluates through
     complex square roots, for diagnostics and findings tables.
     """
-    if params.regime is not Regime.REAL:
-        raise ValidationError("general Salpeter spectrum is defined for the Real regime")
-    _require_coupling(params)
-    if n < 0:
-        raise ValidationError("n must be nonnegative")
+    _check_inputs(params, n, params.regime is Regime.REAL,
+                  "general Salpeter spectrum is defined for the Real regime")
     v0, alpha, q = params.v0, params.alpha, params.q
     mu, mt = masses.mu, masses.m_tilde
     try:
@@ -197,9 +219,7 @@ def salpeter_energy_general(params: PotentialParams, masses: MassConfig, n: int,
         eps2_sq = v0 * v0 / (2.0 * mt * a)
         if strict and q * q < 4.0 * eps2_sq:
             raise NoBoundStateError("condition q^2 >= V0^2 * (2 mu / m_tilde) / alpha^2 fails")
-        b = _csqrt(q * q - 4.0 * eps2_sq)
-        big_c = b + q * (2 * n + 1)
-        big_d = (big_c * big_c + 4.0 * eps2_sq) / q
+        big_d = _b_c_d(eps2_sq, q, n)[2]
         pref = v0 / (2.0 * q) - mt
         disc = pref * pref - (2.0 * mt * a / q) * ((v0 / a) ** 2 - (v0 / (2.0 * a)) * big_d
                                                    + big_d * big_d / 16.0) / big_d
@@ -212,17 +232,10 @@ def salpeter_energy_general(params: PotentialParams, masses: MassConfig, n: int,
 
 
 def _equal_mass_core(v0, alpha, q, m, n, strict):
-    xi = q * alpha * (q * alpha + q * alpha * (2 * n + 1) ** 2
-                      + 2 * (2 * n + 1) * _csqrt(q * q * alpha * alpha - v0 * v0))
+    xi = _xi(v0, alpha, q, n, 1)
     if strict and abs(xi.imag) > IM_TOL * (1.0 + abs(xi)):
         raise NoBoundStateError("condition q^2 >= (V0/alpha)^2 fails")
-    try:
-        u = xi / (2.0 * m * q * v0)
-        pref = v0 / (2.0 * q) - 2.0 * m
-        disc = pref * pref - (2.0 * m * v0) ** 2 * (1.0 - u + u * u / 4.0) / xi
-    except ArithmeticError as exc:
-        # (2 m V0)^2 overflows, or xi underflows to 0, at extreme accepted inputs
-        raise ValidationError(f"equal-mass closed form leaves the float range: {exc}") from exc
+    pref, _, disc = _xi_pair(xi, v0, q, m)
     if strict and _negative_radicand(pref, disc):
         raise ComplexSpectrumError("energy radicand is negative")
     return _pair(pref, disc)
@@ -230,12 +243,9 @@ def _equal_mass_core(v0, alpha, q, m, n, strict):
 
 def salpeter_energy_equal_mass(params: PotentialParams, m: float, n: int,
                                strict: bool = True) -> EnergyPair:
-    """Equal-mass rearrangement through xi = kappa^2 + V0^2."""
-    if params.regime is not Regime.REAL:
-        raise ValidationError("equal-mass Salpeter spectrum is defined for the Real regime")
-    _require_coupling(params)
-    if n < 0:
-        raise ValidationError("n must be nonnegative")
+    """Equal-mass rearrangement through X = xi = kappa^2 + V0^2."""
+    _check_inputs(params, n, params.regime is Regime.REAL,
+                  "equal-mass Salpeter spectrum is defined for the Real regime")
     return _equal_mass_core(params.v0, params.alpha, params.q, m, n, strict)
 
 
@@ -243,21 +253,18 @@ def woods_saxon_energy(params: PotentialParams, m: float, n: int,
                        strict: bool = True, verbatim: bool = False) -> EnergyPair:
     """Shifted Woods-Saxon spectrum (q = -1 degeneration).
 
-    The default reproduces the equal-mass closed form evaluated at q = -1,
-    which is what the xi-identity algebra gives. verbatim=True instead uses
-    the alternate literature prefactor -(V0/(2q) + 2m); the two disagree and
-    the variant is kept only for the findings comparison against the oracle.
+    The default reproduces the equal-mass closed form at q = -1, X = xi, which
+    is what the xi-identity algebra gives. verbatim=True instead uses xi_tilde
+    and the literature prefactor -(V0/(2q) + 2m); the two disagree and the
+    variant is kept only for the findings comparison against the oracle.
     """
-    if params.q != -1.0:
-        raise ValidationError("woods_saxon_energy requires q = -1")
-    _require_coupling(params)
+    _check_inputs(params, n, params.q == -1.0, "woods_saxon_energy requires q = -1")
     v0, alpha = params.v0, params.alpha
     if strict and alpha * alpha < v0 * v0:
         raise NoBoundStateError("condition alpha^2 >= V0^2 fails")
     if not verbatim:
         return _equal_mass_core(v0, alpha, -1.0, m, n, strict)
-    xi_t = alpha * (alpha + alpha * (2 * n + 1) ** 2
-                    - 2 * (2 * n + 1) * _csqrt(alpha * alpha - v0 * v0))
+    xi_t = _xi(v0, alpha, 1.0, n, -1)
     u = xi_t / (2.0 * m * v0)
     pref = -(v0 / (2.0 * -1.0) + 2.0 * m)   # literature prefactor at q = -1
     radicand = 1.0 - (2.0 * m * v0) ** 2 * (1.0 + u + u * u / 4.0) \
@@ -281,47 +288,39 @@ def exponential_energy_imaginary_alpha(v0: float, alpha_i: float, m: float, n: i
 
 def complex_alpha_energy(params: PotentialParams, m: float, n: int,
                          strict: bool = True) -> EnergyPair:
-    """Case alpha -> i*alpha: PT-symmetric spectrum via varsigma."""
-    if params.regime is not Regime.COMPLEX_ALPHA:
-        raise ValidationError("requires the ComplexAlpha regime")
-    _require_coupling(params)
-    v0, alpha, q = params.v0, params.alpha, params.q
-    vs = q * q * alpha * alpha * (1 + (2 * n + 1) ** 2) \
-        + 2 * q * alpha * (2 * n + 1) * _csqrt(q * q * alpha * alpha + v0 * v0)
-    u = vs / (2.0 * m * q * v0)
-    pref = v0 / (2.0 * q) - 2.0 * m
-    bracket = 1.0 + u + u * u / 4.0
-    if strict and not (-((2.0 * m * v0) ** 2) * bracket).real <= (vs * pref * pref).real:
+    """Case alpha -> i*alpha: PT-symmetric spectrum, the equal-mass form at X = -varsigma."""
+    _check_inputs(params, n, params.regime is Regime.COMPLEX_ALPHA,
+                  "requires the ComplexAlpha regime")
+    v0, q = params.v0, params.q
+    vs = _varsigma(v0, params.alpha, q, n, 1)
+    pref, lift, disc = _xi_pair(-vs, v0, q, m)
+    if strict and not (-lift).real <= (vs * pref * pref).real:
         raise ComplexSpectrumError("case-I reality inequality fails")
-    return _pair(pref, pref * pref + (2.0 * m * v0) ** 2 * bracket / vs)
+    return _pair(pref, disc)
 
 
 def complex_v0q_energy(params: PotentialParams, m: float, n: int,
                        strict: bool = True) -> EnergyPair:
-    """Case V0 -> i*V0, q -> i*q: the i-factors cancel, leaving the real-base form."""
-    if params.regime is not Regime.COMPLEX_V0_Q:
-        raise ValidationError("requires the ComplexV0Q regime")
-    _require_coupling(params)
+    """Case V0 -> i*V0, q -> i*q: the i-factors cancel, leaving the real-base form, X = xi."""
+    _check_inputs(params, n, params.regime is Regime.COMPLEX_V0_Q,
+                  "requires the ComplexV0Q regime")
     return _equal_mass_core(params.v0, params.alpha, params.q, m, n, strict)
 
 
 def all_complex_energy(params: PotentialParams, m: float, n: int) -> EnergyPair:
-    """Case with all three parameters imaginary, via varsigma-tilde.
+    """Case with all three parameters imaginary: the equal-mass form at X = -varsigma_tilde.
 
     No structural errors: varsigma-tilde may be negative and the branches
     complex; physicality is judged afterwards by the imaginary-part test.
     """
-    if params.regime is not Regime.ALL_COMPLEX:
-        raise ValidationError("requires the AllComplex regime")
-    _require_coupling(params)
-    v0, alpha, q = params.v0, params.alpha, params.q
-    vs_t = q * q * alpha * alpha * (1 + (2 * n + 1) ** 2) \
-        - 2 * q * alpha * (2 * n + 1) * _csqrt(q * q * alpha * alpha + v0 * v0)
+    _check_inputs(params, n, params.regime is Regime.ALL_COMPLEX,
+                  "requires the AllComplex regime")
+    v0, q = params.v0, params.q
+    vs_t = _varsigma(v0, params.alpha, q, n, -1)
     if vs_t == 0:
         raise ComplexSpectrumError("varsigma-tilde vanishes; branch undefined")
-    u = vs_t / (2.0 * m * q * v0)
-    pref = v0 / (2.0 * q) - 2.0 * m
-    return _pair(pref, pref * pref + (2.0 * m * v0) ** 2 * (1.0 + u + u * u / 4.0) / vs_t)
+    pref, _, disc = _xi_pair(-vs_t, v0, q, m)
+    return _pair(pref, disc)
 
 
 def nonrelativistic_energy(params: PotentialParams, mu: float, n: int,
@@ -401,9 +400,7 @@ def quantization_residual(params: PotentialParams, masses: MassConfig, n: int, e
     eps1 = v0 / a
     eps2_sq = v0 * v0 / (2.0 * mt * a)
     eps3 = v0 * e / (mt * a)
-    b = _csqrt(q * q - 4.0 * eps2_sq)
-    big_c = b + q * (2 * n + 1)
-    big_d = (big_c * big_c + 4.0 * eps2_sq) / q
+    _, big_c, big_d = _b_c_d(eps2_sq, q, n)
     residual = abs(eps1 + eps3 - big_d / 4.0 - big_c * eps)
     return residual, eps
 

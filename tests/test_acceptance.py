@@ -168,23 +168,24 @@ def test_criterion_5_oracle_cross_check(findings, rng):
     for _ in range(3):   # single-level draws
         alpha = rng.uniform(0.6, 1.1)
         v0 = rng.uniform(0.86, 0.96) * alpha
-        draws.append(PotentialParams(v0, alpha, 1.0))
+        draws.append(("single-level", PotentialParams(v0, alpha, 1.0)))
     for _ in range(2):   # multi-level draws
         alpha = rng.uniform(0.12, 0.18)
         v0 = rng.uniform(0.9, 0.97) * alpha
-        draws.append(PotentialParams(v0, alpha, 1.0))
+        draws.append(("multi-level", PotentialParams(v0, alpha, 1.0)))
     # more draws from the same boxes, after the first five so that those
-    # keep their values and their findings entries
+    # keep their values
     for _ in range(60):
         alpha = rng.uniform(0.6, 1.1)
         v0 = rng.uniform(0.86, 0.96) * alpha
-        draws.append(PotentialParams(v0, alpha, 1.0))
+        draws.append(("single-level", PotentialParams(v0, alpha, 1.0)))
     for _ in range(40):
         alpha = rng.uniform(0.12, 0.18)
         v0 = rng.uniform(0.9, 0.97) * alpha
-        draws.append(PotentialParams(v0, alpha, 1.0))
+        draws.append(("multi-level", PotentialParams(v0, alpha, 1.0)))
     all_matched = True
-    for p in draws:
+    counts = {"single-level": [], "multi-level": []}    # (predicted, oracle) per draw
+    for box, p in draws:
         roots = oracle.salpeter_levels(p, MC1)
         physical = []
         for n in range(8):
@@ -216,14 +217,24 @@ def test_criterion_5_oracle_cross_check(findings, rng):
                  "level_count_bound": predicted,
                  "root_rel_errors": shown_errors,
                  "oracle_floor": floor}
-        # the closed-form count bounds real-energy pairs, not true eigenstates;
-        # record the overprediction with both numbers
-        if predicted != len(roots):
+        # the closed-form count bounds real-energy pairs, not true eigenstates,
+        # so it overpredicts: summarized per box below; any other disagreement
+        # is recorded draw by draw
+        counts[box].append((predicted, len(roots)))
+        if predicted < len(roots):
             findings.record("criterion-5", entry)
         if len(deep_formula) != len(physical):
             findings.record("criterion-5-subfloor", entry)
         # above the validity floor the physical-branch set must agree exactly
         assert len(deep_formula) == len(deep_roots)
+    for box, pairs in counts.items():
+        predicted, oracle_counts = zip(*pairs)
+        findings.record("criterion-5", {
+            "box": box, "draws": len(pairs),
+            "level_count_overpredicts": sum(a > b for a, b in pairs),
+            "level_count_bound_range": [min(predicted), max(predicted)],
+            "oracle_root_count_range": [min(oracle_counts), max(oracle_counts)],
+        })
     assert _report(f"criterion-5 (oracle cross-check, {len(draws)} draws)", all_matched,
                    "all roots matched a physical branch at 1e-4; "
                    "critical-coupling-bound overpredictions recorded in findings")

@@ -237,6 +237,15 @@ def test_scan_command(tmp_path):
     assert "nan" not in text
     levels = [level for e in json.loads(text)["surface"] for level in e["levels"]]
     assert [level.get("error") for level in levels] == ["ValidationError"] * 2
+    # (2 m V0)^2 overflows at the last two points in every regime: a level
+    # error there, not an abort of the whole scan
+    for regime in ("Real", "ComplexAlpha", "ComplexV0Q", "AllComplex"):
+        doc = {**BASE, "q": 0.5, "regime": regime,
+               "scan": {"param": "V0", "start": 1.0, "stop": 1e300, "points": 3}}
+        code, text = run(tmp_path, doc, "--command", "scan", "--n-max", "0")
+        assert code == 0
+        surface = json.loads(text)["surface"]
+        assert [e["levels"][0].get("error") for e in surface[1:]] == ["ValidationError"] * 2
 
 
 def test_command_from_config_document(tmp_path):

@@ -102,6 +102,28 @@ def test_existence_errors():
         salpeter_energy_general(PotentialParams(2.0, 1.0, 1.0), MC1, 0)
 
 
+_CLOSED_FORMS = {
+    "general": lambda n: salpeter_energy_general(PotentialParams(0.9, 1.0, 1.0), MC1, n),
+    "equal_mass": lambda n: salpeter_energy_equal_mass(PotentialParams(0.9, 1.0, 1.0), 1.0, n),
+    "woods_saxon": lambda n: woods_saxon_energy(PotentialParams(0.9, 1.0, -1.0), 1.0, n),
+    "complex_alpha": lambda n: complex_alpha_energy(
+        PotentialParams(1.0, 1.0, 2.0, Regime.COMPLEX_ALPHA), 1.0, n),
+    "complex_v0q": lambda n: complex_v0q_energy(
+        PotentialParams(1.0, 1.0, 2.0, Regime.COMPLEX_V0_Q), 1.0, n),
+    "all_complex": lambda n: all_complex_energy(
+        PotentialParams(1.0, 1.0, 2.0, Regime.ALL_COMPLEX), 1.0, n),
+    **{f"bound_states-{regime.value}": lambda n, regime=regime: bound_states(
+        PotentialParams(1.0, 1.0, 2.0, regime), MC1, n) for regime in Regime},
+}
+
+
+@pytest.mark.parametrize("name", _CLOSED_FORMS)
+def test_negative_level_index_is_refused(name):
+    _CLOSED_FORMS[name](0)     # the same inputs are accepted at n = 0
+    with pytest.raises(ValidationError, match="n must be nonnegative"):
+        _CLOSED_FORMS[name](-1)
+
+
 def test_complex_spectrum_error():
     # push the prefactor toward zero so the radicand goes negative
     p = PotentialParams(3.99, 4.0, 1.0)

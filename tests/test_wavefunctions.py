@@ -301,6 +301,15 @@ def test_float_range_failures_raise_documented_errors():
         for p in (PotentialParams(1e300, 1.0, 0.5), PotentialParams(1e-300, 1e-300, 0.5)):
             with pytest.raises(ValidationError):
                 bound_states(p, MC1, 0)
+        # ... and in the complex regimes, which evaluate that form at X = -varsigma
+        # and X = -varsigma_tilde
+        p_alpha = PotentialParams(1e300, 1.0, 0.5, Regime.COMPLEX_ALPHA)
+        p_all = PotentialParams(1e300, 1.0, 0.5, Regime.ALL_COMPLEX)
+        for call in (lambda: spectra.complex_alpha_energy(p_alpha, 1.0, 0, strict=False),
+                     lambda: spectra.all_complex_energy(p_all, 1.0, 0),
+                     lambda: bound_states(p_alpha, MC1, 0), lambda: bound_states(p_all, MC1, 0)):
+            with pytest.raises(ValidationError, match="equal-mass closed form leaves the float"):
+                call()
     # a Gamma value of the double sum underflows to 0
     p, masses = PotentialParams(-2.62, 1.46, 6.1e-5), MassConfig(1.89, 1.21)
     wf = wfp.assemble(p, masses, bound_states(p, masses, 0)[1])
