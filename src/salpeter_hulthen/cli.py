@@ -1,7 +1,9 @@
 """Batch command-line front end.
 
 Commands: spectrum, wavefunction, verify, scan, count. Parameters come from
-a JSON config document; flags override config values. All output is
+a JSON config document. Each run option in OPTIONS is both a document key
+and a flag (n_max is --n-max); a flag overrides the document and passes the
+same checks. CSV output is for the wavefunction command only. All output is
 deterministic. A JSON document has its keys sorted, one value per line,
 two spaces of indent per level, "key": value with one space, and a single
 trailing newline; empty containers are {} and []. Floats are written with
@@ -10,10 +12,11 @@ JSON string "nan", "inf" or "-inf". Complex numbers are {"im", "re"}
 objects. Strings, keys included, are ASCII with JSON \\uXXXX escapes.
 Rows keep their order. CSV rows use the same float format.
 
-Exit codes: 0 ok, 2 validation failure (an overflow or a division by zero
-in a closed form, or a non-finite wavefunction, at extreme inputs included),
-3 no bound state for any requested level, 4 oracle non-convergence. Every
-nonzero exit writes a JSON error object to stderr.
+Exit codes: 0 ok, 2 validation failure (a bad flag or document, an overflow
+or a division by zero in a closed form, or a non-finite wavefunction, at
+extreme inputs included), 3 no bound state for any requested level, 4 oracle
+non-convergence. Every nonzero exit writes a JSON error object to stderr;
+only --help prints usage text.
 """
 
 import argparse
@@ -29,7 +32,6 @@ import numpy as np
 
 from . import __version__, oracle
 from .errors import (
-    ComplexSpectrumError,
     NoBoundStateError,
     NonConvergentError,
     NotConvergedError,
@@ -37,14 +39,9 @@ from .errors import (
     ValidationError,
 )
 from .potentials import MassConfig, PotentialParams, params_from_json
-from .spectra import Branch, bound_states, level_count, nonrelativistic_energy
+from .spectra import bound_states, level_count, nonrelativistic_energy
 from .wavefunctions import assemble, evaluate_on_grid, normalization_constant
 
-_CONFIG_KEYS = {"V0", "alpha", "q", "regime", "m1", "m2",
-                "command", "mode", "n_max", "grid_points", "x_max",
-                "tolerance", "format", "scan"}
-_COMMANDS = ("spectrum", "wavefunction", "verify", "scan", "count")
-_SCAN_KEYS = {"param", "start", "stop", "points"}
 # Highest accepted n_max: every command loops over n = 0..n_max, and the
 # Rodrigues construction of a wavefunction divides by n!, which leaves the
 # float range at n = 171.
@@ -56,27 +53,39 @@ GRID_POINTS_CAP = 100_000
 # scan is at most SCAN_POINTS_CAP * (N_MAX_CAP + 1) closed-form solves.
 SCAN_POINTS_CAP = 1_000
 
+# The run options, each a document key and a flag: key, default, the type
+# the flag parses to, and the accepted values (the choices of a str, the
+# closed range of a number). tolerance must also be nonzero; it is checked
+# and echoed, but no command reads it yet.
+OPTIONS = (
+    ("command", None, str, ("spectrum", "wavefunction", "verify", "scan", "count")),
+    ("mode", "salpeter", str, ("salpeter", "nonrelativistic")),
+    ("n_max", 0, int, (0, N_MAX_CAP)),
+    ("grid_points", 200, int, (1, GRID_POINTS_CAP)),
+    ("x_max", 0.0, float, (0.0, math.inf)),
+    ("tolerance", 1e-10, float, (0.0, math.inf)),
+    ("format", "json", str, ("json", "csv")),
+)
+_PARAM_KEYS = ("V0", "alpha", "q", "regime", "m1", "m2")
+_SCAN_KEYS = {"param", "start", "stop", "points"}
+
 
 @dataclass(frozen=True)
 class RunConfig:
-    """A validated command configuration.
-
-    tolerance is validated (finite, positive) and echoed in
-    metadata.config_echo, but no command reads it: the level search closes
-    its brackets at oracle.ROOT_XTOL and fd_eigenvalues uses its own
-    accuracy target.
-    """
+    """A validated command configuration: the potential, the masses, one
+    attribute per run option, and the scan block (param, start, stop,
+    points) or None."""
 
     command: str
     params: PotentialParams
     masses: MassConfig
-    mode: str = "salpeter"
-    n_max: int = 0
-    grid_points: int = 200
-    x_max: float = 0.0
-    tolerance: float = 1e-10
-    format: str = "json"
-    scan: tuple | None = None   # (param, start, stop, points)
+    mode: str
+    n_max: int
+    grid_points: int
+    x_max: float
+    tolerance: float
+    format: str
+    scan: tuple | None
 
 
 def _number(value, name: str, low=-math.inf, high=math.inf, integral: bool = False):
@@ -90,32 +99,26 @@ def _number(value, name: str, low=-math.inf, high=math.inf, integral: bool = Fal
 
 
 def build_config(doc: dict, overrides: dict | None = None) -> RunConfig:
-    """Validate the merged JSON document and produce a RunConfig."""
-    unknown = set(doc) - _CONFIG_KEYS
+    """Validate the document, with the non-None overrides merged in, and produce a RunConfig."""
+    unknown = set(doc) - {*_PARAM_KEYS, *(row[0] for row in OPTIONS), "scan"}
     if unknown:
         raise ValidationError(f"unknown config fields: {sorted(unknown)}")
-    merged = dict(doc)
-    for key, value in (overrides or {}).items():
-        if value is not None:
-            merged[key] = value
-    params, masses = params_from_json({k: merged.get(k) for k in
-                                       ("V0", "alpha", "q", "regime", "m1", "m2")})
-    command = merged.get("command")
-    if command not in _COMMANDS:
-        raise ValidationError(f"command must be one of {_COMMANDS}, got {command!r}")
-    mode = merged.get("mode", "salpeter")
-    if mode not in ("salpeter", "nonrelativistic"):
-        raise ValidationError("mode must be 'salpeter' or 'nonrelativistic'")
-    n_max = _number(merged.get("n_max", 0), "n_max", 0, N_MAX_CAP, integral=True)
-    grid_points = _number(merged.get("grid_points", 200), "grid_points", 1, GRID_POINTS_CAP,
-                          integral=True)
-    x_max = _number(merged.get("x_max", 0.0), "x_max", 0.0)
-    tolerance = _number(merged.get("tolerance", 1e-10), "tolerance", 0.0)
-    if tolerance == 0.0:
+    merged = {key: default for key, default, *_ in OPTIONS}
+    merged.update(doc)
+    merged.update((key, value) for key, value in (overrides or {}).items() if value is not None)
+    params, masses = params_from_json({key: merged.get(key) for key in _PARAM_KEYS})
+    options = {}
+    for key, _, kind, accepted in OPTIONS:
+        value = merged[key]
+        if kind is not str:
+            value = _number(value, key, *accepted, integral=kind is int)
+        elif value not in accepted:
+            raise ValidationError(f"{key} must be one of {accepted}, got {value!r}")
+        options[key] = value
+    if options["tolerance"] == 0.0:
         raise ValidationError("tolerance must be positive")
-    fmt = merged.get("format", "json")
-    if fmt not in ("json", "csv"):
-        raise ValidationError("format must be 'json' or 'csv'")
+    if options["format"] == "csv" and options["command"] != "wavefunction":
+        raise ValidationError("format 'csv' is written by the wavefunction command only")
     scan = None
     if merged.get("scan") is not None:
         sdoc = merged["scan"]
@@ -126,9 +129,7 @@ def build_config(doc: dict, overrides: dict | None = None) -> RunConfig:
         scan = (sdoc["param"], _number(sdoc["start"], "scan.start"),
                 _number(sdoc["stop"], "scan.stop"),
                 _number(sdoc["points"], "scan.points", 2, SCAN_POINTS_CAP, True))
-    return RunConfig(command=command, params=params, masses=masses, mode=mode,
-                     n_max=n_max, grid_points=grid_points, x_max=x_max,
-                     tolerance=tolerance, format=fmt, scan=scan)
+    return RunConfig(params=params, masses=masses, scan=scan, **options)
 
 
 def config_echo(config: RunConfig) -> dict:
@@ -136,10 +137,8 @@ def config_echo(config: RunConfig) -> dict:
         "V0": config.params.v0, "alpha": config.params.alpha, "q": config.params.q,
         "regime": config.params.regime.value,
         "m1": config.masses.m1, "m2": config.masses.m2,
-        "command": config.command, "mode": config.mode, "n_max": config.n_max,
-        "grid_points": config.grid_points, "x_max": config.x_max,
-        "tolerance": config.tolerance, "format": config.format,
     }
+    doc.update((key, getattr(config, key)) for key, *_ in OPTIONS)
     if config.scan is not None:
         doc["scan"] = {"param": config.scan[0], "start": config.scan[1],
                        "stop": config.scan[2], "points": config.scan[3]}
@@ -287,43 +286,48 @@ def _aux_dict(aux) -> dict:
     return {key: complex(value) for key, value in fields.items()}
 
 
-def _finite_states(params, masses, n):
-    """bound_states, refusing a closed form that left the float range (no "nan" energies)."""
-    minus, plus = bound_states(params, masses, n)
-    if not (cmath.isfinite(minus.energy) and cmath.isfinite(plus.energy)):
-        raise ValidationError(f"level {n} energy is not finite at these parameters")
-    return minus, plus
+def _level(params, masses, n):
+    """Level n as (entry, states): its output entry and its (minus, plus) BoundStates.
+
+    The entry holds both energies and their physical verdicts. Where
+    bound_states raises a SalpeterError, or its pair is not finite (a closed
+    form that left the float range), the entry records the error as
+    {"n", "error", "message"} and the error stands in place of the states.
+    """
+    try:
+        states = bound_states(params, masses, n)
+        if not all(cmath.isfinite(state.energy) for state in states):
+            raise ValidationError(f"level {n} energy is not finite at these parameters")
+    except SalpeterError as exc:
+        return {"n": n, "error": type(exc).__name__, "message": str(exc)}, exc
+    minus, plus = states
+    return {"n": n, "minus": minus.energy, "plus": plus.energy,
+            "physical_minus": minus.physical, "physical_plus": plus.physical}, states
 
 
 def _cmd_spectrum(config: RunConfig):
-    levels = []
-    failures = 0
+    levels, errors = [], []
     for n in range(config.n_max + 1):
-        try:
-            minus, plus = _finite_states(config.params, config.masses, n)
-        except (NoBoundStateError, ComplexSpectrumError) as exc:
-            levels.append({"n": n, "error": type(exc).__name__, "message": str(exc)})
-            failures += 1
-            continue
-        levels.append({
-            "n": n,
-            "minus": complex(minus.energy), "plus": complex(plus.energy),
-            "physical_minus": minus.physical, "physical_plus": plus.physical,
-            "aux": _aux_dict(minus.aux),
-        })
-    code = 3 if failures == config.n_max + 1 else 0
-    return {"metadata": _metadata(config), "levels": levels}, code
-
-
-def _pick_state(config: RunConfig, n: int):
-    minus, plus = bound_states(config.params, config.masses, n)
-    state = plus if plus.physical or not minus.physical else minus
-    return state
+        entry, states = _level(config.params, config.masses, n)
+        if "error" in entry:
+            errors.append(states)
+        else:
+            entry["aux"] = _aux_dict(states[0].aux)
+        levels.append(entry)
+    none_evaluates = len(errors) == len(levels)
+    invalid = [exc for exc in errors if isinstance(exc, ValidationError)]
+    if none_evaluates and invalid:
+        raise invalid[0]    # a validation failure outranks "no bound state"
+    return {"metadata": _metadata(config), "levels": levels}, 3 if none_evaluates else 0
 
 
 def _cmd_wavefunction(config: RunConfig):
     n = config.n_max
-    state = _pick_state(config, n)
+    _, states = _level(config.params, config.masses, n)
+    if isinstance(states, SalpeterError):
+        raise states
+    minus, plus = states
+    state = plus if plus.physical or not minus.physical else minus
     wf = assemble(config.params, config.masses, state)
     norm_info = {}
     try:
@@ -369,13 +373,9 @@ def _cmd_verify(config: RunConfig):
     else:
         formula = []
         for n in range(config.n_max + 1):
-            try:
-                minus, plus = bound_states(config.params, config.masses, n)
-            except SalpeterError:
-                continue
-            for state in (minus, plus):
-                if state.physical:
-                    formula.append((n, state.branch.value, state.energy.real))
+            entry, states = _level(config.params, config.masses, n)
+            if "error" not in entry:
+                formula += [(n, s.branch.value, s.energy.real) for s in states if s.physical]
         roots = oracle.salpeter_levels(config.params, config.masses)
         used = set()
         for n, branch, e in sorted(formula, key=lambda t: t[2]):
@@ -417,15 +417,8 @@ def _cmd_scan(config: RunConfig):
             entry["error"] = str(exc)
             surface.append(entry)
             continue
-        for n in range(config.n_max + 1):
-            try:
-                minus, plus = _finite_states(params, config.masses, n)
-                entry["levels"].append({"n": n, "minus": complex(minus.energy),
-                                        "plus": complex(plus.energy),
-                                        "physical_minus": minus.physical,
-                                        "physical_plus": plus.physical})
-            except SalpeterError as exc:
-                entry["levels"].append({"n": n, "error": type(exc).__name__})
+        entry["levels"] = [_level(params, config.masses, n)[0]
+                           for n in range(config.n_max + 1)]
         surface.append(entry)
     return {"metadata": _metadata(config), "param": name, "surface": surface}, 0
 
@@ -438,7 +431,7 @@ def _cmd_count(config: RunConfig):
     return payload, 0
 
 
-def _emit(payload, config: RunConfig, out_path):
+def _emit(payload, out_path):
     text = payload if isinstance(payload, str) else dumps_canonical(payload) + "\n"
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
@@ -452,39 +445,38 @@ def _error_exit(exc, code):
     return code
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that raises ValidationError where argparse prints usage and exits 2."""
+
+    def error(self, message):
+        raise ValidationError(message)
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use; parse_args leaves no state in it."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="salpeter",
         description="Spectra and wavefunctions of the generalized-Hulthen spinless "
-                    "Salpeter problem (hbar = c = 1).")
+                    "Salpeter problem (hbar = c = 1). Each option flag overrides its "
+                    "key in the config document.")
     parser.add_argument("--config", required=True, help="JSON parameter document")
-    parser.add_argument("--command", choices=_COMMANDS, default=None)
     parser.add_argument("--out", default=None, help="output path (default stdout)")
-    parser.add_argument("--format", choices=("json", "csv"), default=None)
-    parser.add_argument("--n-max", type=int, default=None, dest="n_max")
-    parser.add_argument("--grid-points", type=int, default=None, dest="grid_points")
-    parser.add_argument("--x-max", type=float, default=None, dest="x_max")
-    parser.add_argument("--tolerance", type=float, default=None,
-                        help="validated and echoed in the output metadata; no command reads it")
-    parser.add_argument("--mode", choices=("salpeter", "nonrelativistic"), default=None)
+    for key, default, kind, accepted in OPTIONS:
+        accepts = " | ".join(accepted) if kind is str else f"[{accepted[0]}, {accepted[1]}]"
+        parser.add_argument("--" + key.replace("_", "-"), dest=key, type=kind,
+                            help=f"{accepts} (default {default})")
     return parser
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
-
     try:
+        args = _parser().parse_args(argv)
         with open(args.config, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
         if not isinstance(doc, dict):
             raise ValidationError("config document must be a JSON object")
-        config = build_config(doc, overrides={
-            "command": args.command, "format": args.format, "n_max": args.n_max,
-            "grid_points": args.grid_points, "x_max": args.x_max,
-            "tolerance": args.tolerance, "mode": args.mode,
-        })
+        config = build_config(doc, {key: getattr(args, key) for key, *_ in OPTIONS})
     except (OSError, json.JSONDecodeError, ValidationError) as exc:
         return _error_exit(exc, 2)
 
@@ -492,7 +484,7 @@ def main(argv=None) -> int:
                 "verify": _cmd_verify, "scan": _cmd_scan, "count": _cmd_count}
     try:
         # numpy's RuntimeWarnings would break the one JSON document on stderr;
-        # _finite_states and the psi check refuse the non-finite results anyway
+        # _level and the psi check refuse the non-finite results anyway
         with np.errstate(all="ignore"):
             payload, code = handlers[config.command](config)
     except ValidationError as exc:
@@ -503,7 +495,7 @@ def main(argv=None) -> int:
         return _error_exit(exc, 3)
     except (SalpeterError, ArithmeticError) as exc:
         return _error_exit(exc, 2)
-    _emit(payload, config, args.out)
+    _emit(payload, args.out)
     if code:
         # a handler's nonzero code means no requested level is bound; the
         # payload holds the per-level errors

@@ -18,6 +18,7 @@ Both branches are always computed; `physical` is a separate documented
 verdict and never silently hides a branch. All formulas use hbar = c = 1.
 """
 
+import cmath
 import enum
 import functools
 from dataclasses import dataclass
@@ -293,6 +294,8 @@ def complex_alpha_energy(params: PotentialParams, m: float, n: int,
                   "requires the ComplexAlpha regime")
     v0, q = params.v0, params.q
     vs = _varsigma(v0, params.alpha, q, n, 1)
+    if vs == 0:
+        raise ComplexSpectrumError("varsigma vanishes; branch undefined")
     pref, lift, disc = _xi_pair(-vs, v0, q, m)
     if strict and not (-lift).real <= (vs * pref * pref).real:
         raise ComplexSpectrumError("case-I reality inequality fails")
@@ -463,7 +466,8 @@ def bound_states(params: PotentialParams, masses: MassConfig, n: int):
         if regime is Regime.REAL:
             phys = _physical_real(params, masses, n, e)
         else:
-            phys = abs(e.imag) <= IM_TOL * (1.0 + abs(e))
+            # cmath, not np.isfinite: the ufunc would cost ~1 us a branch
+            phys = cmath.isfinite(e) and abs(e.imag) <= IM_TOL * (1.0 + abs(e))
         states.append(BoundState(n=n, energy=complex(e), branch=branch, physical=phys,
                                  energy_pair=pair, regime=regime, params=params,
                                  masses=masses))

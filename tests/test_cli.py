@@ -134,6 +134,71 @@ def test_bad_values_exit_2(tmp_path, capsys):
             assert json.loads(capsys.readouterr().err)["error"] == error, (fields, command)
 
 
+@pytest.mark.parametrize("args", [
+    ["--command", "spectrum", "--mode", "foo"],
+    ["--command", "spectrum", "--n-max", "abc"],
+    ["--command", "spectrum", "--format", "xml"],
+    ["--command", "spectrum", "--bogus", "1"],
+    None,                                   # no --config
+], ids=["mode", "n-max", "format", "unknown-flag", "no-config"])
+def test_bad_flags_exit_2_with_one_json_error(tmp_path, capsys, args):
+    # every bad argument takes the path of a bad document: no usage text, no SystemExit
+    if args is None:
+        code = cli.main(["--command", "spectrum"])
+    else:
+        code, _ = run(tmp_path, BASE, *args)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert set(json.loads(captured.err)) == {"error", "message"}
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["spectrum", "verify", "scan", "count"])
+def test_csv_is_refused_outside_wavefunction(tmp_path, capsys, command):
+    doc = {**BASE, "scan": {"param": "V0", "start": 0.85, "stop": 0.95, "points": 3}}
+    code, text = run(tmp_path, doc, "--command", command, "--format", "csv")
+    assert code == 2 and text == ""
+    assert json.loads(capsys.readouterr().err)["error"] == "ValidationError"
+    with pytest.raises(ValidationError):
+        cli.build_config({**doc, "command": command, "format": "csv"})
+
+
+def test_spectrum_keeps_the_levels_that_evaluate(tmp_path, capsys):
+    # varsigma = 0 at n = 0 (see test_spectra): level 0 records the error, level 1 stays
+    doc = {**BASE, "V0": 1e-9, "alpha": 0.5, "q": -1.0, "regime": "ComplexAlpha"}
+    code, text = run(tmp_path, doc, "--command", "spectrum", "--n-max", "1")
+    assert code == 0
+    levels = json.loads(text)["levels"]
+    assert levels[0]["error"] == "ComplexSpectrumError" and levels[0]["message"]
+    assert levels[1]["n"] == 1 and "error" not in levels[1] and "aux" in levels[1]
+
+
+@pytest.mark.parametrize("failing", [{0}, {0, 1}])
+def test_spectrum_records_a_validation_error_per_level(tmp_path, capsys, monkeypatch, failing):
+    # a ValidationError at some levels is recorded like any level error; at
+    # every level it is the command's error, exit 2
+    args = ("--command", "spectrum", "--n-max", "1")
+    _, reference = run(tmp_path, BASE, *args, out="reference.json")
+    bound_states = cli.bound_states
+
+    def refuse(params, masses, n):
+        if n in failing:
+            raise ValidationError(f"level {n} refused")
+        return bound_states(params, masses, n)
+
+    monkeypatch.setattr(cli, "bound_states", refuse)
+    code, text = run(tmp_path, BASE, *args)
+    err = capsys.readouterr().err
+    if failing == {0}:
+        assert code == 0 and err == ""
+        levels = json.loads(text)["levels"]
+        assert levels[0] == {"n": 0, "error": "ValidationError", "message": "level 0 refused"}
+        assert levels[1] == json.loads(reference)["levels"][1]
+    else:
+        assert code == 2 and text == ""
+        assert json.loads(err) == {"error": "ValidationError", "message": "level 0 refused"}
+
+
 def test_wavefunction_csv_schema(tmp_path):
     code, text = run(tmp_path, BASE, "--command", "wavefunction", "--format", "csv",
                      "--n-max", "0", "--grid-points", "8", "--x-max", "12", out="wf.csv")
@@ -430,12 +495,14 @@ def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):
     # the command comes from the document when the flag is absent
     code, text = run(tmp_path, {**BASE, "command": "count"}, out="c.json")
     assert code == 0 and "predicted" in json.loads(text)
-    # a bad --command after a good call is still an argparse exit 2
-    for _ in range(2):
-        with pytest.raises(SystemExit) as exc:
-            run(tmp_path, BASE, "--command", "bogus")
-        assert exc.value.code == 2
+    # a bad --command after a good call is still exit 2 with one JSON error
     capsys.readouterr()
+    for _ in range(2):
+        code, _ = run(tmp_path, BASE, "--command", "bogus")
+        assert code == 2
+        captured = capsys.readouterr()
+        assert json.loads(captured.err)["error"] == "ValidationError"
+        assert captured.out == ""
     code, _ = run(tmp_path, BASE, "--command", "spectrum", out="d.json")
     assert code == 0
 

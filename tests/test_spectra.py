@@ -285,6 +285,28 @@ def test_all_complex_branch_structure():
     assert np.isfinite(pair.minus.real) and np.isfinite(pair.plus.real)
 
 
+def test_complex_alpha_refuses_a_vanishing_varsigma():
+    # 2 q^2 alpha^2 - 2 |q alpha| sqrt(q^2 alpha^2 + V0^2) rounds to 0 at
+    # n = 0, q alpha < 0 and |V0| << |q alpha|: the form would divide by zero,
+    # as all_complex_energy would at a vanishing varsigma-tilde
+    p = PotentialParams(1e-9, 0.5, -1.0, Regime.COMPLEX_ALPHA)
+    assert spectra.spectral_auxiliaries(p, MC1, 0).varsigma == 0
+    for strict in (True, False):
+        with pytest.raises(ComplexSpectrumError):
+            complex_alpha_energy(p, 1.0, 0, strict=strict)
+    assert all(np.isfinite(e) for e in complex_alpha_energy(p, 1.0, 1, strict=False))
+
+
+def test_non_finite_complex_regime_branches_are_not_physical():
+    # xi rounds to 0 here (q alpha < 0, |V0| << |q alpha|), so the pair is
+    # nan -/+ inf i, which the imaginary-part test alone let through as inf <= inf
+    p = PotentialParams(1e-7, 1e5, -0.5, Regime.COMPLEX_V0_Q)
+    with np.errstate(all="ignore"):
+        states = bound_states(p, MC1, 0)
+    assert not any(np.isfinite(s.energy) for s in states)
+    assert not any(s.physical for s in states)
+
+
 def test_all_complex_nu_rerun():
     # re-derive through the reduction quantization with substituted parameters:
     # the energies must satisfy the squared relation for one orientation of
