@@ -14,9 +14,9 @@ Rows keep their order. CSV rows use the same float format.
 
 Exit codes: 0 ok, 2 validation failure (a bad flag or document, an overflow
 or a division by zero in a closed form, or a non-finite wavefunction, at
-extreme inputs included), 3 no bound state for any requested level, 4 oracle
-non-convergence. Every nonzero exit writes a JSON error object to stderr;
-only --help prints usage text.
+extreme inputs included) or an --out path that cannot be written, 3 no bound
+state for any requested level, 4 oracle non-convergence. Every nonzero exit
+writes a JSON error object to stderr; only --help prints usage text.
 """
 
 import argparse
@@ -24,6 +24,8 @@ import cmath
 import functools
 import json
 import math
+import os
+import stat
 import sys
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _encode_str
@@ -432,12 +434,32 @@ def _cmd_count(config: RunConfig):
 
 
 def _emit(payload, out_path):
+    """Write the payload's text to out_path, or to stdout when there is none.
+
+    The file is overwritten in place: opened without O_TRUNC, written from
+    its start, then cut to the new length where fstat shows a regular file
+    (a FIFO or a device such as /dev/null is never truncated). On an
+    existing file this skips the truncation to zero at open, the costly part
+    of the write; the likely mechanism, not traced, is ext4's auto_da_alloc,
+    which starts writeback when a file truncated to zero is closed. The
+    write is neither atomic nor durable (no rename, no fsync): a crash
+    mid-write can leave the old bytes past the new end, where truncating at
+    open left a short file. An unwritable path raises OSError.
+    """
     text = payload if isinstance(payload, str) else dumps_canonical(payload) + "\n"
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
+    if not out_path:
         sys.stdout.write(text)
+        return
+    data = text.encode("utf-8")
+    fd = os.open(out_path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 def _error_exit(exc, code):
@@ -495,7 +517,10 @@ def main(argv=None) -> int:
         return _error_exit(exc, 3)
     except (SalpeterError, ArithmeticError) as exc:
         return _error_exit(exc, 2)
-    _emit(payload, args.out)
+    try:
+        _emit(payload, args.out)
+    except OSError as exc:
+        return _error_exit(exc, 2)
     if code:
         # a handler's nonzero code means no requested level is bound; the
         # payload holds the per-level errors

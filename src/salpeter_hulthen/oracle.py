@@ -195,8 +195,10 @@ def fd_eigenvalues(params: PotentialParams, mu: float, count: int,
     counts only when dpttrf factors T - lo I as LDL^T with positive pivots,
     the sign test of bisection's Sturm count, which proves that no level
     lies at or below lo (else the window starts at the Gershgorin bound).
-    A window that holds fewer than count levels, as when count asks for
-    continuum states of the box, falls back to bisection by index.
+    Where a window holds fewer than count levels, as when count asks for
+    continuum states of the box, the levels above it come from a second
+    window that ends at Weyl's bound on the count-th level (see matrix);
+    bisection by index remains only as a guard.
     """
     if params.regime is not Regime.REAL:
         raise ValidationError("the oracle handles the Real regime only")
@@ -217,7 +219,14 @@ def fd_eigenvalues(params: PotentialParams, mu: float, count: int,
     from scipy.linalg.lapack import dpttrf
 
     def matrix(step):
-        """(diagonal, off-diagonal, Gershgorin lower bound) of the grid at step."""
+        """(diagonal, off-diagonal, Gershgorin lower bound, Weyl upper bound) of the grid at step.
+
+        The upper bound lies above the count-th level: by Weyl's inequality
+        that level is at most the free box's count-th level, (1 - cos(count
+        pi / npts))/(mu step^2), written 2 sin^2(count pi / (2 npts))/(mu
+        step^2) to keep its digits, plus max(v). Eight ulps of ||T|| cover
+        the rounding of the stored matrix and of the Sturm counts.
+        """
         npts = int(round(x_max / step))
         if npts - 1 < count:
             raise ValidationError(f"x_max = {x_max:.6g} at h = {step:.6g} leaves "
@@ -228,25 +237,32 @@ def fd_eigenvalues(params: PotentialParams, mu: float, count: int,
             raise ValidationError("potential is not real on the grid")
         diag = 1.0 / (mu * step * step) + v.real
         hop = -1.0 / (2.0 * mu * step * step)
-        return diag, np.full(npts - 2, hop), np.min(diag) + 2.0 * hop
+        free = 2.0 * math.sin(0.5 * math.pi * count / npts) ** 2 / (mu * step * step)
+        ceiling = free + np.max(v.real) + 8.0 * math.ulp(np.max(np.abs(diag)) - 2.0 * hop)
+        return diag, np.full(npts - 2, hop), np.min(diag) + 2.0 * hop, ceiling
 
-    def lowest(diag, off, lo, hi):
-        """The count lowest levels, lo below them all: those in (lo, hi], else by index."""
-        if lo < hi:
-            vals = eigvalsh_tridiagonal(diag, off, select="v", select_range=(lo, hi))
-            if len(vals) >= count:
-                return vals[:count]
+    def lowest(diag, off, lo, hi, ceiling):
+        """The count lowest levels, lo below them all: those in (lo, hi], then in (hi, ceiling]."""
+        vals = (eigvalsh_tridiagonal(diag, off, select="v", select_range=(lo, hi))
+                if lo < hi else np.empty(0))
+        hi = max(lo, hi)
+        if len(vals) < count and hi < ceiling:
+            more = eigvalsh_tridiagonal(diag, off, select="v", select_range=(hi, ceiling))
+            vals = np.concatenate((vals, more))
+        if len(vals) >= count:
+            return vals[:count]
+        # a guard: the ceiling lies above the count-th level
         return eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, count - 1))
 
-    diag, off, floor = matrix(h)
-    coarse = lowest(diag, off, floor, 0.0)
+    diag, off, floor, ceiling = matrix(h)
+    coarse = lowest(diag, off, floor, 0.0, ceiling)
     bound = 10.0 * max(target, 1e-12)
     margin = 4.0 * bound * max(1.0, np.max(np.abs(coarse)))
-    diag, off, floor = matrix(h / 2.0)
+    diag, off, floor, ceiling = matrix(h / 2.0)
     lo = coarse[0] - margin
     if dpttrf(diag - lo, off)[2] != 0:
         lo = floor
-    fine = lowest(diag, off, lo, coarse[-1] + margin)
+    fine = lowest(diag, off, lo, coarse[-1] + margin, ceiling)
     # |fine - coarse|/3 is the classical error estimate of the fine grid;
     # the extrapolated value below is better still
     estimate = np.max(np.abs(fine - coarse)) / 3.0

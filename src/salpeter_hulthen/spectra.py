@@ -234,6 +234,8 @@ def salpeter_energy_general(params: PotentialParams, masses: MassConfig, n: int,
 
 def _equal_mass_core(v0, alpha, q, m, n, strict):
     xi = _xi(v0, alpha, q, n, 1)
+    if xi == 0:
+        raise ComplexSpectrumError("xi vanishes; branch undefined")
     if strict and abs(xi.imag) > IM_TOL * (1.0 + abs(xi)):
         raise NoBoundStateError("condition q^2 >= (V0/alpha)^2 fails")
     pref, _, disc = _xi_pair(xi, v0, q, m)
@@ -445,21 +447,27 @@ def _physical_real(params, masses, n, energy) -> bool:
 def bound_states(params: PotentialParams, masses: MassConfig, n: int):
     """Both branches as BoundState records, classified but never hidden."""
     regime = params.regime
-    if regime is Regime.REAL:
-        if masses.is_equal:
-            pair = salpeter_energy_equal_mass(params, masses.m1, n, strict=False)
+    try:
+        if regime is Regime.REAL:
+            if masses.is_equal:
+                pair = salpeter_energy_equal_mass(params, masses.m1, n, strict=False)
+            else:
+                pair = salpeter_energy_general(params, masses, n, strict=False)
         else:
-            pair = salpeter_energy_general(params, masses, n, strict=False)
-    else:
-        if not masses.is_equal:
-            raise ValidationError("complex regimes are defined for equal masses only")
-        m = masses.m1
-        if regime is Regime.COMPLEX_ALPHA:
-            pair = complex_alpha_energy(params, m, n, strict=False)
-        elif regime is Regime.COMPLEX_V0_Q:
-            pair = complex_v0q_energy(params, m, n, strict=False)
-        else:
-            pair = all_complex_energy(params, m, n)
+            if not masses.is_equal:
+                raise ValidationError("complex regimes are defined for equal masses only")
+            m = masses.m1
+            if regime is Regime.COMPLEX_ALPHA:
+                pair = complex_alpha_energy(params, m, n, strict=False)
+            elif regime is Regime.COMPLEX_V0_Q:
+                pair = complex_v0q_energy(params, m, n, strict=False)
+            else:
+                pair = all_complex_energy(params, m, n)
+    except ComplexSpectrumError:
+        # a vanishing xi or varsigma can be an underflow, which the snapshot's
+        # float-range check names (a ValidationError) and then outranks
+        _aux_quotients(params, masses)
+        raise
     _aux_quotients(params, masses)     # the snapshot's float-range check; .aux builds it
     states = []
     for branch, e in ((Branch.MINUS, pair.minus), (Branch.PLUS, pair.plus)):

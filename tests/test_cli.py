@@ -81,8 +81,10 @@ def test_cli_import_leaves_out_scipy_linalg_and_integrate():
 
 def test_stderr_is_one_json_document(tmp_path):
     # in a subprocess, since pytest captures warnings in-process; numpy's
-    # RuntimeWarnings from the closed forms once came before the JSON error
-    doc = {"V0": 7.54e-287, "alpha": 1.796, "q": -0.488, "m1": 2.959, "m2": 2.959,
+    # RuntimeWarnings from the closed forms once came before the JSON error;
+    # xi is subnormal here (2e-318), and numpy's complex division lift/xi
+    # overflows with a warning
+    doc = {"V0": 1e-159, "alpha": 1e-159, "q": 1.0, "m1": 1.0, "m2": 1.0,
            "regime": "Real", "command": "spectrum"}
     src = str(Path(cli.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-m", "salpeter_hulthen.cli",
@@ -113,8 +115,9 @@ def test_bad_values_exit_2(tmp_path, capsys):
            {"scan": {**scan, "points": cli.SCAN_POINTS_CAP + 1}},
            # the closed form overflows a float: a JSON error, not a traceback
            {"V0": -0.557, "alpha": 6.4e-142, "q": 0.217, "m1": 2.0, "m2": 3.0},
-           # the closed-form energies are NaN: an error, not "nan" levels
-           {"V0": 7.54e-287, "alpha": 1.796, "q": -0.488, "m1": 2.959, "m2": 2.959},
+           # the closed-form energies are NaN: an error, not "nan" levels (xi is
+           # subnormal, and numpy's complex division lift/xi overflows)
+           {"V0": 1e-159, "alpha": 1e-159, "q": 1.0, "m1": 1.0, "m2": 1.0},
            # a wavefunction that is NaN on the grid: an error, not NaN rows
            {"V0": 8.5e-213, "alpha": 0.3, "q": 1e-12, "regime": "ComplexAlpha", "m1": 3,
             "m2": 3, "mode": "nonrelativistic", "n_max": 3, "format": "csv",
@@ -171,6 +174,29 @@ def test_spectrum_keeps_the_levels_that_evaluate(tmp_path, capsys):
     levels = json.loads(text)["levels"]
     assert levels[0]["error"] == "ComplexSpectrumError" and levels[0]["message"]
     assert levels[1]["n"] == 1 and "error" not in levels[1] and "aux" in levels[1]
+
+
+@pytest.mark.parametrize("regime", ["Real", "ComplexV0Q"])
+def test_spectrum_records_a_vanishing_xi_per_level(tmp_path, regime):
+    # xi = 0 at n = 0 (see test_spectra): level 0 records the closed form's
+    # ComplexSpectrumError, not "energy is not finite", and level 1 stays
+    doc = {**BASE, "V0": 1e-7, "alpha": 1e5, "q": -0.5, "regime": regime}
+    code, text = run(tmp_path, doc, "--command", "spectrum", "--n-max", "1")
+    assert code == 0
+    levels = json.loads(text)["levels"]
+    assert levels[0] == {"n": 0, "error": "ComplexSpectrumError",
+                         "message": "xi vanishes; branch undefined"}
+    assert levels[1]["n"] == 1 and "error" not in levels[1]
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "a-directory"])
+def test_unwritable_out_exits_2_with_one_json_error(tmp_path, capsys, where):
+    out = tmp_path / "missing" / "out.json" if where == "missing-directory" else tmp_path
+    code = cli.main(["--config", write_config(tmp_path, BASE), "--command", "spectrum",
+                     "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert set(json.loads(captured.err)) == {"error", "message"}
 
 
 @pytest.mark.parametrize("failing", [{0}, {0, 1}])
@@ -295,8 +321,9 @@ def test_scan_command(tmp_path):
     surface = json.loads(text)["surface"]
     assert ["error" in e for e in surface] == [True, True, False]
     # a level whose closed-form energy is NaN is a level error, not "nan" output
-    doc = {**BASE, "V0": 7.54e-287, "alpha": 1.796, "q": -0.488, "m1": 2.959, "m2": 2.959,
-           "scan": {"param": "alpha", "start": 1.7, "stop": 1.8, "points": 2}}
+    # (a subnormal xi, as in test_bad_values_exit_2)
+    doc = {**BASE, "V0": 1e-159, "alpha": 1e-159,
+           "scan": {"param": "alpha", "start": 1e-159, "stop": 1e-158, "points": 2}}
     code, text = run(tmp_path, doc, "--command", "scan", "--n-max", "0")
     assert code == 0
     assert "nan" not in text
@@ -481,6 +508,31 @@ def test_output_bytes_match_the_golden_hash(tmp_path, name):
     out = tmp_path / "out"
     assert cli.main(["--config", write_config(tmp_path, doc), "--out", str(out), *args]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("before", ["longer", "shorter", "fresh"])
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_out_file_holds_the_stdout_bytes(tmp_path, capsys, name, before):
+    # --out overwrites in place and then truncates, so whatever the file held
+    # before, it ends up with exactly the bytes the command writes to stdout
+    doc, args, _ = GOLDEN[name]
+    cfg = write_config(tmp_path, doc)
+    assert cli.main(["--config", cfg, *args]) == 0
+    expected = capsys.readouterr().out.encode()
+    out = tmp_path / "out"
+    if before == "longer":
+        out.write_bytes(b"x" * (2 * len(expected) + 4097))
+    elif before == "shorter":
+        out.write_bytes(expected[: len(expected) // 3])
+    assert cli.main(["--config", cfg, "--out", str(out), *args]) == 0
+    assert out.read_bytes() == expected
+
+
+def test_out_dev_null_exits_0(tmp_path, capsys):
+    code = cli.main(["--config", write_config(tmp_path, BASE), "--command", "spectrum",
+                     "--out", os.devnull])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.out == "" and captured.err == ""
 
 
 def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):

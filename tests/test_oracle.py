@@ -154,6 +154,8 @@ def _fd_norm(p, mu, step, x_max):
     ((2.0, 1.0, 1.0), 3, {"h": 0.005}, True),          # 2 box states above the bound level
     ((2.0, 1.0, 1.0), 4, {"h": 0.01, "x_max": 0.05, "target": 1e3}, True),   # 4 interior points
     ((2.0, 1.0, 1.0), 1, {"h": 0.01, "x_max": 0.02, "target": 1e3}, True),   # 1 interior point
+    # a verify box whose ground level lies above 0 (the CLI's h = 0.005/alpha)
+    ((0.655, 0.956, 0.309), 1, {"h": 0.005 / 0.956}, True),
 ])
 def test_fd_value_window_matches_bisection_by_index(monkeypatch, args, count, kwargs, short):
     # The levels by value window against those by index alone, forced by
@@ -180,11 +182,14 @@ def test_fd_value_window_matches_bisection_by_index(monkeypatch, args, count, kw
     coarse = [c[1:] for c in calls if c[0] == coarse_n]
     fine = [c[1:] for c in calls if c[0] != coarse_n]
     # the coarse window (Gershgorin bound, 0] misses the box states above 0,
-    # which bisection by index then finds; the fine window spans the coarse
-    # levels and 4x the two-grid bound, so on every grid pair that passes
-    # the check it holds all count levels at once
+    # which a second window up to Weyl's bound then finds; the fine window
+    # spans the coarse levels and 4x the two-grid bound, so on every grid
+    # pair that passes the check it holds all count levels at once; no call
+    # bisects by index
     assert coarse[0][0] == "v" and (coarse[0][1] < count) == short
-    assert coarse[1:] == ([("i", count)] if short else [])
+    assert len(coarse) == 1 + short
+    if short:
+        assert coarse[1][0] == "v" and coarse[0][1] + coarse[1][1] >= count
     assert len(fine) == 1 and fine[0][0] == "v" and fine[0][1] >= count
     index_only.append(True)
     by_index = oracle.fd_eigenvalues(p, mu, count, **kwargs)

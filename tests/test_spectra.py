@@ -297,10 +297,27 @@ def test_complex_alpha_refuses_a_vanishing_varsigma():
     assert all(np.isfinite(e) for e in complex_alpha_energy(p, 1.0, 1, strict=False))
 
 
+@pytest.mark.parametrize("regime", [Regime.REAL, Regime.COMPLEX_V0_Q])
+def test_equal_mass_form_refuses_a_vanishing_xi(regime):
+    # xi = q alpha (2 q alpha + 2 sqrt(q^2 alpha^2 - V0^2)) rounds to 0 at
+    # n = 0, q alpha < 0 and |V0| << |q alpha|: the form would divide by zero
+    # (nan -/+ inf i), as complex_alpha_energy would at a vanishing varsigma
+    p = PotentialParams(1e-7, 1e5, -0.5, regime)
+    assert spectra._xi(p.v0, p.alpha, p.q, 0, 1) == 0
+    energy = salpeter_energy_equal_mass if regime is Regime.REAL else complex_v0q_energy
+    for strict in (True, False):
+        with pytest.raises(ComplexSpectrumError, match="xi vanishes"):
+            energy(p, 1.0, 0, strict=strict)
+    with pytest.raises(ComplexSpectrumError):
+        bound_states(p, MC1, 0)
+    assert all(np.isfinite(e) for e in energy(p, 1.0, 1, strict=False))
+
+
 def test_non_finite_complex_regime_branches_are_not_physical():
-    # xi rounds to 0 here (q alpha < 0, |V0| << |q alpha|), so the pair is
-    # nan -/+ inf i, which the imaginary-part test alone let through as inf <= inf
-    p = PotentialParams(1e-7, 1e5, -0.5, Regime.COMPLEX_V0_Q)
+    # xi is subnormal here (2e-318), where numpy's complex division lift/xi
+    # overflows (a Python complex gives 2), so the pair is nan -/+ inf i,
+    # which the imaginary-part test alone let through as inf <= inf
+    p = PotentialParams(1e-159, 1e-159, 1.0, Regime.COMPLEX_V0_Q)
     with np.errstate(all="ignore"):
         states = bound_states(p, MC1, 0)
     assert not any(np.isfinite(s.energy) for s in states)
