@@ -41,7 +41,8 @@ from .errors import (
     ValidationError,
 )
 from .potentials import MassConfig, PotentialParams, params_from_json
-from .spectra import bound_states, level_count, nonrelativistic_energy
+from .spectra import (Branch, bound_states, classify_level, level_count, nonrelativistic_energy,
+                      spectral_auxiliaries)
 from .wavefunctions import assemble, evaluate_on_grid, normalization_constant
 
 # Highest accepted n_max: every command loops over n = 0..n_max, and the
@@ -288,33 +289,36 @@ def _aux_dict(aux) -> dict:
     return {key: complex(value) for key, value in fields.items()}
 
 
-def _level(params, masses, n):
-    """Level n as (entry, states): its output entry and its (minus, plus) BoundStates.
+def _check_finite(n, minus, plus):
+    """Refuse a level whose energy pair is not finite (a closed form that left the float range)."""
+    if not (cmath.isfinite(minus) and cmath.isfinite(plus)):
+        raise ValidationError(f"level {n} energy is not finite at these parameters")
 
-    The entry holds both energies and their physical verdicts. Where
-    bound_states raises a SalpeterError, or its pair is not finite (a closed
-    form that left the float range), the entry records the error as
-    {"n", "error", "message"} and the error stands in place of the states.
+
+def _level(params, masses, n):
+    """Level n as (entry, error): its output entry, and the SalpeterError it records or None.
+
+    The entry holds both energies of classify_level and their physical
+    verdicts. Where classify_level raises a SalpeterError, or its pair is
+    not finite, the entry records the error as {"n", "error", "message"}.
     """
     try:
-        states = bound_states(params, masses, n)
-        if not all(cmath.isfinite(state.energy) for state in states):
-            raise ValidationError(f"level {n} energy is not finite at these parameters")
+        pair, (physical_minus, physical_plus) = classify_level(params, masses, n)
+        _check_finite(n, *pair)
     except SalpeterError as exc:
         return {"n": n, "error": type(exc).__name__, "message": str(exc)}, exc
-    minus, plus = states
-    return {"n": n, "minus": minus.energy, "plus": plus.energy,
-            "physical_minus": minus.physical, "physical_plus": plus.physical}, states
+    return {"n": n, "minus": pair.minus, "plus": pair.plus,
+            "physical_minus": physical_minus, "physical_plus": physical_plus}, None
 
 
 def _cmd_spectrum(config: RunConfig):
     levels, errors = [], []
     for n in range(config.n_max + 1):
-        entry, states = _level(config.params, config.masses, n)
-        if "error" in entry:
-            errors.append(states)
+        entry, error = _level(config.params, config.masses, n)
+        if error is not None:
+            errors.append(error)
         else:
-            entry["aux"] = _aux_dict(states[0].aux)
+            entry["aux"] = _aux_dict(spectral_auxiliaries(config.params, config.masses, n))
         levels.append(entry)
     none_evaluates = len(errors) == len(levels)
     invalid = [exc for exc in errors if isinstance(exc, ValidationError)]
@@ -325,10 +329,8 @@ def _cmd_spectrum(config: RunConfig):
 
 def _cmd_wavefunction(config: RunConfig):
     n = config.n_max
-    _, states = _level(config.params, config.masses, n)
-    if isinstance(states, SalpeterError):
-        raise states
-    minus, plus = states
+    minus, plus = bound_states(config.params, config.masses, n)
+    _check_finite(n, minus.energy, plus.energy)
     state = plus if plus.physical or not minus.physical else minus
     wf = assemble(config.params, config.masses, state)
     norm_info = {}
@@ -375,9 +377,11 @@ def _cmd_verify(config: RunConfig):
     else:
         formula = []
         for n in range(config.n_max + 1):
-            entry, states = _level(config.params, config.masses, n)
-            if "error" not in entry:
-                formula += [(n, s.branch.value, s.energy.real) for s in states if s.physical]
+            entry, error = _level(config.params, config.masses, n)
+            if error is None:
+                formula += [(n, branch.value, entry[key].real)
+                            for branch, key in ((Branch.MINUS, "minus"), (Branch.PLUS, "plus"))
+                            if entry["physical_" + key]]
         roots = oracle.salpeter_levels(config.params, config.masses)
         used = set()
         for n, branch, e in sorted(formula, key=lambda t: t[2]):

@@ -191,7 +191,9 @@ def fd_eigenvalues(params: PotentialParams, mu: float, count: int,
     window are the count lowest of all. On the coarse grid the window is
     (Gershgorin bound, 0]. On the fine grid it is the coarse levels widened
     by 4x the two-grid acceptance bound, which holds the fine levels
-    whenever the check below passes at a target under 1/120. Its lower end
+    whenever the check below passes at a target under 1/120; where the
+    coarse windows found a next level, the upper end stops halfway to it,
+    so the continuum states of a long box stay out. Its lower end
     counts only when dpttrf factors T - lo I as LDL^T with positive pivots,
     the sign test of bisection's Sturm count, which proves that no level
     lies at or below lo (else the window starts at the Gershgorin bound).
@@ -242,7 +244,11 @@ def fd_eigenvalues(params: PotentialParams, mu: float, count: int,
         return diag, np.full(npts - 2, hop), np.min(diag) + 2.0 * hop, ceiling
 
     def lowest(diag, off, lo, hi, ceiling):
-        """The count lowest levels, lo below them all: those in (lo, hi], then in (hi, ceiling]."""
+        """The lowest levels, at least count of them, lo below them all.
+
+        Those in (lo, hi], then, where they are fewer than count, those in
+        (hi, ceiling].
+        """
         vals = (eigvalsh_tridiagonal(diag, off, select="v", select_range=(lo, hi))
                 if lo < hi else np.empty(0))
         hi = max(lo, hi)
@@ -250,19 +256,25 @@ def fd_eigenvalues(params: PotentialParams, mu: float, count: int,
             more = eigvalsh_tridiagonal(diag, off, select="v", select_range=(hi, ceiling))
             vals = np.concatenate((vals, more))
         if len(vals) >= count:
-            return vals[:count]
+            return vals
         # a guard: the ceiling lies above the count-th level
         return eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, count - 1))
 
     diag, off, floor, ceiling = matrix(h)
-    coarse = lowest(diag, off, floor, 0.0, ceiling)
+    found = lowest(diag, off, floor, 0.0, ceiling)
+    coarse = found[:count]
     bound = 10.0 * max(target, 1e-12)
     margin = 4.0 * bound * max(1.0, np.max(np.abs(coarse)))
+    top = coarse[-1] + margin
+    if len(found) > count:
+        # below the next coarse level, which in a long box lies within the
+        # margin, as do the continuum box states above it
+        top = min(top, 0.5 * (coarse[-1] + found[count]))
     diag, off, floor, ceiling = matrix(h / 2.0)
     lo = coarse[0] - margin
     if dpttrf(diag - lo, off)[2] != 0:
         lo = floor
-    fine = lowest(diag, off, lo, coarse[-1] + margin, ceiling)
+    fine = lowest(diag, off, lo, top, ceiling)[:count]
     # |fine - coarse|/3 is the classical error estimate of the fine grid;
     # the extrapolated value below is better still
     estimate = np.max(np.abs(fine - coarse)) / 3.0

@@ -8,6 +8,7 @@ keeps every downstream formula input real and the branch decisions auditable.
 """
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,7 +64,7 @@ class PotentialParams:
     regime: Regime = Regime.REAL
 
     def __post_init__(self):
-        if not np.all(np.isfinite((self.v0, self.alpha, self.q))):
+        if not (math.isfinite(self.v0) and math.isfinite(self.alpha) and math.isfinite(self.q)):
             raise ValidationError("V0, alpha and q must be finite")
         if self.alpha == 0.0:
             raise ValidationError("alpha must be nonzero")

@@ -21,6 +21,7 @@ verdict and never silently hides a branch. All formulas use hbar = c = 1.
 import cmath
 import enum
 import functools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -98,12 +99,24 @@ def _b_c_d(eps2_sq, q, n):
 
 
 def _xi_pair(x, v0, q, m):
-    """(pref, lift, disc) of the equal-mass form at X = x, with disc = pref^2 - lift/x."""
+    """(pref, lift, disc) of the equal-mass form at X = x, with disc = pref^2 - lift/x.
+
+    numpy's complex division forms 1/x first, which overflows where x is
+    subnormal (4e-318 / 2e-318 gives inf + nan i). Where the quotient is not
+    finite but both operands are, it is redone with both scaled by one exact
+    power of two, 2^min(-e, 1023) for |x| = f 2^e with f in [1/2, 1); a
+    finite quotient is never redone, so it keeps its bits.
+    """
     try:
         u = x / (2.0 * m * q * v0)
         pref = v0 / (2.0 * q) - 2.0 * m
         lift = (2.0 * m * v0) ** 2 * (1.0 - u + u * u / 4.0)
-        return pref, lift, pref * pref - lift / x
+        quotient = lift / x
+        if not cmath.isfinite(quotient) and x != 0 and cmath.isfinite(lift) \
+                and cmath.isfinite(x):
+            scale = math.ldexp(1.0, min(-math.frexp(abs(x))[1], 1023))
+            quotient = (lift * scale) / (x * scale)
+        return pref, lift, pref * pref - quotient
     except ArithmeticError as exc:
         raise ValidationError(f"equal-mass closed form leaves the float range: {exc}") from exc
 
@@ -181,8 +194,9 @@ def _aux_quotients(params, masses):
     """(eps2^2, beta, (V0/alpha)^2): the quotients of the snapshot whose divisor can underflow.
 
     Raises ValidationError where one does (a = alpha^2/(2 mu) or q alpha^2 is
-    0, as at q = 0): the snapshot's only float-range failures, so bound_states
-    runs this check up front and builds the rest on demand.
+    0, as at q = 0): the snapshot's only float-range failures, so
+    classify_level runs this check up front and BoundState.aux builds the
+    rest on demand.
     """
     v0, alpha, q = params.v0, params.alpha, params.q
     mu, mt = masses.mu, masses.m_tilde
@@ -444,8 +458,20 @@ def _physical_real(params, masses, n, energy) -> bool:
     return bool(eps.real >= -GENUINE_TOL and residual <= GENUINE_TOL * scale)
 
 
-def bound_states(params: PotentialParams, masses: MassConfig, n: int):
-    """Both branches as BoundState records, classified but never hidden."""
+def _physical_complex(energy) -> bool:
+    """A complex regime's verdict: a finite energy, real to IM_TOL."""
+    # cmath, not np.isfinite: the ufunc would cost ~1 us a branch
+    return cmath.isfinite(energy) and abs(energy.imag) <= IM_TOL * (1.0 + abs(energy))
+
+
+def classify_level(params: PotentialParams, masses: MassConfig, n: int):
+    """Level n as (EnergyPair, (physical_minus, physical_plus)): both branches and their verdicts.
+
+    The regime picks the closed form, evaluated without strict existence
+    checks, so both branches are always returned; the float-range check of
+    the spectral_auxiliaries snapshot runs as well, and its ValidationError
+    outranks a closed form's ComplexSpectrumError.
+    """
     regime = params.regime
     try:
         if regime is Regime.REAL:
@@ -469,14 +495,15 @@ def bound_states(params: PotentialParams, masses: MassConfig, n: int):
         _aux_quotients(params, masses)
         raise
     _aux_quotients(params, masses)     # the snapshot's float-range check; .aux builds it
-    states = []
-    for branch, e in ((Branch.MINUS, pair.minus), (Branch.PLUS, pair.plus)):
-        if regime is Regime.REAL:
-            phys = _physical_real(params, masses, n, e)
-        else:
-            # cmath, not np.isfinite: the ufunc would cost ~1 us a branch
-            phys = cmath.isfinite(e) and abs(e.imag) <= IM_TOL * (1.0 + abs(e))
-        states.append(BoundState(n=n, energy=complex(e), branch=branch, physical=phys,
-                                 energy_pair=pair, regime=regime, params=params,
-                                 masses=masses))
-    return tuple(states)
+    if regime is Regime.REAL:
+        return pair, (_physical_real(params, masses, n, pair.minus),
+                      _physical_real(params, masses, n, pair.plus))
+    return pair, (_physical_complex(pair.minus), _physical_complex(pair.plus))
+
+
+def bound_states(params: PotentialParams, masses: MassConfig, n: int):
+    """Both branches as (minus, plus) BoundState records of classify_level, never hidden."""
+    pair, (physical_minus, physical_plus) = classify_level(params, masses, n)
+    common = dict(n=n, energy_pair=pair, regime=params.regime, params=params, masses=masses)
+    return (BoundState(energy=pair.minus, branch=Branch.MINUS, physical=physical_minus, **common),
+            BoundState(energy=pair.plus, branch=Branch.PLUS, physical=physical_plus, **common))

@@ -82,9 +82,8 @@ def test_cli_import_leaves_out_scipy_linalg_and_integrate():
 def test_stderr_is_one_json_document(tmp_path):
     # in a subprocess, since pytest captures warnings in-process; numpy's
     # RuntimeWarnings from the closed forms once came before the JSON error;
-    # xi is subnormal here (2e-318), and numpy's complex division lift/xi
-    # overflows with a warning
-    doc = {"V0": 1e-159, "alpha": 1e-159, "q": 1.0, "m1": 1.0, "m2": 1.0,
+    # u = xi/(2 m q V0) is 1e156 here, and u*u overflows with a warning
+    doc = {"V0": 1e-96, "alpha": 1e30, "q": 1.0, "m1": 1.0, "m2": 1.0,
            "regime": "Real", "command": "spectrum"}
     src = str(Path(cli.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-m", "salpeter_hulthen.cli",
@@ -115,9 +114,9 @@ def test_bad_values_exit_2(tmp_path, capsys):
            {"scan": {**scan, "points": cli.SCAN_POINTS_CAP + 1}},
            # the closed form overflows a float: a JSON error, not a traceback
            {"V0": -0.557, "alpha": 6.4e-142, "q": 0.217, "m1": 2.0, "m2": 3.0},
-           # the closed-form energies are NaN: an error, not "nan" levels (xi is
-           # subnormal, and numpy's complex division lift/xi overflows)
-           {"V0": 1e-159, "alpha": 1e-159, "q": 1.0, "m1": 1.0, "m2": 1.0},
+           # the closed-form energies are NaN: an error, not "nan" levels
+           # (u = xi/(2 m q V0) is 1e156, and u*u overflows)
+           {"V0": 1e-96, "alpha": 1e30, "q": 1.0, "m1": 1.0, "m2": 1.0},
            # a wavefunction that is NaN on the grid: an error, not NaN rows
            {"V0": 8.5e-213, "alpha": 0.3, "q": 1e-12, "regime": "ComplexAlpha", "m1": 3,
             "m2": 3, "mode": "nonrelativistic", "n_max": 3, "format": "csv",
@@ -189,6 +188,39 @@ def test_spectrum_records_a_vanishing_xi_per_level(tmp_path, regime):
     assert levels[1]["n"] == 1 and "error" not in levels[1]
 
 
+@pytest.mark.parametrize("regime", ["Real", "ComplexV0Q"])
+def test_spectrum_evaluates_a_subnormal_xi(tmp_path, regime):
+    # xi = 2e-318 (see test_spectra): the pair is finite, not a level error
+    doc = {**BASE, "V0": 1e-159, "alpha": 1e-159, "q": 1.0, "regime": regime}
+    code, text = run(tmp_path, doc, "--command", "spectrum", "--n-max", "0")
+    assert code == 0
+    level = json.loads(text)["levels"][0]
+    assert "error" not in level
+    assert all(math.isfinite(level[key][part])
+               for key in ("minus", "plus") for part in ("re", "im"))
+
+
+@pytest.mark.parametrize("args, built", [
+    (("--command", "spectrum", "--n-max", "3"), 0),
+    (("--command", "scan", "--n-max", "2"), 0),
+    (("--command", "wavefunction", "--n-max", "1"), 2),
+])
+def test_level_records_are_built_without_bound_states(tmp_path, monkeypatch, args, built):
+    # spectrum and scan write each level from classify_level; wavefunction
+    # builds the one level it assembles, both branches, once
+    from salpeter_hulthen import spectra
+    init, made = spectra.BoundState.__init__, []
+
+    def counting_init(self, *a, **k):
+        made.append(1)
+        init(self, *a, **k)
+
+    monkeypatch.setattr(spectra.BoundState, "__init__", counting_init)
+    doc = {**BASE, "scan": {"param": "V0", "start": 0.45, "stop": 1.35, "points": 20}}
+    code, _ = run(tmp_path, doc, *args)
+    assert code == 0 and len(made) == built
+
+
 @pytest.mark.parametrize("where", ["missing-directory", "a-directory"])
 def test_unwritable_out_exits_2_with_one_json_error(tmp_path, capsys, where):
     out = tmp_path / "missing" / "out.json" if where == "missing-directory" else tmp_path
@@ -205,14 +237,14 @@ def test_spectrum_records_a_validation_error_per_level(tmp_path, capsys, monkeyp
     # every level it is the command's error, exit 2
     args = ("--command", "spectrum", "--n-max", "1")
     _, reference = run(tmp_path, BASE, *args, out="reference.json")
-    bound_states = cli.bound_states
+    classify_level = cli.classify_level
 
     def refuse(params, masses, n):
         if n in failing:
             raise ValidationError(f"level {n} refused")
-        return bound_states(params, masses, n)
+        return classify_level(params, masses, n)
 
-    monkeypatch.setattr(cli, "bound_states", refuse)
+    monkeypatch.setattr(cli, "classify_level", refuse)
     code, text = run(tmp_path, BASE, *args)
     err = capsys.readouterr().err
     if failing == {0}:
@@ -321,9 +353,9 @@ def test_scan_command(tmp_path):
     surface = json.loads(text)["surface"]
     assert ["error" in e for e in surface] == [True, True, False]
     # a level whose closed-form energy is NaN is a level error, not "nan" output
-    # (a subnormal xi, as in test_bad_values_exit_2)
-    doc = {**BASE, "V0": 1e-159, "alpha": 1e-159,
-           "scan": {"param": "alpha", "start": 1e-159, "stop": 1e-158, "points": 2}}
+    # (u*u overflows, as in test_bad_values_exit_2)
+    doc = {**BASE, "V0": 1e-96, "alpha": 1e30,
+           "scan": {"param": "alpha", "start": 1e30, "stop": 1e31, "points": 2}}
     code, text = run(tmp_path, doc, "--command", "scan", "--n-max", "0")
     assert code == 0
     assert "nan" not in text

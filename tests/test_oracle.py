@@ -191,6 +191,12 @@ def test_fd_value_window_matches_bisection_by_index(monkeypatch, args, count, kw
     if short:
         assert coarse[1][0] == "v" and coarse[0][1] + coarse[1][1] >= count
     assert len(fine) == 1 and fine[0][0] == "v" and fine[0][1] >= count
+    if coarse[0][1] + (coarse[1][1] if short else 0) > count:
+        # the fine window stops halfway to the next coarse level, so it
+        # leaves out the continuum states of a long box: at x_max = 400,
+        # (0.125, 0.1, 1) at count 4 has them 1e-4 apart, and the coarse
+        # levels widened by 4x the two-grid bound (4e-3) held 10 of them
+        assert fine[0][1] == count
     index_only.append(True)
     by_index = oracle.fd_eigenvalues(p, mu, count, **kwargs)
     h, x_max = kwargs["h"], kwargs.get("x_max", 25.0 / p.alpha)

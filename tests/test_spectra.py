@@ -314,14 +314,66 @@ def test_equal_mass_form_refuses_a_vanishing_xi(regime):
 
 
 def test_non_finite_complex_regime_branches_are_not_physical():
-    # xi is subnormal here (2e-318), where numpy's complex division lift/xi
-    # overflows (a Python complex gives 2), so the pair is nan -/+ inf i,
-    # which the imaginary-part test alone let through as inf <= inf
-    p = PotentialParams(1e-159, 1e-159, 1.0, Regime.COMPLEX_V0_Q)
+    # u = xi/(2 m q V0) is about 1e154 here and u*u overflows, so lift/xi is
+    # not finite and the pair is nan -/+ inf i, which the imaginary-part test
+    # alone let through as inf <= inf
+    p = PotentialParams(1e4, 1e79, 0.5, Regime.COMPLEX_V0_Q)
     with np.errstate(all="ignore"):
         states = bound_states(p, MC1, 0)
     assert not any(np.isfinite(s.energy) for s in states)
     assert not any(s.physical for s in states)
+
+
+@pytest.mark.parametrize("regime", [Regime.REAL, Regime.COMPLEX_V0_Q])
+def test_subnormal_xi_gives_a_finite_pair(regime):
+    # xi = 2e-318 is subnormal here: numpy's complex division lift/xi forms
+    # 1/xi, which overflows, so the quotient is redone on operands scaled by
+    # an exact power of two; lift/xi is then 2 to the ~20 bits that the
+    # subnormal operands carry, and the pair is -2 -/+ sqrt(2)
+    p = PotentialParams(1e-159, 1e-159, 1.0, regime)
+    with np.errstate(all="ignore"):
+        pair, _ = spectra.classify_level(p, MC1, 0)
+        states = bound_states(p, MC1, 0)
+    assert all(np.isfinite(e) for e in pair)
+    assert [s.energy for s in states] == list(pair)
+    want = -2.0 + np.array([-1.0, 1.0]) * np.sqrt(2.0)
+    np.testing.assert_allclose([e.real for e in pair], want, rtol=1e-5)
+
+
+def _classification_bits(call):
+    """float.hex of both energies and the two verdicts, or the error type and message."""
+    try:
+        pair, verdicts = call()
+    except SalpeterError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return [(e.real.hex(), e.imag.hex()) for e in pair], list(verdicts)
+
+
+def test_classify_level_matches_bound_states():
+    rng = np.random.default_rng(2424)
+    seen = set()
+    for regime in Regime:
+        for _ in range(12):
+            q = float(rng.choice([1.0, 0.5, -1.0, 2.0]))
+            v0 = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-2.0, 1.0))
+            alpha = float(10.0 ** rng.uniform(-1.0, 0.7))
+            if regime is not Regime.REAL:
+                alpha *= float(rng.choice([-1.0, 1.0]))
+            p = PotentialParams(v0, alpha, q, regime)
+            m = float(rng.uniform(0.5, 2.0))
+            for masses in (MassConfig.equal(m), MassConfig(m, float(rng.uniform(0.5, 2.0)))):
+                for n in range(5):
+                    def from_states():
+                        minus, plus = bound_states(p, masses, n)
+                        assert (minus.branch, plus.branch) == (Branch.MINUS, Branch.PLUS)
+                        return ((minus.energy, plus.energy), (minus.physical, plus.physical))
+                    with np.errstate(all="ignore"):
+                        got = _classification_bits(lambda: spectra.classify_level(p, masses, n))
+                        want = _classification_bits(from_states)
+                    assert got == want, (p, masses, n)
+                    seen.add(isinstance(got, str))
+    # both outcomes occur: classified pairs and raised errors
+    assert seen == {False, True}
 
 
 def test_all_complex_nu_rerun():
