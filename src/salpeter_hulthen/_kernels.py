@@ -25,24 +25,28 @@ per-energy log scale. r and g2 r^2 on the step grid do not depend on the
 energy; `step_grid` builds them once for every sweep of a problem.
 
 The numpy step loop costs about the same per step at any batch up to a few
-hundred energies: it is bound by the dispatch of its numpy calls. A block
-whose live batch holds at most NARROW_BATCH energies runs its steps one
-energy at a time in Python floats instead (`_steps_in_floats`), from the
-block's coefficients. It makes the same IEEE float64 multiplies and adds in
-the same order, and numpy and CPython round each one alike, so an energy
-gets the same bits on either path and so in any batch.
+hundred energies: it is bound by the dispatch of its numpy calls. Once the
+live batch holds at most NARROW_BATCH energies, the rest of the sweep runs
+one energy at a time in Python floats instead (`_narrow_tail`). It builds
+the coefficients of CHUNK_BLOCKS blocks at once, with the same block ends,
+and steps each energy through them, rescaling at every block end. It makes
+the same IEEE float64 multiplies and adds in the same order, and numpy and
+CPython round each one alike, so an energy gets the same bits on either
+path and so in any batch.
 
 The Dirichlet mismatch psi(x_max)/peak of a wide sweep is exactly +-1 for
 almost every energy: once the tail is classically forbidden for good and psi
 grows away from zero, psi is its own running peak. In its dirichlet mode the
-kernel checks a certificate of that at each block end (`dirichlet_settled`),
-writes sign(psi) for the energies that pass it and drops them from the
-batch, so the rest of the steps run on the few energies still undecided.
-The certificate reads only values the block already holds, and the result
-is bitwise that of the full integration.
+kernel checks a certificate of that (`dirichlet_settled`) at each block end
+of a wide batch and at each chunk end of a narrow one, writes sign(psi) for
+the energies that pass it and drops them from the batch, so the rest of the
+steps run on the few energies still undecided. The certificate reads only
+values the block already holds, and the result is bitwise that of the full
+integration.
 """
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -50,11 +54,21 @@ import numpy as np
 OVERFLOW_GUARD = 1e100
 BLOCK_STEPS = 16
 FORBIDDEN_MARGIN = 1e-12     # relative margin of the retirement test on g < 0
-# Live batches this narrow step in Python floats (`_steps_in_floats`). A
-# 16-step block costs 74-119 us in numpy at any live batch up to 48, and
-# 27 us + ~4 us per energy in floats (2 cores, numpy 2.4): the two cross at
-# 16-20 energies. On the mismatch sweep 16, 24 and 32 ran alike.
+# Live batches this narrow step in Python floats (`_narrow_tail`). A 16-step
+# block of a 256-step sweep costs 62-102 us in numpy at any live batch from 8
+# to 48, and in floats, CHUNK_BLOCKS blocks to a build, 2.8-3.2 us per
+# energy on top of 2-4 us (2 cores, numpy 2.4): the two cross at 20-26
+# energies. On the mismatch sweep, 24 and 32 against 16 read x1.01 / x0.95
+# and x1.03 / x0.94 at seeds 7 / 11 (medians of 10 interleaved rounds of
+# CPU): no clear gain, so 16 stays.
 NARROW_BATCH = 16
+# Blocks per coefficient build (and dirichlet certificate) of a narrow
+# batch. CPU per mismatch_scan round against one build per block, medians
+# of 10 interleaved rounds at seeds 7 / 11: x0.83 / x0.87 at 4 blocks,
+# x0.79 / x0.87 at 8, x0.79 / x0.85 at 12, x0.79 / x0.86 at 16, and
+# x1.00 / x1.06 for the whole rest of the sweep at once, which builds and
+# lists coefficients for energies that retire early.
+CHUNK_BLOCKS = 8
 
 
 def step_grid(g2, q, alpha, x0, h, nsteps):
@@ -100,9 +114,11 @@ def rk4_sweep(g0s, g1s, grid, u0s, v0s, h, nsteps, *, dirichlet=False):
     where `dirichlet_settled` certifies that the rest of the integration
     ends at psi/peak = sign(psi), and gets exactly that value.
 
-    A block whose live batch holds at most NARROW_BATCH energies steps in
-    Python floats (`_steps_in_floats`), with the bits of the numpy loop;
-    the coefficients, the rescale and the retirement are the same on both.
+    Once the live batch holds at most NARROW_BATCH energies, the rest of the
+    sweep steps in Python floats (`_narrow_tail`), with the bits of the
+    numpy loop: the same coefficients and block ends, and the same rescale.
+    It checks the certificate once per CHUNK_BLOCKS blocks, so an energy may
+    leave the batch a few blocks later, with the same value.
     """
     g0s = np.asarray(g0s, dtype=float)
     g1s = np.asarray(g1s, dtype=float)
@@ -116,35 +132,18 @@ def rk4_sweep(g0s, g1s, grid, u0s, v0s, h, nsteps, *, dirichlet=False):
         rows = np.empty((min(nsteps, 2 * BLOCK_STEPS - 1), u.size))
     else:
         log_scale = np.zeros(u.size)
-    r, g2r2 = (part[:, None] for part in grid)
-    r_end, r_mid = r[:nsteps + 1], r[nsteps + 1:]
-    g2r2_end, g2r2_mid = g2r2[:nsteps + 1], g2r2[nsteps + 1:]
-    one_block = nsteps < 2 * BLOCK_STEPS
-    if one_block:
-        g_all = g0s + g1s * r + g2r2                   # the ends, then the midpoints
+    grid = r, g2r2 = tuple(part[:, None] for part in grid)
     for k in range(0, nsteps, BLOCK_STEPS):
-        n = nsteps - k if nsteps - k < 2 * BLOCK_STEPS else BLOCK_STEPS
-        re = r_end[k:k + n + 1]
-        if one_block:
-            g_end, g_mid = g_all[:n + 1], g_all[n + 1:]
-        else:
-            g_end = g0s + g1s * re + g2r2_end[k:k + n + 1]
-            g_mid = g0s + g1s * r_mid[k:k + n] + g2r2_mid[k:k + n]
-        g_lo, g_hi = g_end[:-1], g_end[1:]
-        a = 1.0 - h * h / 6.0 * (g_lo + 2.0 * g_mid) + h ** 4 / 24.0 * g_mid * g_lo
-        b = h - h ** 3 / 6.0 * g_mid
-        c = -h / 6.0 * (g_lo + 4.0 * g_mid + g_hi) + h ** 3 / 12.0 * g_mid * (g_lo + g_hi)
-        d = 1.0 - h * h / 6.0 * (2.0 * g_mid + g_hi) + h ** 4 / 24.0 * g_mid * g_hi
         if u.size <= NARROW_BATCH:
-            u, v, peak = _steps_in_floats(a, b, c, d, u, v, peak if dirichlet else None)
-        elif dirichlet:
-            for a_k, b_k, c_k, d_k, row in zip(a, b, c, d, rows):
-                u, v = a_k * u + b_k * v, c_k * u + d_k * v
-                np.abs(u, out=row)
+            if not dirichlet:
+                return _narrow_tail(g0s, g1s, grid, h, k, nsteps, u, v, log_scale, False)
+            psi[live] = _narrow_tail(g0s, g1s, grid, h, k, nsteps, u, v, peak, True)
+            return psi
+        n = _block_steps(k, nsteps)
+        g_end, g_mid = _g_rows(g0s, g1s, grid, nsteps, k, k + n)
+        u, v = _wide_steps(_propagators(g_end, g_mid, h), u, v, rows if dirichlet else None)
+        if dirichlet:
             np.maximum(peak, rows[:n].max(axis=0), out=peak)
-        else:
-            for a_k, b_k, c_k, d_k in zip(a, b, c, d):
-                u, v = a_k * u + b_k * v, c_k * u + d_k * v
         m = np.maximum(np.abs(u), np.abs(v))
         mask = m > OVERFLOW_GUARD
         if np.logical_or.reduce(mask):
@@ -155,7 +154,7 @@ def rk4_sweep(g0s, g1s, grid, u0s, v0s, h, nsteps, *, dirichlet=False):
             else:
                 log_scale[mask] += np.log(m[mask])
         if dirichlet:
-            done = dirichlet_settled(g0s, g1s, re[-1], g2r2_end[k + n], g_end[-1], u, v, peak)
+            done = dirichlet_settled(g0s, g1s, r[k + n], g2r2[k + n], g_end[-1], u, v, peak)
             if np.logical_or.reduce(done):
                 psi[live[done]] = np.sign(u[done])
                 keep = ~done
@@ -172,30 +171,115 @@ def rk4_sweep(g0s, g1s, grid, u0s, v0s, h, nsteps, *, dirichlet=False):
     return psi
 
 
-def _steps_in_floats(a, b, c, d, u, v, peak):
-    """(u, v, peak) after a block's steps, one energy at a time in Python floats.
+def _block_steps(k, nsteps):
+    """Steps in the block that starts at step k: the last block takes in a shorter remainder."""
+    return nsteps - k if nsteps - k < 2 * BLOCK_STEPS else BLOCK_STEPS
 
-    a, b, c and d are the block's (steps, batch) coefficients; peak is None
-    outside dirichlet mode. The bits are those of rk4_sweep's numpy loop.
-    The peak can differ from numpy's only once psi is NaN, and psi then
-    stays NaN to the end whatever the peak.
+
+def _g_rows(g0s, g1s, grid, nsteps, lo, hi):
+    """g at the step ends lo..hi and at the midpoints of steps lo..hi-1, (steps, batch) each.
+
+    grid holds (r, g2 r^2) as columns, the step ends and then the midpoints;
+    the rows of a whole sweep are one expression over it.
     """
-    us, vs = u.tolist(), v.tolist()
-    peaks = None if peak is None else peak.tolist()
-    for j, coeffs in enumerate(zip(a.T.tolist(), b.T.tolist(), c.T.tolist(), d.T.tolist())):
-        u_j, v_j = us[j], vs[j]
-        if peaks is None:
-            for a_k, b_k, c_k, d_k in zip(*coeffs):
-                u_j, v_j = a_k * u_j + b_k * v_j, c_k * u_j + d_k * v_j
-        else:
-            top = peaks[j]
-            for a_k, b_k, c_k, d_k in zip(*coeffs):
-                u_j, v_j = a_k * u_j + b_k * v_j, c_k * u_j + d_k * v_j
-                if abs(u_j) > top:
-                    top = abs(u_j)
-            peaks[j] = top
-        us[j], vs[j] = u_j, v_j
-    return np.array(us), np.array(vs), None if peaks is None else np.array(peaks)
+    r, g2r2 = grid
+    if hi - lo == nsteps:
+        g = g0s + g1s * r + g2r2
+        return g[:nsteps + 1], g[nsteps + 1:]
+    ends, mids = slice(lo, hi + 1), slice(nsteps + 1 + lo, nsteps + 1 + hi)
+    return g0s + g1s * r[ends] + g2r2[ends], g0s + g1s * r[mids] + g2r2[mids]
+
+
+def _propagators(g_end, g_mid, h):
+    """The RK4 coefficients (A, B, C, D) of the steps between the rows of g_end."""
+    g_lo, g_hi = g_end[:-1], g_end[1:]
+    return (1.0 - h * h / 6.0 * (g_lo + 2.0 * g_mid) + h ** 4 / 24.0 * g_mid * g_lo,
+            h - h ** 3 / 6.0 * g_mid,
+            -h / 6.0 * (g_lo + 4.0 * g_mid + g_hi) + h ** 3 / 12.0 * g_mid * (g_lo + g_hi),
+            1.0 - h * h / 6.0 * (2.0 * g_mid + g_hi) + h ** 4 / 24.0 * g_mid * g_hi)
+
+
+def _wide_steps(coeffs, u, v, rows):
+    """(psi, psi') after a block's steps in numpy, with |psi| after each step in rows if given.
+
+    The block's coefficients die on return, before the next block builds
+    its own, so a wide batch holds one block's at a time.
+    """
+    if rows is None:
+        for a_k, b_k, c_k, d_k in zip(*coeffs):
+            u, v = a_k * u + b_k * v, c_k * u + d_k * v
+    else:
+        for a_k, b_k, c_k, d_k, row in zip(*coeffs, rows):
+            u, v = a_k * u + b_k * v, c_k * u + d_k * v
+            np.abs(u, out=row)
+    return u, v
+
+
+def _narrow_tail(g0s, g1s, grid, h, k, nsteps, u, v, scale, dirichlet):
+    """The rest of rk4_sweep from block start k, one energy at a time in Python floats.
+
+    scale is the log scale, or in dirichlet mode the running peak. Returns
+    (psi, psi', log_scale), or in dirichlet mode psi/peak, for the batch
+    given. CHUNK_BLOCKS blocks at a time, with the block ends of the numpy
+    loop, it builds g and the coefficients once as numpy rows and lists
+    them; each energy then steps through the chunk's blocks, with the
+    overflow rescale at every block end. The multiplies and adds are the
+    numpy loop's, in its order, and numpy and CPython round each one alike,
+    so the bits are those of the numpy loop. The rescale follows
+    np.maximum: a NaN psi or psi' never rescales. The peak can differ from
+    numpy's only once psi is NaN, and psi then stays NaN to the end
+    whatever the peak.
+
+    In dirichlet mode `dirichlet_settled` runs once per chunk, at its end.
+    That retires an energy up to a chunk later than the numpy loop would,
+    with the same value: the certificate, once it holds at a block end,
+    holds at every later one, and proves that the full integration ends at
+    sign(psi).
+    """
+    us, vs, scales = u.tolist(), v.tolist(), scale.tolist()
+    if dirichlet:
+        psi, live = np.empty(u.size), np.arange(u.size)
+    while k < nsteps and us:
+        blocks = []
+        end = k
+        while end < nsteps and len(blocks) < CHUNK_BLOCKS:
+            blocks.append(_block_steps(end, nsteps))
+            end += blocks[-1]
+        g_end, g_mid = _g_rows(g0s, g1s, grid, nsteps, k, end)
+        coeffs = zip(*(part.T.tolist() for part in _propagators(g_end, g_mid, h)))
+        for j, (a, b, c, d) in enumerate(coeffs):
+            u_j, v_j, s_j = us[j], vs[j], scales[j]
+            steps = zip(a, b, c, d)
+            for n in blocks:
+                if dirichlet:
+                    for a_k, b_k, c_k, d_k in itertools.islice(steps, n):
+                        u_j, v_j = a_k * u_j + b_k * v_j, c_k * u_j + d_k * v_j
+                        if u_j > s_j:
+                            s_j = u_j
+                        elif -u_j > s_j:
+                            s_j = -u_j
+                else:
+                    for a_k, b_k, c_k, d_k in itertools.islice(steps, n):
+                        u_j, v_j = a_k * u_j + b_k * v_j, c_k * u_j + d_k * v_j
+                m = max(abs(u_j), abs(v_j))
+                if m > OVERFLOW_GUARD and u_j == u_j and v_j == v_j:
+                    u_j, v_j = u_j / m, v_j / m
+                    s_j = s_j / m if dirichlet else s_j + float(np.log(m))
+            us[j], vs[j], scales[j] = u_j, v_j, s_j
+        if dirichlet:
+            u, v, peak = np.array(us), np.array(vs), np.array(scales)
+            done = dirichlet_settled(g0s, g1s, grid[0][end], grid[1][end], g_end[-1], u, v, peak)
+            if np.logical_or.reduce(done):
+                psi[live[done]] = np.sign(u[done])
+                keep = ~done
+                live, g0s, g1s = live[keep], g0s[keep], g1s[keep]
+                us, vs, scales = u[keep].tolist(), v[keep].tolist(), peak[keep].tolist()
+        k = end
+    u, v, scale = np.array(us), np.array(vs), np.array(scales)
+    if not dirichlet:
+        return u, v, scale
+    psi[live] = u / np.where(scale == 0.0, 1.0, scale)
+    return psi
 
 
 def dirichlet_settled(g0s, g1s, r_c, g2r2_c, g_c, u, v, peak):

@@ -98,25 +98,34 @@ def _b_c_d(eps2_sq, q, n):
     return b, big_c, (big_c * big_c + 4.0 * eps2_sq) / q
 
 
+def _quotient(num, den):
+    """num/den, which numpy's complex division forms as num times 1/den.
+
+    1/den overflows where den is subnormal (4e-318 / 2e-318 gives inf + nan
+    i). Where the quotient is not finite but both operands are, it is redone
+    with both scaled by one exact power of two, 2^min(-e, 1023) for |den| =
+    f 2^e with f in [1/2, 1); a finite quotient is never redone, so it keeps
+    its bits.
+    """
+    quotient = num / den
+    if not cmath.isfinite(quotient) and den != 0 and cmath.isfinite(num) \
+            and cmath.isfinite(den):
+        scale = math.ldexp(1.0, min(-math.frexp(abs(den))[1], 1023))
+        quotient = (num * scale) / (den * scale)
+    return quotient
+
+
 def _xi_pair(x, v0, q, m):
     """(pref, lift, disc) of the equal-mass form at X = x, with disc = pref^2 - lift/x.
 
-    numpy's complex division forms 1/x first, which overflows where x is
-    subnormal (4e-318 / 2e-318 gives inf + nan i). Where the quotient is not
-    finite but both operands are, it is redone with both scaled by one exact
-    power of two, 2^min(-e, 1023) for |x| = f 2^e with f in [1/2, 1); a
-    finite quotient is never redone, so it keeps its bits.
+    Both quotients, u = x/(2 m q V0) and lift/x, go through `_quotient`, so
+    a subnormal V0 or x leaves a finite pair where the true one is finite.
     """
     try:
-        u = x / (2.0 * m * q * v0)
+        u = _quotient(x, 2.0 * m * q * v0)
         pref = v0 / (2.0 * q) - 2.0 * m
         lift = (2.0 * m * v0) ** 2 * (1.0 - u + u * u / 4.0)
-        quotient = lift / x
-        if not cmath.isfinite(quotient) and x != 0 and cmath.isfinite(lift) \
-                and cmath.isfinite(x):
-            scale = math.ldexp(1.0, min(-math.frexp(abs(x))[1], 1023))
-            quotient = (lift * scale) / (x * scale)
-        return pref, lift, pref * pref - quotient
+        return pref, lift, pref * pref - _quotient(lift, x)
     except ArithmeticError as exc:
         raise ValidationError(f"equal-mass closed form leaves the float range: {exc}") from exc
 

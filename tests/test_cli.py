@@ -200,6 +200,18 @@ def test_spectrum_evaluates_a_subnormal_xi(tmp_path, regime):
                for key in ("minus", "plus") for part in ("re", "im"))
 
 
+@pytest.mark.parametrize("regime", ["Real", "ComplexV0Q"])
+def test_spectrum_evaluates_a_subnormal_v0(tmp_path, regime):
+    # 2 m q V0 = 2e-320 (see test_spectra): the pair is finite, not a level error
+    doc = {**BASE, "V0": 1e-320, "alpha": 1e-161, "q": 1.0, "regime": regime}
+    code, text = run(tmp_path, doc, "--command", "spectrum", "--n-max", "0")
+    assert code == 0
+    level = json.loads(text)["levels"][0]
+    assert "error" not in level
+    assert all(math.isfinite(level[key][part])
+               for key in ("minus", "plus") for part in ("re", "im"))
+
+
 @pytest.mark.parametrize("args, built", [
     (("--command", "spectrum", "--n-max", "3"), 0),
     (("--command", "scan", "--n-max", "2"), 0),

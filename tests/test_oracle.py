@@ -977,22 +977,83 @@ def test_kernel_step_counts_against_reference_integrator(nsteps):
 
 
 @pytest.mark.parametrize("nsteps, blocks", [(1, 1), (15, 1), (16, 1), (18, 1), (31, 1), (32, 2),
-                                            (33, 2), (47, 2), (48, 3)])
+                                            (33, 2), (47, 2), (48, 3), (128, 8), (144, 9),
+                                            (300, 18)])
 def test_last_block_takes_in_a_remainder_shorter_than_a_block(monkeypatch, nsteps, blocks):
-    # the dirichlet mode checks its certificate once per block end; g > 0
-    # keeps every energy in the batch to the end
+    # the dirichlet mode checks its certificate once per block end of a wide
+    # batch, and once per chunk of CHUNK_BLOCKS blocks of a narrow one, at a
+    # block end; g > 0 keeps every energy in the batch to the end
+    h = 0.05
+    grid = step_grid(0.3, 0.5, 1.0, 0.2, h, nsteps)
     ends = []
     settled = _kernels.dirichlet_settled
 
-    def spy(*args):
-        ends.append(settled(*args))
-        return ends[-1]
+    def spy(g0s, g1s, r_c, *args):
+        index, = np.flatnonzero(grid[0][:nsteps + 1] == r_c)     # r falls strictly
+        ends.append(int(index))
+        done = settled(g0s, g1s, r_c, *args)
+        assert not np.any(done)
+        return done
+
+    def sweep(size):
+        ends.clear()
+        g0s, g1s = np.linspace(30.0, 200.0, size), np.resize([1.0, -2.0], size)
+        rk4_sweep(g0s, g1s, grid, np.zeros(size), np.ones(size), h, nsteps, dirichlet=True)
+        return list(ends)
 
     monkeypatch.setattr(_kernels, "dirichlet_settled", spy)
-    g0s, g1s, h = np.array([30.0, 200.0]), np.array([1.0, -2.0]), 0.05
-    rk4_sweep(g0s, g1s, step_grid(0.3, 0.5, 1.0, 0.2, h, nsteps), np.zeros(2), np.ones(2), h,
-              nsteps, dirichlet=True)
-    assert len(ends) == blocks and not np.any(ends)
+    block_ends = sweep(_kernels.NARROW_BATCH + 1)
+    lengths = np.diff([0] + block_ends).tolist()
+    assert len(block_ends) == blocks and block_ends[-1] == nsteps
+    assert lengths[:-1] == [_kernels.BLOCK_STEPS] * (blocks - 1)
+    assert 0 < lengths[-1] < 2 * _kernels.BLOCK_STEPS
+    chunk_ends = sweep(2)
+    assert len(chunk_ends) == math.ceil(blocks / _kernels.CHUNK_BLOCKS)
+    assert chunk_ends == block_ends[_kernels.CHUNK_BLOCKS - 1::_kernels.CHUNK_BLOCKS] + (
+        [nsteps] if blocks % _kernels.CHUNK_BLOCKS else [])
+
+
+@pytest.mark.parametrize("dirichlet", [False, True], ids=["levels", "dirichlet"])
+def test_narrow_chunk_retires_and_rescales_bit_for_bit(monkeypatch, dirichlet):
+    # in the first chunk of a narrow batch, energy 0 passes the certificate
+    # at the first block end, energy 1 (g0 = 0, never certified) crosses
+    # OVERFLOW_GUARD at the third, and energy 2 overflows to inf, which the
+    # rescale turns into NaN; the chunked float path keeps the bits of the
+    # numpy loop, and checks the certificate once per chunk
+    g0s, g1s = np.array([-400.0, 0.0, -400.0]), np.array([0.0, -400.0, 0.0])
+    u0s, v0s = np.array([1.0, 1e95, 1e307]), np.array([1.0, 2e96, 1e307])
+    h, default_batch = 0.01, _kernels.NARROW_BATCH
+    nsteps = 2 * _kernels.CHUNK_BLOCKS * _kernels.BLOCK_STEPS + 5
+
+    def sweep(steps, narrow_batch):
+        monkeypatch.setattr(_kernels, "NARROW_BATCH", narrow_batch)
+        grid = step_grid(0.0, 0.0, 0.1, 0.0, h, steps)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = rk4_sweep(g0s, g1s, grid, u0s, v0s, h, steps, dirichlet=dirichlet)
+        return [[float(x).hex() for x in part] for part in (out if not dirichlet else [out])]
+
+    calls = []
+    settled = _kernels.dirichlet_settled
+
+    def spy(*args):
+        done = settled(*args)
+        calls.append(done.tolist())
+        return done
+
+    monkeypatch.setattr(_kernels, "dirichlet_settled", spy)
+    if not dirichlet:
+        # the guard falls between the second and the third block end
+        assert sweep(2 * _kernels.BLOCK_STEPS, -1)[2][1] == "0x0.0p+0"
+        assert float.fromhex(sweep(3 * _kernels.BLOCK_STEPS, -1)[2][1]) > 0.0
+    wide = sweep(nsteps, -1)
+    assert calls[:1] == ([[True, False, False]] if dirichlet else [])
+    calls.clear()
+    narrow = sweep(nsteps, default_batch)
+    assert narrow == wide
+    assert wide[0][2] == "nan"
+    if dirichlet:
+        assert wide[0][0] == "0x1.0000000000000p+0"
+        assert calls == [[True, False, False], [False, False]]
 
 
 def _series_coefficients(coeffs):
@@ -1216,13 +1277,13 @@ def test_narrow_batches_step_bit_for_bit_as_wide_ones(monkeypatch, v0, alpha, q,
     _, nsteps, _ = prob.steps()
     grid = step_grid(g2, q, alpha, x0, prob.h, nsteps)
     narrow_blocks = []
-    steps_in_floats = _kernels._steps_in_floats
+    narrow_tail = _kernels._narrow_tail
 
     def spy(*args):
-        narrow_blocks.append(np.size(args[4]))
-        return steps_in_floats(*args)
+        narrow_blocks.append(np.size(args[6]))
+        return narrow_tail(*args)
 
-    monkeypatch.setattr(_kernels, "_steps_in_floats", spy)
+    monkeypatch.setattr(_kernels, "_narrow_tail", spy)
     results = []
     for threshold in (-1, size + 1):
         monkeypatch.setattr(_kernels, "NARROW_BATCH", threshold)

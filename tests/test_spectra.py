@@ -340,6 +340,24 @@ def test_subnormal_xi_gives_a_finite_pair(regime):
     np.testing.assert_allclose([e.real for e in pair], want, rtol=1e-5)
 
 
+@pytest.mark.parametrize("regime", [Regime.REAL, Regime.COMPLEX_V0_Q])
+def test_subnormal_v0_gives_a_finite_pair(regime):
+    # 2 m q V0 = 2e-320 is subnormal: u = xi/(2 m q V0) = 4e-322/2e-320 =
+    # 0.02, but numpy's complex division forms 1/(2 m q V0) first, which
+    # overflows, so u is redone on scaled operands; lift/xi is then ~1e-318
+    # and the pair is pref -/+ |pref| with pref = -2
+    p = PotentialParams(1e-320, 1e-161, 1.0, regime)
+    with np.errstate(all="ignore"):
+        pair, _ = spectra.classify_level(p, MC1, 0)
+        states = bound_states(p, MC1, 0)
+        xi = spectra._xi(p.v0, p.alpha, p.q, 0, 1)
+        u = spectra._quotient(xi, 2e-320)
+    assert u == pytest.approx(0.02, rel=1e-2)
+    assert all(np.isfinite(e) for e in pair)
+    assert [s.energy for s in states] == list(pair)
+    np.testing.assert_allclose([e.real for e in pair], [-4.0, 0.0], rtol=0, atol=1e-12)
+
+
 def _classification_bits(call):
     """float.hex of both energies and the two verdicts, or the error type and message."""
     try:
