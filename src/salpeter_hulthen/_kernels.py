@@ -367,12 +367,12 @@ def _frobenius_columns(g):
     if disc < 0:
         raise ValueError("supercritical inverse-square strength at the origin")
     nu = 0.5 * (1.0 + math.sqrt(disc))
-    a = np.empty((len(g) - 2, g.shape[1]))
-    a[0] = 1.0
-    for k, a_k in enumerate(a[1:], 1):
-        np.divide(np.add.reduce(g[1:k + 1] * a[k - 1::-1], axis=0), -(k * (k + 2.0 * nu - 1.0)),
-                  out=a_k)
-    return nu, a
+    # a_k is row -1 - k of rev: a_(k-1), .., a_0 are its last k rows, in order
+    rev = np.empty((len(g) - 2, g.shape[1]))
+    rev[-1] = 1.0
+    for k, a_k in enumerate(list(rev)[-2::-1], 1):
+        np.divide(np.add.reduce(g[1:k + 1] * rev[-k:], 0), -(k * (k + 2.0 * nu - 1.0)), a_k)
+    return nu, rev[::-1].copy()
 
 
 def frobenius_start(g_coeffs, x0: float):

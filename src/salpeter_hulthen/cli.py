@@ -41,8 +41,8 @@ from .errors import (
     ValidationError,
 )
 from .potentials import MassConfig, PotentialParams, params_from_json
-from .spectra import (Branch, bound_states, classify_level, level_count, nonrelativistic_energy,
-                      spectral_auxiliaries)
+from .spectra import (Branch, _aux_quotients, _auxiliaries, bound_states, classify_level,
+                      level_count, nonrelativistic_energy)
 from .wavefunctions import assemble, evaluate_on_grid, normalization_constant
 
 # Highest accepted n_max: every command loops over n = 0..n_max, and the
@@ -312,13 +312,17 @@ def _level(params, masses, n):
 
 
 def _cmd_spectrum(config: RunConfig):
-    levels, errors = [], []
+    levels, errors, quotients = [], [], None
     for n in range(config.n_max + 1):
         entry, error = _level(config.params, config.masses, n)
         if error is not None:
             errors.append(error)
         else:
-            entry["aux"] = _aux_dict(spectral_auxiliaries(config.params, config.masses, n))
+            # a level that evaluates passed classify_level's check of these
+            # quotients, which depend on the parameters and masses alone
+            if quotients is None:
+                quotients = _aux_quotients(config.params, config.masses)
+            entry["aux"] = _aux_dict(_auxiliaries(config.params, config.masses, n, quotients))
         levels.append(entry)
     none_evaluates = len(errors) == len(levels)
     invalid = [exc for exc in errors if isinstance(exc, ValidationError)]
@@ -430,6 +434,14 @@ def _cmd_scan(config: RunConfig):
 
 
 def _cmd_count(config: RunConfig):
+    """The oracle's level count, next to "predicted": the closed form's critical-coupling bound.
+
+    predicted is `spectra.level_count`, the levels n whose energy radicand
+    the bound keeps real. It is a bound, not a count, and can far exceed the
+    true count: at (0.9, 1, 1), (0.135, 0.15, 1) and (0.054, 0.06, 1) at
+    unit masses it reads 2, 13 and 33 where the oracle finds 1, 2 and 4.
+    "oracle" and "oracle_roots" are `oracle.salpeter_levels`'s roots.
+    """
     predicted = level_count(config.params, config.masses.m_tilde / 2.0)
     roots = oracle.salpeter_levels(config.params, config.masses)
     payload = {"metadata": _metadata(config), "predicted": predicted,

@@ -42,6 +42,7 @@ Only the Real regime is handled here; complex regimes are checked through
 algebraic identities instead (see the spectra tests).
 """
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -73,7 +74,8 @@ STEP_ALPHA = 0.01              # default step h alpha of the shooting integrator
 _JOST_K = np.arange(0.0, JOST_TERMS + 1.0).reshape(-1, 1)    # the index k of the Jost terms
 _LADDER = 0.8 * np.arange(-4.5, 5.0)         # the probe pass's offsets in tol: -3.6, -2.8, .., 3.6
 _PROBE_OFFSETS = _LADDER[4:6]                 # a later pass's two probes: -+0.4 tol
-for _row in (_JOST_K, _LADDER):
+_INNER = np.arange(1, POLISH_POINTS) / POLISH_POINTS    # a later pass's uniform points in the bracket
+for _row in (_JOST_K, _LADDER, _INNER):
     _row.flags.writeable = False
 _FOUR_ULPS = 4.0 * np.finfo(float).eps
 
@@ -303,8 +305,11 @@ def _shoot(problem: EffectiveProblem, energies, dirichlet=False):
         # h^4 overflows a float where alpha is tiny
         raise ShootingOverflowError(f"shooting steps leave the float range: {exc}") from exc
     u, v, log_scale = (out, None, None) if dirichlet else out
-    every = np.logical_and.reduce
-    if not (every(np.isfinite(u)) and (dirichlet or every(np.isfinite(v)))):
+    # one test for every entry: the kernel leaves a finite psi or psi' at
+    # most OVERFLOW_GUARD in size and an infinite one only beside a NaN, so
+    # the dot product is finite exactly where all entries are, and it
+    # raises no float flag (the Dirichlet psi/peak is at most 1 or NaN)
+    if not math.isfinite(u.dot(u if dirichlet else v)):
         raise ShootingOverflowError("non-finite shooting mismatch")
     return (g0s, g1s, g2), u, v, log_scale, x_end
 
@@ -327,27 +332,43 @@ def jost_sums(g0s, g1s, g2, q, alpha, x):
     """
     kappa = np.sqrt(-np.asarray(g0s, dtype=float))
     s = math.exp(-alpha * x)
+    multiply, subtract, divide = np.multiply, np.subtract, np.divide
     k_alpha = _JOST_K * alpha
-    den = k_alpha * (2.0 * kappa + k_alpha)           # row k is D_k, D_0 = 0
+    den = 2.0 * kappa + k_alpha
+    multiply(k_alpha, den, den)                       # row k is D_k, D_0 = 0
     # rows k - 1 and k - 2 of these multiply t_{k-1} and t_{k-2} for t_k
-    near = (2.0 * q * den[:-1] - g1s) * s
-    far = (q * q * den[:-2] - g1s * q + g2) * (s * s)
+    near = 2.0 * q * den[:-1]
+    subtract(near, g1s, near)
+    multiply(near, s, near)
+    far = q * q * den[:-2]
+    subtract(far, g1s * q, far)
+    np.add(far, g2, far)
+    multiply(far, s * s, far)
     t = np.empty((JOST_TERMS + 1,) + kappa.shape)
     t[0] = 1.0
     rows = list(t)                                    # views of t, written in place
-    np.divide(near[0], den[1], out=rows[1])
-    for k, near_k, far_k, den_k in zip(range(2, JOST_TERMS + 1), near[1:], far, den[2:]):
-        np.divide(near_k * rows[k - 1] - far_k * rows[k - 2], den_k, out=rows[k])
-    tail = JOST_TERMS * np.abs(t[-1])
-    scale = np.add.reduce(np.abs(t), axis=0)
-    if not np.logical_and.reduce(tail <= JOST_TOL * scale):
-        with np.errstate(all="ignore"):
-            worst = np.max(tail / scale)
-        raise NonConvergentError(
-            f"Jost series not converged at x = {x:.6g}: its last term K |t_K| is {worst:.3g} "
-            f"of sum_k |t_k|, above {JOST_TOL:g}; the series ratio |q| exp(-alpha x) is "
-            f"{abs(q * s):.3g} and the depth of the well adds to it")
-    return kappa, np.add.reduce(t, axis=0), np.add.reduce(_JOST_K * t, axis=0)
+    divide(near[0], den[1], rows[1])
+    # t_k = (near_k t_{k-1} - far_k t_{k-2}) / D_k, each operation written
+    # into buf or row k itself
+    buf = np.empty(kappa.shape)
+    for t_k, t_1, t_2, near_k, far_k, den_k in zip(rows[2:], rows[1:], rows, list(near)[1:],
+                                                   list(far), list(den)[2:]):
+        multiply(near_k, t_1, buf)
+        multiply(far_k, t_2, t_k)
+        subtract(buf, t_k, t_k)
+        divide(t_k, den_k, t_k)
+    tail = JOST_TERMS * np.abs(rows[-1])
+    # sum_k |t_k| >= t_0 = 1: a last term within JOST_TOL passes at once
+    if not np.logical_and.reduce(tail <= JOST_TOL):
+        scale = np.add.reduce(np.abs(t), 0)
+        if not np.logical_and.reduce(tail <= JOST_TOL * scale):
+            with np.errstate(all="ignore"):
+                worst = np.max(tail / scale)
+            raise NonConvergentError(
+                f"Jost series not converged at x = {x:.6g}: its last term K |t_K| is {worst:.3g} "
+                f"of sum_k |t_k|, above {JOST_TOL:g}; the series ratio |q| exp(-alpha x) is "
+                f"{abs(q * s):.3g} and the depth of the well adds to it")
+    return kappa, np.add.reduce(t, 0), np.add.reduce(_JOST_K * t, 0)
 
 
 def _jost_residual(problem: EffectiveProblem, energies):
@@ -424,48 +445,62 @@ def _aim(xs, fs, k, width, lo, hi, f_lo, f_hi, remap=None):
     ends replaces it, as in Brent's method; where that too is not finite,
     the midpoint.
     """
-    first = np.minimum(np.maximum(k - width // 2 + 1, 0), xs.shape[1] - width)
-    diag = np.arange(width)
-    cols = first[:, None] + diag
+    first = np.minimum(np.maximum(k - (width // 2 - 1), 0), xs.shape[1] - width)
+    cols = first[:, None] + np.arange(width)
     rows = np.arange(k.size)[:, None] if len(xs) > 1 else 0
     x, f = xs[rows, cols], fs[rows, cols]
     with np.errstate(all="ignore"):
         ratio = f[:, None, :] / (f[:, None, :] - f[:, :, None])    # [i, j] = f_j/(f_j - f_i)
-        ratio[:, diag, diag] = 1.0
+        ratio.reshape(len(ratio), width * width)[:, ::width + 1] = 1.0     # the diagonal
         est = x[:, 0] + np.add.reduce((x - x[:, :1]) * np.multiply.reduce(ratio, axis=2), axis=1)
         est = est if remap is None else remap(est)
         falsi = lo - f_lo * (hi - lo) / (f_hi - f_lo)
-    est = np.where(np.isfinite(est) & (lo < est) & (est < hi), est, falsi)
+    # strictly inside the bracket is finite too
+    est = np.where((lo < est) & (est < hi), est, falsi)
     return np.where(np.isfinite(est), est, 0.5 * (lo + hi))
 
 
-def _narrow(residual, brackets, todo, energies):
+def _narrow(residual, brackets, todo, ends, energies, ascending=False):
     """One pass over the open brackets todo; returns the residual at energies.
 
-    brackets is (lo, hi, f_lo, f_hi), updated in place; row k of energies
-    lies inside bracket todo[k]. Per bracket the pass keeps the first
-    subinterval of the sorted energies whose ends differ in sign; an
-    interior value of exactly zero is the root itself, a bracket of zero
-    width.
+    brackets is (lo, hi, f_lo, f_hi), updated in place, and ends are its
+    entries at todo as columns. Row k of energies lies inside bracket
+    todo[k]; it is sorted here, stably, unless ascending says it already
+    ascends. Per bracket the pass keeps the first subinterval of the sorted
+    energies whose ends differ in sign; an interior value of exactly zero is
+    the root itself, a bracket of zero width.
     """
     lo, hi, f_lo, f_hi = brackets
-    rows = np.arange(todo.size)
-    a, b, fa, fb = lo[todo, None], hi[todo, None], f_lo[todo, None], f_hi[todo, None]
+    a, b, fa, fb = ends
     values = residual(energies.ravel()).reshape(energies.shape)
-    order = rows[:, None], np.argsort(energies, axis=1, kind="stable")
-    edges = np.concatenate((a, energies[order], b), axis=1)
-    fs = np.concatenate((fa, values[order], fb), axis=1)
-    # an interior value leaving the lower end's sign ends the kept
-    # subinterval; with none, the last subinterval is kept
-    interior = fs[:, 1:-1]
-    leaves = (interior == 0.0) | (np.sign(interior) != np.sign(fa))
-    k = np.where(np.logical_or.reduce(leaves, axis=1), leaves.argmax(axis=1), leaves.shape[1])
-    new_hi, new_f_hi = edges[rows, k + 1], fs[rows, k + 1]
+    interior = energies, values
+    if not ascending:
+        order = np.arange(todo.size)[:, None], np.argsort(energies, axis=1, kind="stable")
+        interior = energies[order], values[order]
+    edges = np.concatenate((a, interior[0], b), axis=1)
+    fs = np.concatenate((fa, interior[1], fb), axis=1)
+    # the kept subinterval ends at the first interior value without the
+    # lower end's sign (zero, the other sign or NaN); with none, it is the
+    # last subinterval. k is its index, i its lower end's in the flat rows
+    k = np.add.reduce(np.logical_and.accumulate(interior[1] * np.sign(fa) > 0.0, 1), 1)
+    i = np.arange(0, edges.size, edges.shape[1]) + k
+    new_hi, new_f_hi = edges.take(i + 1), fs.take(i + 1)
     zero = new_f_hi == 0.0
-    lo[todo] = np.where(zero, new_hi, edges[rows, k])
-    f_lo[todo] = np.where(zero, 0.0, fs[rows, k])
+    lo[todo] = np.where(zero, new_hi, edges.take(i))
+    f_lo[todo] = np.where(zero, 0.0, fs.take(i))
     hi[todo], f_hi[todo] = new_hi, new_f_hi
     return values
+
+
+def _open(lo, hi, todo):
+    """(the entries of todo whose brackets [lo, hi] are still open, their closing widths tol).
+
+    tol is ROOT_XTOL, or 4 eps |E| where that is wider, as a column.
+    """
+    lo, hi = lo[todo], hi[todo]
+    tol = ROOT_XTOL + _FOUR_ULPS * np.maximum(np.abs(lo), np.abs(hi))
+    rows = (hi - lo > tol).nonzero()[0]
+    return todo[rows], tol[rows, None]
 
 
 def _polish(residual, lo, hi, f_lo, f_hi, centre):
@@ -496,53 +531,61 @@ def _polish(residual, lo, hi, f_lo, f_hi, centre):
     bracket); until then each pass after the probe pass shrinks it at least
     about POLISH_POINTS-fold, so the probes never cost a pass: 1 + P passes
     at most, where P is the plain multisection's count from the widest
-    bracket.
+    bracket. The open test runs once after each pass, on the brackets that
+    pass took; where it leaves none open, as after most probe passes, the
+    polish returns at once, without building the next pass's stencil.
     """
     brackets = lo, hi, f_lo, f_hi = [np.array(v, dtype=float) for v in (lo, hi, f_lo, f_hi)]
     centre = np.array(centre, dtype=float)
-    inner = np.empty(0)                                 # the probe pass has no uniform points
-    stencil = None                                      # the last pass's, a row per bracket it took
-    while True:
-        tol = ROOT_XTOL + _FOUR_ULPS * np.maximum(np.abs(lo), np.abs(hi))
-        todo = np.flatnonzero(hi - lo > tol)
-        if todo.size == 0:
-            return 0.5 * (lo + hi)
-        if stencil is not None:
-            # only the brackets still open are aimed; a closed one never reopens
-            last, xs, fs, k, width = stencil
-            rows = np.searchsorted(last, todo)
-            centre[todo] = _aim(xs[rows], fs[rows], k[rows], width,
-                                lo[todo], hi[todo], f_lo[todo], f_hi[todo])
-        a, b, fa, fb = lo[todo, None], hi[todo, None], f_lo[todo, None], f_hi[todo, None]
-        grid = a + (b - a) * inner
-        offsets, width = (_PROBE_OFFSETS, 4) if inner.size else (_LADDER, 3)
-        probes = np.minimum(np.maximum(centre[todo, None] + offsets * tol[todo, None], a), b)
-        values = _narrow(residual, brackets, todo, np.concatenate((grid, probes), axis=1))
-        # a row of the bracket's ends around the pass's uniform points, or
-        # around the ladder's two outermost rungs
-        if inner.size:
-            xs, fs = grid, values[:, :-2]
+    todo, tol = _open(lo, hi, np.arange(lo.size))
+    ladder = True                                       # the first pass, the probe pass
+    while todo.size:
+        ends = a, b, fa, fb = lo[todo, None], hi[todo, None], f_lo[todo, None], f_hi[todo, None]
+        if ladder:
+            # the rungs ascend, and clipping keeps them in order
+            probes = np.minimum(np.maximum(centre[todo, None] + _LADDER * tol, a), b)
+            values = _narrow(residual, brackets, todo, ends, probes, True)
+            # the bracket's ends around the ladder's two outermost rungs
+            xs, fs, width = probes[:, ::_LADDER.size - 1], values[:, ::_LADDER.size - 1], 3
+            ladder = False
         else:
-            xs, fs = probes[:, ::_LADDER.size - 1], values[:, ::_LADDER.size - 1]
-        xs = np.concatenate((a, xs, b), axis=1)
-        fs = np.concatenate((fa, fs, fb), axis=1)
-        # columns k and k + 1 of the row hold the kept subinterval (or, in a
-        # gap of the ladder, enclose it)
-        stencil = todo, xs, fs, np.add.reduce(xs <= lo[todo, None], axis=1) - 1, width
-        inner = np.arange(1, POLISH_POINTS) / POLISH_POINTS
+            grid = a + (b - a) * _INNER
+            probes = np.minimum(np.maximum(centre[todo, None] + _PROBE_OFFSETS * tol, a), b)
+            values = _narrow(residual, brackets, todo, ends, np.concatenate((grid, probes), axis=1))
+            # the bracket's ends around the pass's uniform points
+            xs, fs, width = grid, values[:, :-2], 4
+        last = todo
+        todo, tol = _open(lo, hi, todo)
+        if todo.size:
+            # only the brackets still open are aimed; a closed one never
+            # reopens. Columns k and k + 1 of a row hold the kept
+            # subinterval (or, in a gap of the ladder, enclose it)
+            rows = np.searchsorted(last, todo)
+            xs = np.concatenate((a, xs, b), axis=1)[rows]
+            fs = np.concatenate((fa, fs, fb), axis=1)[rows]
+            k = np.add.reduce(xs <= lo[todo, None], 1) - 1
+            centre[todo] = _aim(xs, fs, k, width, lo[todo], hi[todo], f_lo[todo], f_hi[todo])
+    return 0.5 * (lo + hi)
 
 
+@functools.lru_cache(maxsize=32)
 def _scan_grid(lo, hi, m_tilde):
-    """(theta, E) of the SCAN_POINTS scan energies, E ascending from lo to hi.
+    """(theta, E, sin theta) of the SCAN_POINTS scan energies, E ascending from lo to hi.
 
     The angles are uniform, with E = -2 m_tilde sin^2(theta/2), which does
-    not cancel near E = 0; the ends are pinned to exactly lo and hi.
+    not cancel near E = 0; the ends are pinned to exactly lo and hi. sin
+    theta scales the Jost function (`salpeter_levels`). The arrays are
+    read-only and built once per window and m_tilde, in a bounded cache:
+    every search at the same masses scans the same default window.
     """
     ends = 2.0 * np.arcsin(np.sqrt(np.array([lo, hi]) / (-2.0 * m_tilde)))
     thetas = np.linspace(ends[0], ends[1], SCAN_POINTS)
     energies = -2.0 * m_tilde * np.sin(0.5 * thetas) ** 2
     energies[0], energies[-1] = lo, hi
-    return thetas, energies
+    grid = thetas, energies, np.sin(thetas)
+    for part in grid:
+        part.flags.writeable = False
+    return grid
 
 
 def salpeter_levels(params: PotentialParams, masses: MassConfig, window=None,
@@ -571,7 +614,10 @@ def salpeter_levels(params: PotentialParams, masses: MassConfig, window=None,
     residual. A level search takes the scan, the probe pass and at most P
     later passes, the plain multisection's count from the widest scan step
     (P = 5 from the default window at unit masses): 2 + P kernel calls at
-    worst, each serving all brackets at once.
+    worst, each serving all brackets at once. Most searches end after the
+    probe pass, whose ladders close every bracket, and a scan without a sign
+    change ends the search after the scan. The scan grid (theta, E and
+    sin theta) is built once per window and m_tilde (`_scan_grid`).
     The window must lie inside (-2 m_tilde, 0), where g0 < 0 and the tail
     decays. x_max is the matching point, by default `matching_point(params,
     masses, h)`: the step end nearest the origin where the Jost series
@@ -593,12 +639,14 @@ def salpeter_levels(params: PotentialParams, masses: MassConfig, window=None,
     if x_max <= 0.0:
         x_max = matching_point(params, masses, h)
     problem = EffectiveProblem(params, masses, x_max=x_max, h=h)
-    thetas, energies = _scan_grid(lo, hi, mt)
+    thetas, energies, sines = _scan_grid(lo, hi, mt)
     values = _jost_residual(problem, energies)
     # a scan value of exactly zero is a root: a bracket of zero width
     zero = values[:-1] == 0.0
     i = np.flatnonzero(zero | (np.sign(values[:-1]) * np.sign(values[1:]) < 0))
-    jost = values * np.exp(-math.sqrt(masses.mu * mt) * np.sin(thetas) * problem.steps()[2])
+    if not i.size:
+        return []
+    jost = values * np.exp(-math.sqrt(masses.mu * mt) * sines * problem.steps()[2])
     centre = _aim(thetas[None], jost[None], i, SCAN_STENCIL, energies[i], energies[i + 1],
                   jost[i], jost[i + 1], lambda theta: -2.0 * mt * np.sin(0.5 * theta) ** 2)
     return _polish(lambda e: _jost_residual(problem, e), energies[i],

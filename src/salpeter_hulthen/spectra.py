@@ -44,6 +44,9 @@ class EnergyPair(NamedTuple):
     plus: complex
 
 
+_SMALLEST_SAFE_DIVISOR = 2.0 ** -1023   # numpy's 1/den cannot overflow where |den| exceeds it
+
+
 def _csqrt(x):
     return np.sqrt(complex(x))
 
@@ -102,17 +105,39 @@ def _quotient(num, den):
     """num/den, which numpy's complex division forms as num times 1/den.
 
     1/den overflows where den is subnormal (4e-318 / 2e-318 gives inf + nan
-    i). Where the quotient is not finite but both operands are, it is redone
+    i). Where the quotient is not finite but both operands are, it is taken
     with both scaled by one exact power of two, 2^min(-e, 1023) for |den| =
     f 2^e with f in [1/2, 1); a finite quotient is never redone, so it keeps
-    its bits.
+    its bits. Where the operands show that 1/den overflows, the direct
+    quotient, which cannot be finite, is not formed at all, so no
+    RuntimeWarning is raised: |den| above 2^-1023 rules that out at once,
+    and below it the divisor that numpy inverts is formed as numpy forms it
+    (`_smith_divisor`).
     """
+    if abs(den) <= _SMALLEST_SAFE_DIVISOR and den != 0 and cmath.isfinite(num) \
+            and not math.isfinite(1.0 / _smith_divisor(den)):
+        return _scaled_quotient(num, den)
     quotient = num / den
     if not cmath.isfinite(quotient) and den != 0 and cmath.isfinite(num) \
             and cmath.isfinite(den):
-        scale = math.ldexp(1.0, min(-math.frexp(abs(den))[1], 1023))
-        quotient = (num * scale) / (den * scale)
+        quotient = _scaled_quotient(num, den)
     return quotient
+
+
+def _scaled_quotient(num, den):
+    """num/den with both scaled by 2^min(-e, 1023), |den| = f 2^e, f in [1/2, 1)."""
+    scale = math.ldexp(1.0, min(-math.frexp(abs(den))[1], 1023))
+    return (num * scale) / (den * scale)
+
+
+def _smith_divisor(den):
+    """c + d (d/c) for den = c + d i with |c| >= |d|, else d + c (c/d): numpy divides by its inverse.
+
+    In Python floats, which round alike and do not warn; den is finite and
+    nonzero.
+    """
+    c, d = float(den.real), float(den.imag)
+    return c + d * (d / c) if abs(c) >= abs(d) else d + c * (c / d)
 
 
 def _xi_pair(x, v0, q, m):
@@ -185,8 +210,13 @@ class SpectralAuxiliaries:
 
 def spectral_auxiliaries(params: PotentialParams, masses: MassConfig, n: int) -> SpectralAuxiliaries:
     """Snapshot of every auxiliary combination (complex square roots allowed)."""
+    return _auxiliaries(params, masses, n, _aux_quotients(params, masses))
+
+
+def _auxiliaries(params, masses, n, quotients) -> SpectralAuxiliaries:
+    """spectral_auxiliaries from quotients = `_aux_quotients(params, masses)`, already taken."""
     v0, alpha, q = params.v0, params.alpha, params.q
-    eps2_sq, beta, ratio = _aux_quotients(params, masses)
+    eps2_sq, beta, ratio = quotients
     b, big_c, big_d = _b_c_d(eps2_sq, q, n)
     return SpectralAuxiliaries(
         b=b, big_c=big_c, big_d=big_d, xi=_xi(v0, alpha, q, n, 1),
@@ -424,11 +454,13 @@ def quantization_residual(params: PotentialParams, masses: MassConfig, n: int, e
     mu, mt = masses.mu, masses.m_tilde
     a = alpha * alpha / (2.0 * mu)
     e = complex(energy)
-    eps = _csqrt(-(e + e * e / (2.0 * mt)) / a)
+    eps = complex(_csqrt(-(e + e * e / (2.0 * mt)) / a))
     eps1 = v0 / a
     eps2_sq = v0 * v0 / (2.0 * mt * a)
     eps3 = v0 * e / (mt * a)
-    _, big_c, big_d = _b_c_d(eps2_sq, q, n)
+    # in Python complex arithmetic, which rounds as numpy's scalars do but
+    # does not warn where eps overflows (a subnormal a)
+    big_c, big_d = (complex(z) for z in _b_c_d(eps2_sq, q, n)[1:])
     residual = abs(eps1 + eps3 - big_d / 4.0 - big_c * eps)
     return residual, eps
 

@@ -25,6 +25,7 @@ from salpeter_hulthen.errors import (
     NonConvergentError,
     NotConvergedError,
     PoleOnGridError,
+    ShootingOverflowError,
     StepTooCoarseError,
     ValidationError,
 )
@@ -492,8 +493,14 @@ def test_scan_is_uniform_in_angle():
     # window's, so kappa = sqrt(mu m_tilde) sin(theta) is uniform at threshold
     mc = MassConfig(0.8, 1.3)
     lo, hi = -2.0 * mc.m_tilde + 1e-8, -1e-8
-    thetas, energies = oracle._scan_grid(lo, hi, mc.m_tilde)
+    thetas, energies, sines = oracle._scan_grid(lo, hi, mc.m_tilde)
     assert energies.size == oracle.SCAN_POINTS
+    # sin theta as the Jost scaling takes it; built once per window and
+    # m_tilde, read-only
+    assert sines.tobytes() == np.sin(thetas).tobytes()
+    assert all(part is again for part, again in
+               zip((thetas, energies, sines), oracle._scan_grid(lo, hi, mc.m_tilde)))
+    assert not any(part.flags.writeable for part in (thetas, energies, sines))
     assert (energies[0], energies[-1]) == (lo, hi)
     assert np.all(np.diff(energies) > 0)
     np.testing.assert_allclose(np.diff(thetas), np.diff(thetas)[0], rtol=1e-9)
@@ -1230,6 +1237,26 @@ def test_mismatch_sweep_bits_off_q1_are_pinned():
     assert digest.hexdigest() == "4c27b587704ce8f58c80d4652d5df87c6a518965762f182c9d283aad71e836aa"
 
 
+def test_salpeter_levels_bits_are_pinned():
+    # one draw from each perfbench oracle_verify box (q = 1 shallow and
+    # empty, multi-level at alpha 0.15, masses (0.8, 1.3), q = 0.5 and
+    # q = -1), at h = 0.049/alpha and at the default step; the digest was
+    # recorded before the level search's setup and polish were trimmed
+    cases = [((0.945, 1.0, 1.0), (1.0, 1.0)), ((0.6, 0.85, 1.0), (1.0, 1.0)),
+             ((0.1395, 0.15, 1.0), (1.0, 1.0)), ((0.915, 1.0, 1.0), (0.8, 1.3)),
+             ((3.8, 1.0, 0.5), (1.0, 1.0)), ((6.25, 1.0, -1.0), (1.0, 1.0))]
+    digest = hashlib.sha256()
+    counts = []
+    for params, masses in cases:
+        p = PotentialParams(*params)
+        for h in (0.049 / p.alpha, 0.0):
+            roots = oracle.salpeter_levels(p, MassConfig(*masses), h=h)
+            counts.append(len(roots))
+            digest.update(" ".join(float(r).hex() for r in roots).encode() + b";")
+    assert counts == [1, 1, 0, 0, 2, 2, 1, 1, 1, 1, 1, 1]
+    assert digest.hexdigest() == "aba97a61005c18b01c7be5a13a35c610e21e113f9116a0df314e13de895df6ed"
+
+
 def test_opposite_signs_with_an_underflowing_product_do_not_retire(monkeypatch):
     # steps of 1e-20 leave psi = 1e-200 = peak and psi' = -1e-200 as they
     # are in a forbidden region; psi * psi' underflows to -0.0, but the
@@ -1307,6 +1334,32 @@ def test_mismatch_sweep_refuses_non_finite_energies(bad, size):
     energies[size // 2] = bad
     with pytest.raises(ValidationError, match="finite"):
         oracle.mismatch_sweep(PotentialParams(1.5, 1.0, 0.5), MC1, energies)
+
+
+@pytest.mark.parametrize("dirichlet", [False, True])
+def test_shoot_refuses_every_non_finite_kernel_result(monkeypatch, dirichlet):
+    # the kernel leaves finite values at most OVERFLOW_GUARD in size and an
+    # inf only beside a NaN (a rescale turns inf into NaN); _shoot's one dot
+    # product must raise exactly where an entry is not finite, and raise
+    # nothing else (RuntimeWarnings are errors here)
+    problem = oracle.EffectiveProblem(PotentialParams(1.5, 1.0, 0.5), MC1)
+    g = OVERFLOW_GUARD
+    finite = ([g, -g, 1.0], [-g, g, 0.0])
+    cases = [(finite, False), (([g, np.nan, 1.0], [-g, 0.0, 0.0]), True),
+             (([g, -g, 0.0], [np.nan, g, 1.0]), True),
+             (([np.inf, 1.0, 0.0], [np.nan, g, 1.0]), True),
+             (([1.0, -np.inf, 0.0], [g, np.nan, 1.0]), True)]
+    if dirichlet:
+        cases = [(([1.0, -1.0, 0.25], None), False), (([1.0, np.nan, 0.0], None), True)]
+    for (u, v), refused in cases:
+        def kernel(*args, dirichlet=False, u=u, v=v):
+            return np.array(u) if dirichlet else (np.array(u), np.array(v), np.zeros(3))
+        monkeypatch.setattr(oracle, "rk4_sweep", kernel)
+        if refused:
+            with pytest.raises(ShootingOverflowError, match="non-finite"):
+                oracle._shoot(problem, [-0.5, -0.4, -0.3], dirichlet=dirichlet)
+        else:
+            oracle._shoot(problem, [-0.5, -0.4, -0.3], dirichlet=dirichlet)
 
 
 @pytest.mark.parametrize("q", [1.0, 0.5])

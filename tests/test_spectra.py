@@ -327,13 +327,14 @@ def test_non_finite_complex_regime_branches_are_not_physical():
 @pytest.mark.parametrize("regime", [Regime.REAL, Regime.COMPLEX_V0_Q])
 def test_subnormal_xi_gives_a_finite_pair(regime):
     # xi = 2e-318 is subnormal here: numpy's complex division lift/xi forms
-    # 1/xi, which overflows, so the quotient is redone on operands scaled by
+    # 1/xi, which overflows, so the quotient is taken on operands scaled by
     # an exact power of two; lift/xi is then 2 to the ~20 bits that the
     # subnormal operands carry, and the pair is -2 -/+ sqrt(2)
     p = PotentialParams(1e-159, 1e-159, 1.0, regime)
-    with np.errstate(all="ignore"):
-        pair, _ = spectra.classify_level(p, MC1, 0)
-        states = bound_states(p, MC1, 0)
+    # no np.errstate: the scaled division is taken without a direct one
+    # first, so no RuntimeWarning is raised
+    pair, _ = spectra.classify_level(p, MC1, 0)
+    states = bound_states(p, MC1, 0)
     assert all(np.isfinite(e) for e in pair)
     assert [s.energy for s in states] == list(pair)
     want = -2.0 + np.array([-1.0, 1.0]) * np.sqrt(2.0)
@@ -344,14 +345,14 @@ def test_subnormal_xi_gives_a_finite_pair(regime):
 def test_subnormal_v0_gives_a_finite_pair(regime):
     # 2 m q V0 = 2e-320 is subnormal: u = xi/(2 m q V0) = 4e-322/2e-320 =
     # 0.02, but numpy's complex division forms 1/(2 m q V0) first, which
-    # overflows, so u is redone on scaled operands; lift/xi is then ~1e-318
+    # overflows, so u is taken on scaled operands; lift/xi is then ~1e-318
     # and the pair is pref -/+ |pref| with pref = -2
     p = PotentialParams(1e-320, 1e-161, 1.0, regime)
-    with np.errstate(all="ignore"):
-        pair, _ = spectra.classify_level(p, MC1, 0)
-        states = bound_states(p, MC1, 0)
-        xi = spectra._xi(p.v0, p.alpha, p.q, 0, 1)
-        u = spectra._quotient(xi, 2e-320)
+    # no np.errstate, as above
+    pair, _ = spectra.classify_level(p, MC1, 0)
+    states = bound_states(p, MC1, 0)
+    xi = spectra._xi(p.v0, p.alpha, p.q, 0, 1)
+    u = spectra._quotient(xi, 2e-320)
     assert u == pytest.approx(0.02, rel=1e-2)
     assert all(np.isfinite(e) for e in pair)
     assert [s.energy for s in states] == list(pair)
