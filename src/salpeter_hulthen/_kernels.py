@@ -1,48 +1,43 @@
 """Fixed-step RK4 shooting kernel.
 
-The sweep over trial energies is the only hot loop in the package. It is a
-numpy loop over the steps, vectorized over the energy batch, so a batch of
-240 energies costs little more than a single one. Every function here takes
-the batch as a 1-D array (g0, g1 and the start state one entry per energy);
-the oracle module flattens the caller's energies and restores their shape.
-The batch shares r(x) on the step grid and, at q = 1, the Frobenius series'
-order and indicial root.
+The sweep over trial energies is the only hot loop in the package. Every
+function here takes the batch as a 1-D array (g0, g1 and the start state
+one entry per energy); the oracle module flattens the caller's energies and
+restores their shape. The batch shares r(x) on the step grid and, at q = 1,
+the Frobenius series' order and indicial root. r and g2 r^2 on the step
+grid do not depend on the energy; `step_grid` builds them once for every
+sweep of a problem.
 
 psi'' = -g psi is linear, so one classical RK4 step is exactly a 2x2 matrix
-per energy, built from g at the step's start, midpoint and end. The kernel
-builds these propagators a block of steps at a time, each coefficient one
-numpy expression over a (steps, batch) array, which leaves the step loop
-with one matrix-vector product per step (and, for the Dirichlet mismatch,
-one |psi| row for the running peak). Blocks start every BLOCK_STEPS steps,
-and the last one takes in any remainder shorter than that, so a sweep of
-fewer than 2 BLOCK_STEPS steps builds its coefficients once. The blocks are
-counted in steps, not elements: the overflow rescale, and the peak, are
-applied at block ends, which then fall on the same step indices for any
-batch size, so each energy in a batch gives the same bits as that energy
-alone; the block's arrays stay small whatever the batch. Otherwise the
-solution is left unnormalized and each rescale is carried out as a
-per-energy log scale. r and g2 r^2 on the step grid do not depend on the
-energy; `step_grid` builds them once for every sweep of a problem.
+per energy, built from g at the step's start, midpoint and end. The steps
+fall into blocks of BLOCK_STEPS, the last one taking in any remainder
+shorter than that, so a sweep of fewer than 2 BLOCK_STEPS steps is one
+block. `rk4_sweep` walks the sweep a chunk of blocks per pass: it builds
+the chunk's matrices as one numpy expression per coefficient over a
+(steps, batch) array and hands them to one of two steppers. While the live
+batch is wider than NARROW_BATCH a chunk is one block, stepped in numpy
+(`_numpy_steps`): one matrix-vector product per step over the batch, which
+costs about the same at any batch up to a few hundred energies, as it is
+bound by the dispatch of its numpy calls. Once the batch is narrow a chunk
+is CHUNK_BLOCKS blocks, stepped one energy at a time in Python floats
+(`_float_steps`). Both make the same IEEE float64 multiplies and adds in
+the same order, and numpy and CPython round each one alike, so an energy
+gets the same bits on either path.
 
-The numpy step loop costs about the same per step at any batch up to a few
-hundred energies: it is bound by the dispatch of its numpy calls. Once the
-live batch holds at most NARROW_BATCH energies, the rest of the sweep runs
-one energy at a time in Python floats instead (`_narrow_tail`). It builds
-the coefficients of CHUNK_BLOCKS blocks at once, with the same block ends,
-and steps each energy through them, rescaling at every block end. It makes
-the same IEEE float64 multiplies and adds in the same order, and numpy and
-CPython round each one alike, so an energy gets the same bits on either
-path and so in any batch.
+The overflow rescale, and for the Dirichlet mismatch the running peak of
+|psi|, are applied at block ends. These fall on the same step indices for
+any batch size, so each energy in a batch gives the same bits as that
+energy alone. Otherwise the solution is left unnormalized and each rescale
+is carried out as a per-energy log scale.
 
 The Dirichlet mismatch psi(x_max)/peak of a wide sweep is exactly +-1 for
 almost every energy: once the tail is classically forbidden for good and psi
 grows away from zero, psi is its own running peak. In its dirichlet mode the
-kernel checks a certificate of that (`dirichlet_settled`) at each block end
-of a wide batch and at each chunk end of a narrow one, writes sign(psi) for
-the energies that pass it and drops them from the batch, so the rest of the
-steps run on the few energies still undecided. The certificate reads only
-values the block already holds, and the result is bitwise that of the full
-integration.
+kernel checks a certificate of that (`dirichlet_settled`) at each chunk end,
+writes sign(psi) for the energies that pass it and drops them from the
+batch, so the rest of the steps run on the few energies still undecided.
+The certificate reads only values the chunk already holds, and the result
+is bitwise that of the full integration.
 """
 
 import functools
@@ -54,7 +49,7 @@ import numpy as np
 OVERFLOW_GUARD = 1e100
 BLOCK_STEPS = 16
 FORBIDDEN_MARGIN = 1e-12     # relative margin of the retirement test on g < 0
-# Live batches this narrow step in Python floats (`_narrow_tail`). A 16-step
+# Live batches this narrow step in Python floats (`_float_steps`). A 16-step
 # block of a 256-step sweep costs 62-102 us in numpy at any live batch from 8
 # to 48, and in floats, CHUNK_BLOCKS blocks to a build, 2.8-3.2 us per
 # energy on top of 2-4 us (2 cores, numpy 2.4): the two cross at 20-26
@@ -110,15 +105,16 @@ def rk4_sweep(g0s, g1s, grid, u0s, v0s, h, nsteps, *, dirichlet=False):
     inside the 1e208 left above the guard unless |g| h^2 exceeds ~1e4; the
     oracle's steps have it near 1e-4.
 
-    With dirichlet=True, an energy leaves the batch at the first block end
-    where `dirichlet_settled` certifies that the rest of the integration
-    ends at psi/peak = sign(psi), and gets exactly that value.
-
-    Once the live batch holds at most NARROW_BATCH energies, the rest of the
-    sweep steps in Python floats (`_narrow_tail`), with the bits of the
-    numpy loop: the same coefficients and block ends, and the same rescale.
-    It checks the certificate once per CHUNK_BLOCKS blocks, so an energy may
-    leave the batch a few blocks later, with the same value.
+    Each pass of the loop takes one chunk of blocks: one block, stepped in
+    numpy, while the live batch holds more than NARROW_BATCH energies, and
+    up to CHUNK_BLOCKS blocks, stepped in Python floats, once it holds
+    fewer; the bits are the same either way. With dirichlet=True, an energy
+    leaves the batch at the first chunk end where `dirichlet_settled`
+    certifies that the rest of the integration ends at psi/peak =
+    sign(psi), and gets exactly that value: the certificate, once it holds
+    at a block end, holds at every later one, so a narrow batch, checked
+    once per chunk, may retire an energy a few blocks later, with the same
+    value.
     """
     g0s = np.asarray(g0s, dtype=float)
     g1s = np.asarray(g1s, dtype=float)
@@ -128,52 +124,44 @@ def rk4_sweep(g0s, g1s, grid, u0s, v0s, h, nsteps, *, dirichlet=False):
     if dirichlet:
         psi = np.empty(u.size)       # filled as energies leave the batch
         live = np.arange(u.size)
-        peak = np.abs(u)
+        scale = np.abs(u)            # the running peak
         rows = np.empty((min(nsteps, 2 * BLOCK_STEPS - 1), u.size))
     else:
-        log_scale = np.zeros(u.size)
+        scale = np.zeros(u.size)     # the log scale
+        rows = None
     grid = r, g2r2 = tuple(part[:, None] for part in grid)
-    for k in range(0, nsteps, BLOCK_STEPS):
-        if u.size <= NARROW_BATCH:
-            if not dirichlet:
-                return _narrow_tail(g0s, g1s, grid, h, k, nsteps, u, v, log_scale, False)
-            psi[live] = _narrow_tail(g0s, g1s, grid, h, k, nsteps, u, v, peak, True)
-            return psi
-        n = _block_steps(k, nsteps)
-        g_end, g_mid = _g_rows(g0s, g1s, grid, nsteps, k, k + n)
-        u, v = _wide_steps(_propagators(g_end, g_mid, h), u, v, rows if dirichlet else None)
+    k = 0
+    while k < nsteps and u.size:
+        wide = u.size > NARROW_BATCH
+        blocks = _chunk(k, nsteps, 1 if wide else CHUNK_BLOCKS)
+        end = k + sum(blocks)
+        g_end, g_mid = _g_rows(g0s, g1s, grid, nsteps, k, end)
+        if wide:
+            u, v = _numpy_steps(_propagators(g_end, g_mid, h), u, v, scale, rows)
+        else:
+            u, v, scale = _float_steps(_propagators(g_end, g_mid, h), blocks, u, v, scale,
+                                       dirichlet)
         if dirichlet:
-            np.maximum(peak, rows[:n].max(axis=0), out=peak)
-        m = np.maximum(np.abs(u), np.abs(v))
-        mask = m > OVERFLOW_GUARD
-        if np.logical_or.reduce(mask):
-            u[mask] /= m[mask]
-            v[mask] /= m[mask]
-            if dirichlet:
-                peak[mask] /= m[mask]
-            else:
-                log_scale[mask] += np.log(m[mask])
-        if dirichlet:
-            done = dirichlet_settled(g0s, g1s, r[k + n], g2r2[k + n], g_end[-1], u, v, peak)
+            done = dirichlet_settled(g0s, g1s, r[end], g2r2[end], g_end[-1], u, v, scale)
             if np.logical_or.reduce(done):
                 psi[live[done]] = np.sign(u[done])
                 keep = ~done
-                live, u, v, peak = live[keep], u[keep], v[keep], peak[keep]
-                g0s, g1s = g0s[keep], g1s[keep]
-                rows = rows[:, :live.size]
-                if live.size == 0:
-                    break
-        if k + n == nsteps:
-            break
+                live, u, v, scale = live[keep], u[keep], v[keep], scale[keep]
+                g0s, g1s, rows = g0s[keep], g1s[keep], rows[:, :live.size]
+        k = end
     if not dirichlet:
-        return u, v, log_scale
-    psi[live] = u / np.where(peak == 0.0, 1.0, peak)
+        return u, v, scale
+    psi[live] = u / np.where(scale == 0.0, 1.0, scale)
     return psi
 
 
-def _block_steps(k, nsteps):
-    """Steps in the block that starts at step k: the last block takes in a shorter remainder."""
-    return nsteps - k if nsteps - k < 2 * BLOCK_STEPS else BLOCK_STEPS
+def _chunk(k, nsteps, blocks):
+    """Lengths of up to `blocks` blocks from step k, the last taking in a shorter remainder."""
+    lengths = []
+    while k < nsteps and len(lengths) < blocks:
+        lengths.append(nsteps - k if nsteps - k < 2 * BLOCK_STEPS else BLOCK_STEPS)
+        k += lengths[-1]
+    return lengths
 
 
 def _g_rows(g0s, g1s, grid, nsteps, lo, hi):
@@ -199,11 +187,13 @@ def _propagators(g_end, g_mid, h):
             1.0 - h * h / 6.0 * (2.0 * g_mid + g_hi) + h ** 4 / 24.0 * g_mid * g_hi)
 
 
-def _wide_steps(coeffs, u, v, rows):
-    """(psi, psi') after a block's steps in numpy, with |psi| after each step in rows if given.
+def _numpy_steps(coeffs, u, v, scale, rows):
+    """(psi, psi') after one block's steps in numpy, then the block-end peak and rescale.
 
-    The block's coefficients die on return, before the next block builds
-    its own, so a wide batch holds one block's at a time.
+    scale is the log scale, or with rows (the dirichlet mode's buffer for
+    |psi| after each step) the running peak; it is updated in place. The
+    block's coefficients die on return, before the next block builds its
+    own, so a wide batch holds one block's at a time.
     """
     if rows is None:
         for a_k, b_k, c_k, d_k in zip(*coeffs):
@@ -212,74 +202,52 @@ def _wide_steps(coeffs, u, v, rows):
         for a_k, b_k, c_k, d_k, row in zip(*coeffs, rows):
             u, v = a_k * u + b_k * v, c_k * u + d_k * v
             np.abs(u, out=row)
+        np.maximum(scale, rows[:len(coeffs[0])].max(axis=0), out=scale)
+    m = np.maximum(np.abs(u), np.abs(v))
+    mask = m > OVERFLOW_GUARD
+    if np.logical_or.reduce(mask):
+        u[mask] /= m[mask]
+        v[mask] /= m[mask]
+        if rows is None:
+            scale[mask] += np.log(m[mask])
+        else:
+            scale[mask] /= m[mask]
     return u, v
 
 
-def _narrow_tail(g0s, g1s, grid, h, k, nsteps, u, v, scale, dirichlet):
-    """The rest of rk4_sweep from block start k, one energy at a time in Python floats.
+def _float_steps(coeffs, blocks, u, v, scale, dirichlet):
+    """(psi, psi', scale) after a chunk's blocks, one energy at a time in Python floats.
 
-    scale is the log scale, or in dirichlet mode the running peak. Returns
-    (psi, psi', log_scale), or in dirichlet mode psi/peak, for the batch
-    given. CHUNK_BLOCKS blocks at a time, with the block ends of the numpy
-    loop, it builds g and the coefficients once as numpy rows and lists
-    them; each energy then steps through the chunk's blocks, with the
-    overflow rescale at every block end. The multiplies and adds are the
-    numpy loop's, in its order, and numpy and CPython round each one alike,
-    so the bits are those of the numpy loop. The rescale follows
-    np.maximum: a NaN psi or psi' never rescales. The peak can differ from
-    numpy's only once psi is NaN, and psi then stays NaN to the end
-    whatever the peak.
-
-    In dirichlet mode `dirichlet_settled` runs once per chunk, at its end.
-    That retires an energy up to a chunk later than the numpy loop would,
-    with the same value: the certificate, once it holds at a block end,
-    holds at every later one, and proves that the full integration ends at
-    sign(psi).
+    blocks are the chunk's block lengths and coeffs their coefficients;
+    scale is the log scale, or in dirichlet mode the running peak. Each
+    energy steps through the blocks with the overflow rescale at every
+    block end. The multiplies and adds are those of `_numpy_steps`, in its
+    order, and numpy and CPython round each one alike, so the bits are
+    those of the numpy loop. The rescale follows np.maximum: a NaN psi or
+    psi' never rescales. The peak can differ from numpy's only once psi is
+    NaN, and psi then stays NaN to the end whatever the peak.
     """
     us, vs, scales = u.tolist(), v.tolist(), scale.tolist()
-    if dirichlet:
-        psi, live = np.empty(u.size), np.arange(u.size)
-    while k < nsteps and us:
-        blocks = []
-        end = k
-        while end < nsteps and len(blocks) < CHUNK_BLOCKS:
-            blocks.append(_block_steps(end, nsteps))
-            end += blocks[-1]
-        g_end, g_mid = _g_rows(g0s, g1s, grid, nsteps, k, end)
-        coeffs = zip(*(part.T.tolist() for part in _propagators(g_end, g_mid, h)))
-        for j, (a, b, c, d) in enumerate(coeffs):
-            u_j, v_j, s_j = us[j], vs[j], scales[j]
-            steps = zip(a, b, c, d)
-            for n in blocks:
-                if dirichlet:
-                    for a_k, b_k, c_k, d_k in itertools.islice(steps, n):
-                        u_j, v_j = a_k * u_j + b_k * v_j, c_k * u_j + d_k * v_j
-                        if u_j > s_j:
-                            s_j = u_j
-                        elif -u_j > s_j:
-                            s_j = -u_j
-                else:
-                    for a_k, b_k, c_k, d_k in itertools.islice(steps, n):
-                        u_j, v_j = a_k * u_j + b_k * v_j, c_k * u_j + d_k * v_j
-                m = max(abs(u_j), abs(v_j))
-                if m > OVERFLOW_GUARD and u_j == u_j and v_j == v_j:
-                    u_j, v_j = u_j / m, v_j / m
-                    s_j = s_j / m if dirichlet else s_j + float(np.log(m))
-            us[j], vs[j], scales[j] = u_j, v_j, s_j
-        if dirichlet:
-            u, v, peak = np.array(us), np.array(vs), np.array(scales)
-            done = dirichlet_settled(g0s, g1s, grid[0][end], grid[1][end], g_end[-1], u, v, peak)
-            if np.logical_or.reduce(done):
-                psi[live[done]] = np.sign(u[done])
-                keep = ~done
-                live, g0s, g1s = live[keep], g0s[keep], g1s[keep]
-                us, vs, scales = u[keep].tolist(), v[keep].tolist(), peak[keep].tolist()
-        k = end
-    u, v, scale = np.array(us), np.array(vs), np.array(scales)
-    if not dirichlet:
-        return u, v, scale
-    psi[live] = u / np.where(scale == 0.0, 1.0, scale)
-    return psi
+    for j, (a, b, c, d) in enumerate(zip(*(part.T.tolist() for part in coeffs))):
+        u_j, v_j, s_j = us[j], vs[j], scales[j]
+        steps = zip(a, b, c, d)
+        for n in blocks:
+            if dirichlet:
+                for a_k, b_k, c_k, d_k in itertools.islice(steps, n):
+                    u_j, v_j = a_k * u_j + b_k * v_j, c_k * u_j + d_k * v_j
+                    if u_j > s_j:
+                        s_j = u_j
+                    elif -u_j > s_j:
+                        s_j = -u_j
+            else:
+                for a_k, b_k, c_k, d_k in itertools.islice(steps, n):
+                    u_j, v_j = a_k * u_j + b_k * v_j, c_k * u_j + d_k * v_j
+            m = max(abs(u_j), abs(v_j))
+            if m > OVERFLOW_GUARD and u_j == u_j and v_j == v_j:
+                u_j, v_j = u_j / m, v_j / m
+                s_j = s_j / m if dirichlet else s_j + float(np.log(m))
+        us[j], vs[j], scales[j] = u_j, v_j, s_j
+    return np.array(us), np.array(vs), np.array(scales)
 
 
 def dirichlet_settled(g0s, g1s, r_c, g2r2_c, g_c, u, v, peak):

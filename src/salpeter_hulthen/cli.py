@@ -345,7 +345,7 @@ def _cmd_wavefunction(config: RunConfig):
     except SalpeterError as exc:
         norm_info["error"] = type(exc).__name__
         norm_info["message"] = str(exc)
-    x_max = config.x_max if config.x_max > 0 else 25.0 / config.params.alpha
+    x_max = config.x_max if config.x_max > 0 else 25.0 / abs(config.params.alpha)
     xs = np.linspace(0.0, x_max, config.grid_points)
     psi = evaluate_on_grid(wf, xs)
     if not np.all(np.isfinite(psi)):

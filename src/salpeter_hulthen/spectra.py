@@ -496,7 +496,10 @@ def _physical_real(params, masses, n, energy) -> bool:
         return False
     residual, eps = quantization_residual(params, masses, n, e)
     scale = 1.0 + abs(e) + abs(eps)
-    return bool(eps.real >= -GENUINE_TOL and residual <= GENUINE_TOL * scale)
+    # a finite residual: where eps overflows (a subnormal a) residual and
+    # scale are both inf, and inf <= inf would pass
+    return bool(eps.real >= -GENUINE_TOL and residual <= GENUINE_TOL * scale
+                and math.isfinite(residual))
 
 
 def _physical_complex(energy) -> bool:

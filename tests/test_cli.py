@@ -291,6 +291,18 @@ def test_wavefunction_json_normalization(tmp_path):
     assert len(payload["psi"]) == 50
 
 
+def test_wavefunction_default_grid_stays_on_the_half_line_at_negative_alpha(tmp_path):
+    # ComplexAlpha allows alpha < 0; the default grid runs to 25/|alpha|
+    doc = {**BASE, "alpha": -1.0, "regime": "ComplexAlpha"}
+    args = ("--command", "wavefunction", "--n-max", "0", "--grid-points", "3")
+    code, text = run(tmp_path, doc, *args)
+    assert code == 0
+    assert json.loads(text)["grid"] == [0, 12.5, 25]
+    code, text = run(tmp_path, doc, *args, "--format", "csv", out="wf.csv")
+    assert code == 0
+    assert [row.split(",")[0] for row in text.splitlines()[1:]] == ["0", "12.5", "25"]
+
+
 def test_verify_nonrelativistic(tmp_path):
     doc = {**BASE, "V0": 2.0, "mode": "nonrelativistic"}
     code, text = run(tmp_path, doc, "--command", "verify", "--n-max", "1")

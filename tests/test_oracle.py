@@ -1290,10 +1290,12 @@ def test_opposite_signs_with_an_underflowing_product_do_not_retire(monkeypatch):
     (0.054, 0.06, 1.0, (0.0, 0.0)),
     (250.0, 1.0, 0.0, (0.0, 0.0)),
 ], ids=["q=1", "q=0.5", "q=0", "q=-1", "rescaled-box", "small-alpha", "deep-250"])
-@pytest.mark.parametrize("size", [0, 1, _kernels.NARROW_BATCH, _kernels.NARROW_BATCH + 1])
+@pytest.mark.parametrize("size", [0, 1, _kernels.NARROW_BATCH, _kernels.NARROW_BATCH + 1, 64])
 def test_narrow_batches_step_bit_for_bit_as_wide_ones(monkeypatch, v0, alpha, q, box, size):
     # every block of the batch steps in numpy (a threshold below any batch),
-    # then every block steps in Python floats (a threshold above the batch):
+    # then every block steps in Python floats (a threshold above the batch),
+    # then the default threshold, where a Dirichlet batch of 64 steps in
+    # numpy until retirements leave it narrow and in floats after that:
     # (psi, psi', log_scale) and the Dirichlet psi keep every bit
     p = PotentialParams(v0, alpha, q)
     x_max, h = box
@@ -1303,24 +1305,36 @@ def test_narrow_batches_step_bit_for_bit_as_wide_ones(monkeypatch, v0, alpha, q,
     x0, u0s, v0s = prob.start_state(energies)
     _, nsteps, _ = prob.steps()
     grid = step_grid(g2, q, alpha, x0, prob.h, nsteps)
-    narrow_blocks = []
-    narrow_tail = _kernels._narrow_tail
+    calls, default = [], _kernels.NARROW_BATCH
+    for name in ("_numpy_steps", "_float_steps"):
+        def spy(*args, name=name, stepper=getattr(_kernels, name)):
+            calls.append(name)
+            return stepper(*args)
 
-    def spy(*args):
-        narrow_blocks.append(np.size(args[6]))
-        return narrow_tail(*args)
-
-    monkeypatch.setattr(_kernels, "_narrow_tail", spy)
+        monkeypatch.setattr(_kernels, name, spy)
     results = []
-    for threshold in (-1, size + 1):
+    for threshold in (-1, size + 1, default):
         monkeypatch.setattr(_kernels, "NARROW_BATCH", threshold)
         levels = rk4_sweep(g0s, g1s, grid, u0s, v0s, prob.h, nsteps)
+        levels_calls = calls[:]
+        calls.clear()
         psi = oracle.mismatch_sweep(p, MC1, energies, x_max=x_max, h=h)
         results.append([_bits(part) for part in (*levels, psi)])
-        assert bool(narrow_blocks) == (threshold > 0)
-        narrow_blocks.clear()
-    for wide, narrow in zip(*results):
-        np.testing.assert_array_equal(narrow, wide)
+        # an empty batch calls no stepper; at -1 and size + 1 every call
+        # goes to one stepper, and at the default a batch wider than the
+        # threshold steps in numpy until it is narrow, in floats from then on
+        first = "_numpy_steps" if size > threshold else "_float_steps"
+        assert set(levels_calls) == ({first} if size else set())
+        if threshold != default:
+            assert set(calls) <= {first}
+        assert calls == sorted(calls, key="_numpy_steps _float_steps".split().index)
+        assert calls[:1] == ([first] if size else [])
+        if size == 64 and threshold == default:
+            assert "_float_steps" in calls
+        calls.clear()
+    for wide, *others in zip(*results):
+        for other in others:
+            np.testing.assert_array_equal(other, wide)
     if x_max or alpha < 0.1:
         assert size == 0 or np.max(results[0][2].view(float)) > 0.0
 

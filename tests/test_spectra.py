@@ -341,6 +341,18 @@ def test_subnormal_xi_gives_a_finite_pair(regime):
     np.testing.assert_allclose([e.real for e in pair], want, rtol=1e-5)
 
 
+def test_subnormal_well_marks_no_level_physical():
+    # a = alpha^2/(2 mu) is subnormal, so eps overflows to inf and the
+    # quantization residual is inf: neither branch of a well 1e-159 deep is
+    # a physical level, even though the residual's scale is inf as well
+    p = PotentialParams(1e-159, 1e-159, 1.0)
+    residual, eps = spectra.quantization_residual(p, MC1, 0, -2.0 + np.sqrt(2.0))
+    assert np.isinf(residual) and np.isinf(abs(eps))
+    _, verdicts = spectra.classify_level(p, MC1, 0)
+    assert verdicts == (False, False)
+    assert not any(s.physical for s in bound_states(p, MC1, 0))
+
+
 @pytest.mark.parametrize("regime", [Regime.REAL, Regime.COMPLEX_V0_Q])
 def test_subnormal_v0_gives_a_finite_pair(regime):
     # 2 m q V0 = 2e-320 is subnormal: u = xi/(2 m q V0) = 4e-322/2e-320 =
