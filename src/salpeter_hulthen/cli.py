@@ -440,9 +440,15 @@ def _cmd_count(config: RunConfig):
     the bound keeps real. It is a bound, not a count, and can far exceed the
     true count: at (0.9, 1, 1), (0.135, 0.15, 1) and (0.054, 0.06, 1) at
     unit masses it reads 2, 13 and 33 where the oracle finds 1, 2 and 4.
-    "oracle" and "oracle_roots" are `oracle.salpeter_levels`'s roots.
+    Where the bound does not apply (q = 0, or V0 > |q| alpha, where
+    level_count raises NoBoundStateError) predicted is null and the oracle
+    still counts: at (3.8, 1, 0.5) it finds one level. "oracle" and
+    "oracle_roots" are `oracle.salpeter_levels`'s roots.
     """
-    predicted = level_count(config.params, config.masses.m_tilde / 2.0)
+    try:
+        predicted = level_count(config.params, config.masses.m_tilde / 2.0)
+    except NoBoundStateError:
+        predicted = None
     roots = oracle.salpeter_levels(config.params, config.masses)
     payload = {"metadata": _metadata(config), "predicted": predicted,
                "oracle": len(roots), "oracle_roots": [float(r) for r in roots]}

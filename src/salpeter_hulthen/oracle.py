@@ -44,7 +44,6 @@ algebraic identities instead (see the spectra tests).
 
 import functools
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,12 +71,12 @@ SCAN_STENCIL = 12              # scan values per bracket in the first pass's roo
 STEP_ALPHA = 0.01              # default step h alpha of the shooting integrator
 
 _JOST_K = np.arange(0.0, JOST_TERMS + 1.0).reshape(-1, 1)    # the index k of the Jost terms
-_LADDER = 0.8 * np.arange(-4.5, 5.0)         # the probe pass's offsets in tol: -3.6, -2.8, .., 3.6
+_JOST_K.flags.writeable = False
+# the polish's offsets and points, as Python floats
+_LADDER = tuple((0.8 * np.arange(-4.5, 5.0)).tolist())   # the probe pass's, in tol: -3.6, .., 3.6
 _PROBE_OFFSETS = _LADDER[4:6]                 # a later pass's two probes: -+0.4 tol
-_INNER = np.arange(1, POLISH_POINTS) / POLISH_POINTS    # a later pass's uniform points in the bracket
-for _row in (_JOST_K, _LADDER, _INNER):
-    _row.flags.writeable = False
-_FOUR_ULPS = 4.0 * np.finfo(float).eps
+_INNER = tuple((np.arange(1, POLISH_POINTS) / POLISH_POINTS).tolist())   # its uniform points
+_FOUR_ULPS = 4.0 * float(np.finfo(float).eps)
 
 
 def _start_point(params: PotentialParams) -> float:
@@ -99,9 +98,9 @@ class EffectiveProblem:
     its matching point (`matching_point`), a twentieth to a fifth of that
     length. x_max and h must be finite, and x_max must leave at least one
     step after x0. What does not depend on the energy is built once, on
-    construction: the steps, r and g2 r^2 on the step grid (`step_grid`)
-    and, at q = 1, the Laurent rows of r and r^2 to FROBENIUS_ORDER
-    (`laurent_rows_q1`).
+    construction: the factors of g's coefficients, the steps, r and g2 r^2
+    on the step grid (`step_grid`) and, at q = 1, the Laurent rows of r and
+    r^2 to FROBENIUS_ORDER (`laurent_rows_q1`).
     """
 
     params: PotentialParams
@@ -127,20 +126,24 @@ class EffectiveProblem:
         nsteps = int(round((self.x_max - x0) / self.h))
         if nsteps < 1:
             raise ValidationError(f"x_max = {self.x_max:.6g} leaves no step after x0 = {x0:.6g}")
-        g2 = self.g_coefficients(0.0)[2]
+        mu, mt, v0 = self.masses.mu, self.masses.m_tilde, self.params.v0
+        # the factors of g_coefficients, each formed as its expression forms it
+        object.__setattr__(self, "_factors", (2.0 * mu, 2.0 * mt, 2.0 * mu * v0, mt,
+                                              mu * v0 * v0 / mt))
+        g2 = self._factors[4]
         object.__setattr__(self, "_steps", (x0, nsteps, x0 + nsteps * self.h))
         object.__setattr__(self, "_grid", step_grid(g2, q, alpha, x0, self.h, nsteps))
         object.__setattr__(self, "_laurent", laurent_rows_q1(g2, alpha, FROBENIUS_ORDER)
                            if q == 1.0 else None)
 
     def g_coefficients(self, energy):
-        """(g0, g1, g2) of g = g0 + g1 r + g2 r^2, r = s/(1 - q s); energy may be an array."""
-        mu, mt = self.masses.mu, self.masses.m_tilde
-        v0 = self.params.v0
-        g0 = 2.0 * mu * (energy + energy * energy / (2.0 * mt))
-        g1 = 2.0 * mu * v0 * (1.0 + energy / mt)
-        g2 = mu * v0 * v0 / mt
-        return g0, g1, g2
+        """(g0, g1, g2) of g = g0 + g1 r + g2 r^2, r = s/(1 - q s); energy may be an array.
+
+        g0 = 2 mu (E + E^2/(2 m_tilde)), g1 = 2 mu V0 (1 + E/m_tilde) and
+        g2 = mu V0^2/m_tilde, their energy-independent factors taken once.
+        """
+        two_mu, two_mt, two_mu_v0, mt, g2 = self._factors
+        return two_mu * (energy + energy * energy / two_mt), two_mu_v0 * (1.0 + energy / mt), g2
 
     def steps(self):
         """(x0, nsteps, x_end): the start point, the fixed steps toward x_max, and where they stop.
@@ -389,6 +392,8 @@ def _jost_residual(problem: EffectiveProblem, energies):
     alpha = problem.params.alpha
     kappa, total, weighted = jost_sums(g0s, g1s, g2, problem.params.q, alpha, x_end)
     wronskian = v * total + (kappa * total + alpha * weighted) * u
+    if not log_scale.any():
+        return wronskian                  # no energy rescaled: the scale is exp(0) = 1
     return wronskian * np.exp(np.minimum(log_scale, SCALE_CAP))
 
 
@@ -398,34 +403,43 @@ def matching_point(params: PotentialParams, masses: MassConfig, h: float = 0.0) 
     The proof holds for every energy of (-2 m_tilde, 0) at once. There
     |1 + E/m_tilde| < 1, so |g1| <= 2 mu |V0|; D_k >= k^2 alpha^2 as kappa >= 0;
     and the coefficients G_j of g - g0 in powers of s obey |G_j| <= |g1| |q|^(j-1)
-    + g2 (j-1) |q|^(j-2). The majorant k^2 alpha^2 C_k = sum_j |G_j| C_(k-j),
-    C_0 = 1, then bounds |c_k|, and since sum_k |t_k| >= t_0 = 1, jost_sums'
+    + g2 (j-1) |q|^(j-2), the coefficients of |g1| z/(1 - |q| z) + g2 z^2/(1 - |q| z)^2.
+    The majorant k^2 alpha^2 C_k = sum_j |G_j| C_(k-j), C_0 = 1, then bounds
+    |c_k|. Clearing (1 - |q| z)^2 from that convolution, as jost_sums does,
+    leaves a three-term recurrence in S_k = k^2 C_k, with b1 = |g1|/alpha^2,
+    b2 = g2/alpha^2 and S_0 = C_(-1) = 0:
+    S_k = 2|q| S_(k-1) - q^2 S_(k-2) + b1 (C_(k-1) - |q| C_(k-2)) + b2 C_(k-2),
+    taken in Python floats in a fixed order, so the point does not depend on
+    how a Python version sums. Since sum_k |t_k| >= t_0 = 1, jost_sums'
     check passes wherever K C_K s^K <= JOST_TOL; the point asks for half that,
     leaving the recurrence's rounding room. The point is capped at
     (5 + max(0, ln|q|))/alpha, where |q| exp(-alpha x_m) <= e^-5, and is that
-    cap where the majorant leaves the float range. h is the step,
-    STEP_ALPHA/alpha by default as in EffectiveProblem.
+    cap where the majorant leaves the float range; where it vanishes (V0 = 0)
+    the point is one step out. h is the step, STEP_ALPHA/alpha by default as
+    in EffectiveProblem.
     """
-    alpha, q = params.alpha, params.q
+    alpha, q, v0 = params.alpha, params.q, params.v0
     shift = max(0.0, math.log(abs(q))) if q != 0.0 else 0.0
     cap = (5.0 + shift) / alpha
     x0 = _start_point(params)
     h = h if h > 0.0 else STEP_ALPHA / alpha
-    j = np.arange(JOST_TERMS, dtype=float)              # entry j bounds |G_(j+1)|
-    with np.errstate(all="ignore"):
+    a2 = alpha * alpha
+    if a2 == 0.0:                                       # every b1, b2 is inf or nan
+        return cap
+    mu = masses.mu
+    b1 = 2.0 * mu * abs(v0) / a2
+    b2 = mu * v0 * v0 / masses.m_tilde / a2
+    r = abs(q)
+    c1, c2, s1, s2 = 1.0, 0.0, 0.0, 0.0                 # C_(k-1), C_(k-2), S_(k-1), S_(k-2)
+    for k in range(1, JOST_TERMS + 1):
         # overflow gives inf or nan, never a finite wrong bound: every term is >= 0
-        g1 = 2.0 * masses.mu * abs(params.v0)
-        g2 = masses.mu * params.v0 * params.v0 / masses.m_tilde
-        bound = ((g1 * abs(q) ** j + g2 * j * abs(q) ** np.maximum(j - 1.0, 0.0))
-                 / (alpha * alpha)).tolist()
-        # on plain floats, summed in the order of a dot product: c_k is
-        # sum_i bound[i] c_(k-1-i) / k^2 (the builtin sum adds floats in
-        # order through CPython 3.11; from 3.12 it compensates the rounding)
-        c = [1.0]
-        for k in range(1, JOST_TERMS + 1):
-            c.append(sum(map(operator.mul, bound, reversed(c))) / (k * k))
-        x_need = np.log(2.0 * JOST_TERMS * c[-1] / JOST_TOL) / (JOST_TERMS * alpha)
-        n = float(np.ceil((x_need - x0) / h))           # -inf where V0 = 0
+        s = 2.0 * (r * s1) - r * (r * s2) + b1 * (c1 - r * c2) + b2 * c2
+        c1, c2, s1, s2 = s / (k * k), c1, s, s1
+    if c1 <= 0.0:                                       # V0 = 0, or an underflow
+        return x0 + h
+    n = (math.log(2.0 * JOST_TERMS * c1 / JOST_TOL) / (JOST_TERMS * alpha) - x0) / h
+    if math.isfinite(n):
+        n = float(math.ceil(n))
     if not x0 + n * h < cap:                            # also where n is nan
         return cap
     return x0 + max(n, 1.0) * h
@@ -443,64 +457,50 @@ def _aim(xs, fs, k, width, lo, hi, f_lo, f_hi, remap=None):
     below then act in that variable). Where it is not finite (two equal
     values of f) or not inside the bracket, the regula-falsi point of the
     ends replaces it, as in Brent's method; where that too is not finite,
-    the midpoint.
+    the midpoint. The stencils are cut and the bracket tests run one bracket
+    at a time, in Python, which rounds as numpy does; lo, hi, f_lo and f_hi
+    may be lists.
     """
-    first = np.minimum(np.maximum(k - (width // 2 - 1), 0), xs.shape[1] - width)
-    cols = first[:, None] + np.arange(width)
-    rows = np.arange(k.size)[:, None] if len(xs) > 1 else 0
-    x, f = xs[rows, cols], fs[rows, cols]
+    starts = [min(max(int(kr) - (width // 2 - 1), 0), xs.shape[1] - width) for kr in k]
+    rows = range(len(starts)) if len(xs) > 1 else [0] * len(starts)
+    x, f = (np.array([part[r, s:s + width] for r, s in zip(rows, starts)]) for part in (xs, fs))
     with np.errstate(all="ignore"):
         ratio = f[:, None, :] / (f[:, None, :] - f[:, :, None])    # [i, j] = f_j/(f_j - f_i)
         ratio.reshape(len(ratio), width * width)[:, ::width + 1] = 1.0     # the diagonal
         est = x[:, 0] + np.add.reduce((x - x[:, :1]) * np.multiply.reduce(ratio, axis=2), axis=1)
-        est = est if remap is None else remap(est)
-        falsi = lo - f_lo * (hi - lo) / (f_hi - f_lo)
-    # strictly inside the bracket is finite too
-    est = np.where((lo < est) & (est < hi), est, falsi)
-    return np.where(np.isfinite(est), est, 0.5 * (lo + hi))
+        est = (est if remap is None else remap(est)).tolist()
+    out = []
+    for e, a, z, fa, fz in zip(est, lo, hi, f_lo, f_hi):
+        # strictly inside the bracket is finite too
+        if not a < e < z:
+            e = a - fa * (z - a) / (fz - fa) if fz != fa else math.nan
+            if not math.isfinite(e):
+                e = 0.5 * (a + z)
+        out.append(e)
+    return np.array(out)
 
 
-def _narrow(residual, brackets, todo, ends, energies, ascending=False):
-    """One pass over the open brackets todo; returns the residual at energies.
+def _narrow(edges, fs):
+    """(lo, hi, f_lo, f_hi): the first subinterval of the ascending edges whose end values differ in sign.
 
-    brackets is (lo, hi, f_lo, f_hi), updated in place, and ends are its
-    entries at todo as columns. Row k of energies lies inside bracket
-    todo[k]; it is sorted here, stably, unless ascending says it already
-    ascends. Per bracket the pass keeps the first subinterval of the sorted
-    energies whose ends differ in sign; an interior value of exactly zero is
-    the root itself, a bracket of zero width.
+    edges are a bracket's ends with the pass's energies between them, and fs
+    their values. The subinterval ends at the first interior value without
+    the lower end's sign (zero, the other sign or NaN); with none, it is the
+    last subinterval. An interior value of exactly zero is the root itself,
+    a bracket of zero width.
     """
-    lo, hi, f_lo, f_hi = brackets
-    a, b, fa, fb = ends
-    values = residual(energies.ravel()).reshape(energies.shape)
-    interior = energies, values
-    if not ascending:
-        order = np.arange(todo.size)[:, None], np.argsort(energies, axis=1, kind="stable")
-        interior = energies[order], values[order]
-    edges = np.concatenate((a, interior[0], b), axis=1)
-    fs = np.concatenate((fa, interior[1], fb), axis=1)
-    # the kept subinterval ends at the first interior value without the
-    # lower end's sign (zero, the other sign or NaN); with none, it is the
-    # last subinterval. k is its index, i its lower end's in the flat rows
-    k = np.add.reduce(np.logical_and.accumulate(interior[1] * np.sign(fa) > 0.0, 1), 1)
-    i = np.arange(0, edges.size, edges.shape[1]) + k
-    new_hi, new_f_hi = edges.take(i + 1), fs.take(i + 1)
-    zero = new_f_hi == 0.0
-    lo[todo] = np.where(zero, new_hi, edges.take(i))
-    f_lo[todo] = np.where(zero, 0.0, fs.take(i))
-    hi[todo], f_hi[todo] = new_hi, new_f_hi
-    return values
+    sign = (fs[0] > 0.0) - (fs[0] < 0.0)
+    k, last = 0, len(fs) - 2
+    while k < last and fs[k + 1] * sign > 0.0:
+        k += 1
+    if fs[k + 1] == 0.0:
+        return edges[k + 1], edges[k + 1], 0.0, fs[k + 1]
+    return edges[k], edges[k + 1], fs[k], fs[k + 1]
 
 
-def _open(lo, hi, todo):
-    """(the entries of todo whose brackets [lo, hi] are still open, their closing widths tol).
-
-    tol is ROOT_XTOL, or 4 eps |E| where that is wider, as a column.
-    """
-    lo, hi = lo[todo], hi[todo]
-    tol = ROOT_XTOL + _FOUR_ULPS * np.maximum(np.abs(lo), np.abs(hi))
-    rows = (hi - lo > tol).nonzero()[0]
-    return todo[rows], tol[rows, None]
+def _tol(lo, hi):
+    """The closing width of the bracket [lo, hi]: ROOT_XTOL, or 4 eps |E| where that is wider."""
+    return ROOT_XTOL + _FOUR_ULPS * max(abs(lo), abs(hi))
 
 
 def _polish(residual, lo, hi, f_lo, f_hi, centre):
@@ -526,46 +526,59 @@ def _polish(residual, lo, hi, f_lo, f_hi, centre):
     residual's curvature); after a later pass the inverse cubic through the
     four uniform points nearest the kept sign change, the probes left out,
     as two points 0.8 tol apart spoil the cubic. A bracket closes at
-    ROOT_XTOL wide, or at 4 eps |E| where that is wider (a few ulps: near
-    |E| = 1e4 one ulp exceeds ROOT_XTOL, and rounding would stall the
-    bracket); until then each pass after the probe pass shrinks it at least
-    about POLISH_POINTS-fold, so the probes never cost a pass: 1 + P passes
-    at most, where P is the plain multisection's count from the widest
-    bracket. The open test runs once after each pass, on the brackets that
-    pass took; where it leaves none open, as after most probe passes, the
-    polish returns at once, without building the next pass's stencil.
+    ROOT_XTOL wide, or at 4 eps |E| where that is wider (`_tol`; a few
+    ulps: near |E| = 1e4 one ulp exceeds ROOT_XTOL, and rounding would stall
+    the bracket); until then each pass after the probe pass shrinks it at
+    least about POLISH_POINTS-fold, so the probes never cost a pass: 1 + P
+    passes at most, where P is the plain multisection's count from the
+    widest bracket. The brackets are kept as Python floats, one at a time,
+    which costs less than numpy calls on a few brackets and rounds alike;
+    only the residual and `_aim` take arrays. The open test runs once after
+    each pass, on the brackets that pass took; where it leaves none open, as
+    after most probe passes, the polish returns at once, without building
+    the next pass's stencil.
     """
-    brackets = lo, hi, f_lo, f_hi = [np.array(v, dtype=float) for v in (lo, hi, f_lo, f_hi)]
-    centre = np.array(centre, dtype=float)
-    todo, tol = _open(lo, hi, np.arange(lo.size))
+    lo, hi, f_lo, f_hi, centre = np.array([lo, hi, f_lo, f_hi, centre], dtype=float).tolist()
+    todo = [b for b, (a, z) in enumerate(zip(lo, hi)) if z - a > _tol(a, z)]
     ladder = True                                       # the first pass, the probe pass
-    while todo.size:
-        ends = a, b, fa, fb = lo[todo, None], hi[todo, None], f_lo[todo, None], f_hi[todo, None]
-        if ladder:
+    while todo:
+        rows = []
+        for b in todo:
+            a, z, aim, tol = lo[b], hi[b], centre[b], _tol(lo[b], hi[b])
             # the rungs ascend, and clipping keeps them in order
-            probes = np.minimum(np.maximum(centre[todo, None] + _LADDER * tol, a), b)
-            values = _narrow(residual, brackets, todo, ends, probes, True)
-            # the bracket's ends around the ladder's two outermost rungs
-            xs, fs, width = probes[:, ::_LADDER.size - 1], values[:, ::_LADDER.size - 1], 3
-            ladder = False
-        else:
-            grid = a + (b - a) * _INNER
-            probes = np.minimum(np.maximum(centre[todo, None] + _PROBE_OFFSETS * tol, a), b)
-            values = _narrow(residual, brackets, todo, ends, np.concatenate((grid, probes), axis=1))
-            # the bracket's ends around the pass's uniform points
-            xs, fs, width = grid, values[:, :-2], 4
-        last = todo
-        todo, tol = _open(lo, hi, todo)
-        if todo.size:
+            probes = [min(max(aim + off * tol, a), z)
+                      for off in (_LADDER if ladder else _PROBE_OFFSETS)]
+            rows.append(probes if ladder else [a + (z - a) * t for t in _INNER] + probes)
+        width = len(rows[0])
+        values = residual(np.array(rows).ravel()).tolist()
+        last, todo, stencils = todo, [], []
+        for b, energies, fs in zip(last, rows, (values[j:j + width]
+                                               for j in range(0, len(values), width))):
+            a, z, fa, fz = lo[b], hi[b], f_lo[b], f_hi[b]
+            if ladder:
+                interior = energies, fs
+                # the bracket's ends around the ladder's two outermost rungs
+                xs, ys = [a, energies[0], energies[-1], z], [fa, fs[0], fs[-1], fz]
+            else:
+                order = sorted(range(width), key=energies.__getitem__)    # stable
+                interior = [energies[j] for j in order], [fs[j] for j in order]
+                # the bracket's ends around the pass's uniform points
+                xs, ys = [a, *energies[:-2], z], [fa, *fs[:-2], fz]
+            lo[b], hi[b], f_lo[b], f_hi[b] = _narrow([a, *interior[0], z], [fa, *interior[1], fz])
+            if hi[b] - lo[b] > _tol(lo[b], hi[b]):
+                todo.append(b)
+                stencils.append((xs, ys))
+        if todo:
             # only the brackets still open are aimed; a closed one never
             # reopens. Columns k and k + 1 of a row hold the kept
             # subinterval (or, in a gap of the ladder, enclose it)
-            rows = np.searchsorted(last, todo)
-            xs = np.concatenate((a, xs, b), axis=1)[rows]
-            fs = np.concatenate((fa, fs, fb), axis=1)[rows]
-            k = np.add.reduce(xs <= lo[todo, None], 1) - 1
-            centre[todo] = _aim(xs, fs, k, width, lo[todo], hi[todo], f_lo[todo], f_hi[todo])
-    return 0.5 * (lo + hi)
+            k = [sum(x <= lo[b] for x in xs) - 1 for b, (xs, _) in zip(todo, stencils)]
+            xs, ys = (np.array(part) for part in zip(*stencils))
+            ends = ([end[b] for b in todo] for end in (lo, hi, f_lo, f_hi))
+            for b, aim in zip(todo, _aim(xs, ys, k, 3 if ladder else 4, *ends).tolist()):
+                centre[b] = aim
+        ladder = False
+    return np.array([0.5 * (a + z) for a, z in zip(lo, hi)])
 
 
 @functools.lru_cache(maxsize=32)
@@ -641,16 +654,19 @@ def salpeter_levels(params: PotentialParams, masses: MassConfig, window=None,
     problem = EffectiveProblem(params, masses, x_max=x_max, h=h)
     thetas, energies, sines = _scan_grid(lo, hi, mt)
     values = _jost_residual(problem, energies)
-    # a scan value of exactly zero is a root: a bracket of zero width
-    zero = values[:-1] == 0.0
-    i = np.flatnonzero(zero | (np.sign(values[:-1]) * np.sign(values[1:]) < 0))
+    signs = np.sign(values)
+    i = np.flatnonzero((values[:-1] == 0.0) | (signs[:-1] * signs[1:] < 0))
     if not i.size:
         return []
     jost = values * np.exp(-math.sqrt(masses.mu * mt) * sines * problem.steps()[2])
-    centre = _aim(thetas[None], jost[None], i, SCAN_STENCIL, energies[i], energies[i + 1],
-                  jost[i], jost[i + 1], lambda theta: -2.0 * mt * np.sin(0.5 * theta) ** 2)
-    return _polish(lambda e: _jost_residual(problem, e), energies[i],
-                   np.where(zero[i], energies[i], energies[i + 1]), values[i], values[i + 1],
+    # the brackets' ends: energies, Jost values and residuals at i and i + 1
+    (e_lo, e_hi), (j_lo, j_hi), (f_lo, f_hi) = np.array((energies, jost, values))[
+        :, (i, i + 1)].tolist()
+    centre = _aim(thetas[None], jost[None], i, SCAN_STENCIL, e_lo, e_hi, j_lo, j_hi,
+                  lambda theta: -2.0 * mt * np.sin(0.5 * theta) ** 2)
+    # a scan value of exactly zero is a root: a bracket of zero width
+    e_hi = [a if f == 0.0 else z for a, z, f in zip(e_lo, e_hi, f_lo)]
+    return _polish(lambda e: _jost_residual(problem, e), e_lo, e_hi, f_lo, f_hi,
                    centre).tolist()
 
 

@@ -465,7 +465,7 @@ def quantization_residual(params: PotentialParams, masses: MassConfig, n: int, e
     return residual, eps
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BoundState:
     """One labelled branch of an energy pair plus its physicality verdict.
 
@@ -482,6 +482,14 @@ class BoundState:
     params: PotentialParams
     masses: MassConfig
     kinematics: str = "salpeter"
+
+    def __init__(self, n, energy, branch, physical, energy_pair, regime, params, masses,
+                 kinematics="salpeter"):
+        # one write to the instance dict: the frozen dataclass's own __init__
+        # sets each field through object.__setattr__, three times the cost
+        self.__dict__.update(n=n, energy=energy, branch=branch, physical=physical,
+                             energy_pair=energy_pair, regime=regime, params=params,
+                             masses=masses, kinematics=kinematics)
 
     @functools.cached_property
     def aux(self) -> SpectralAuxiliaries:
@@ -548,6 +556,6 @@ def classify_level(params: PotentialParams, masses: MassConfig, n: int):
 def bound_states(params: PotentialParams, masses: MassConfig, n: int):
     """Both branches as (minus, plus) BoundState records of classify_level, never hidden."""
     pair, (physical_minus, physical_plus) = classify_level(params, masses, n)
-    common = dict(n=n, energy_pair=pair, regime=params.regime, params=params, masses=masses)
-    return (BoundState(energy=pair.minus, branch=Branch.MINUS, physical=physical_minus, **common),
-            BoundState(energy=pair.plus, branch=Branch.PLUS, physical=physical_plus, **common))
+    regime = params.regime
+    return (BoundState(n, pair.minus, Branch.MINUS, physical_minus, pair, regime, params, masses),
+            BoundState(n, pair.plus, Branch.PLUS, physical_plus, pair, regime, params, masses))

@@ -359,6 +359,22 @@ def test_count_command_no_levels(tmp_path):
     assert payload["oracle"] == 0
 
 
+@pytest.mark.parametrize("well, roots", [
+    ((3.8, 1.0, 0.5), [-0.89897637921772489]),    # V0 > |q| alpha
+    ((2.0, 1.0, 0.0), [-0.03923262225606417]),    # q = 0
+])
+def test_count_writes_a_null_prediction_where_the_bound_fails(tmp_path, capsys, well, roots):
+    # level_count raises NoBoundStateError there, but the oracle still
+    # counts: the bound is null, the exit 0 and stderr empty
+    doc = {**BASE, "V0": well[0], "alpha": well[1], "q": well[2]}
+    code, text = run(tmp_path, doc, "--command", "count")
+    assert code == 0 and capsys.readouterr().err == ""
+    payload = json.loads(text)
+    assert payload["predicted"] is None
+    assert payload["oracle"] == len(roots)
+    assert payload["oracle_roots"] == pytest.approx(roots, rel=1e-12)
+
+
 def test_scan_command(tmp_path):
     doc = {**BASE, "scan": {"param": "V0", "start": 0.85, "stop": 0.95, "points": 3}}
     code, text = run(tmp_path, doc, "--command", "scan", "--n-max", "0")

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import random
 import warnings
 
 import numpy as np
@@ -749,6 +750,49 @@ def test_matching_point_at_the_ends_of_the_float_range():
         assert oracle.matching_point(p, MC1) == _old_matching_point(p)
     assert oracle.matching_point(PotentialParams(0.0, 2.0, 0.0), MC1) == 0.005
     assert oracle.matching_point(PotentialParams(0.0, 2.0, 1.0), MC1, 0.02) == 0.27
+
+
+# the six perfbench oracle_verify boxes: (q, masses, alpha box, V0 box, V0 a multiple of alpha?)
+_VERIFY_BOXES = [(1.0, MC1, (0.6, 1.1), (0.3, 0.6), True),
+                 (1.0, MC1, (0.97, 1.03), (0.94, 0.95), True),
+                 (1.0, MassConfig(0.8, 1.3), (0.97, 1.03), (0.91, 0.92), True),
+                 (1.0, MC1, (0.145, 0.155), (0.925, 0.935), True),
+                 (0.5, MC1, (0.98, 1.02), (3.7, 3.9), False),
+                 (-1.0, MC1, (0.97, 1.03), (6.1, 6.4), False)]
+
+
+def test_matching_point_bits_are_pinned():
+    # 50 draws from each oracle_verify box and ten pinned wells, at h =
+    # 0.049/alpha and the default step; the digest was recorded with the
+    # convolution the recurrence replaced, whose builtin sum rounds
+    # differently from Python 3.12 on; the recurrence must not
+    rng = random.Random(2828)
+    cases = []
+    for q, masses, abox, vbox, relative in _VERIFY_BOXES:
+        for _ in range(50):
+            alpha = rng.uniform(*abox)
+            v0 = rng.uniform(*vbox) * (alpha if relative else 1.0)
+            cases.append((PotentialParams(v0, alpha, q), masses))
+    for params, masses in [((0.945, 1.0, 1.0), (1.0, 1.0)), ((0.6, 0.85, 1.0), (1.0, 1.0)),
+                           ((0.1395, 0.15, 1.0), (1.0, 1.0)), ((0.915, 1.0, 1.0), (0.8, 1.3)),
+                           ((3.8, 1.0, 0.5), (1.0, 1.0)), ((6.25, 1.0, -1.0), (1.0, 1.0)),
+                           ((0.9, 1.0, 1.0), (1.0, 1.0)), ((0.054, 0.06, 1.0), (1.0, 1.0)),
+                           ((250.0, 1.0, 0.0), (1.0, 1.0)), ((1.5, 1.0, 0.5), (1.0, 2.0))]:
+        cases.append((PotentialParams(*params), MassConfig(*masses)))
+    digest = hashlib.sha256()
+    for p, masses in cases:
+        for h in (0.049 / p.alpha, 0.0):
+            digest.update(oracle.matching_point(p, masses, h).hex().encode() + b";")
+    assert digest.hexdigest() == "bb74ff328bd1536b5de95e1a07c79e6ac7d32c040832b43eca1e06e02e6ce097"
+    # V0 = 0: one step out, whatever q; an overflowing majorant: the cap
+    edges = {(0.0, 2.0, 0.0, 0.0): "0x1.47ae147ae147bp-8",
+             (0.0, 2.0, 1.0, 0.02): "0x1.147ae147ae148p-2",
+             (0.0, 1.0, -40.0, 0.0): "0x1.47ae147ae147bp-7",
+             (1e300, 1.0, 0.5, 0.0): "0x1.4000000000000p+2",
+             (1e-300, 1e-300, 0.5, 0.0): "0x1.ddd4baa009302p+998",
+             (0.9, 1e-160, 0.5, 0.0): "0x1.c73892ecbfbf4p+533"}
+    for (v0, alpha, q, h), bits in edges.items():
+        assert oracle.matching_point(PotentialParams(v0, alpha, q), MC1, h).hex() == bits
 
 
 def _convolution_jost_sums(g0s, g1s, g2, q, alpha, x):

@@ -568,3 +568,34 @@ def test_closed_form_bits_are_pinned():
                         lines += 1
     assert lines == 9400
     assert digest.hexdigest() == PINNED_CLOSED_FORM_SHA256
+
+
+def test_interleaved_levels_keep_the_bits_of_isolated_ones():
+    # every caller asks for n = 0, 1, ... at fixed (params, masses), so a
+    # level must not depend on the calls before it: levels 0..7 of several
+    # parameter sets, called in interleaved order, must get the bits (and
+    # errors) of the same call repeated on its own. The sets take every
+    # regime, equal and unequal masses, n-independent quantities that raise
+    # (alpha^2 underflows; (V0/a)^2 overflows), 0.0 against -0.0, and two
+    # equal but distinct parameter objects
+    sets = [(PotentialParams(0.9, 1.0, 1.0), MC1),
+            (PotentialParams(0.915, 1.0, 1.0), MassConfig(0.8, 1.3)),
+            (PotentialParams(3.8, 1.0, 0.5), MC1),
+            (PotentialParams(0.1395, 0.15, 1.0), MassConfig(1.0, 2.0)),
+            (PotentialParams(0.5, 0.8, 1.0, Regime.COMPLEX_ALPHA), MassConfig.equal(1.5)),
+            (PotentialParams(0.7, 1.1, 0.5, Regime.COMPLEX_V0_Q), MC1),
+            (PotentialParams(0.6, -0.9, 2.0, Regime.ALL_COMPLEX), MC1),
+            (PotentialParams(0.9, 1e-170, 1.0), MC1),
+            (PotentialParams(1e150, 1e-3, 1.0), MassConfig(1.0, 2.0)),
+            (PotentialParams(0.0, 1.0, 1.0), MC1),
+            (PotentialParams(-0.0, 1.0, 1.0), MC1),
+            (PotentialParams(0.9, 1.0, 1.0), MC1)]
+
+    def bits(params, masses, n):
+        return _outcome_bits(lambda: bound_states(params, masses, n))
+
+    with np.errstate(all="ignore"):
+        interleaved = {(s, n): bits(*sets[s], n) for n in range(8) for s in range(len(sets))}
+        for (s, n), got in interleaved.items():
+            assert got == bits(*sets[s], n), (sets[s], n)
+    assert len({v for v in interleaved.values() if v.startswith("ValidationError")}) == 2

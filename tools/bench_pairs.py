@@ -15,10 +15,21 @@ group, which is killed if the tool is interrupted.
 For every end-to-end metric of BENCHMARK.json it reports each side's
 median and quartiles (statistics.quantiles, n=4, inclusive), the parent's
 interquartile range, the per-pair ratios change/parent, the pairs in which
-the change is better, and the verdict against the metric's bound:
-"regressed" when the change's median is worse than the parent's by more
-than the bound, else "within bound". The JSON goes to stdout, or into FILE
-under "workloads" -> NAME, keeping FILE's other keys.
+the change is better (a tie counts for neither side), and a verdict, the
+first of these that holds:
+- "regressed": the change's median is worse than the parent's by more than
+  the metric's bound (a share of the parent's median);
+- "gain": the change is better in at least nine tenths of the pairs and its
+  median is better than the parent's by more than the parent's
+  interquartile range (difference_exceeds_parent_iqr, which counts a
+  better median only);
+- "unresolved": the parent's own interquartile range, as a share of its
+  median, is wider than the bound, and not every run of the change is
+  better than every run of the parent, so the runs cannot tell a change
+  within the bound from one beyond it;
+- "within bound".
+The JSON goes to stdout, or into FILE under "workloads" -> NAME, keeping
+FILE's other keys.
 """
 
 import argparse
@@ -93,22 +104,33 @@ def _quartiles(values):
 
 
 def _summary(spec, parent, change):
-    better = (lambda c, p: c > p) if spec["better"] == "higher" else (lambda c, p: c < p)
+    higher = spec["better"] == "higher"
+    better = (lambda c, p: c > p) if higher else (lambda c, p: c < p)
     p_med, c_med = statistics.median(parent), statistics.median(change)
     p_q, c_q = _quartiles(parent), _quartiles(change)
+    p_iqr = p_q[1] - p_q[0]
     ratio = c_med / p_med if p_med else None
-    worse_by = None if ratio is None else (1.0 - ratio if spec["better"] == "higher"
-                                           else ratio - 1.0)
+    worse_by = None if ratio is None else (1.0 - ratio if higher else ratio - 1.0)
+    better_by = c_med - p_med if higher else p_med - c_med
+    better_pairs = sum(better(c, p) for p, c in zip(parent, change))
+    if worse_by is not None and worse_by > spec["bound"]:
+        verdict = "regressed"
+    elif 10 * better_pairs >= 9 * len(parent) and better_by > p_iqr:
+        verdict = "gain"
+    elif p_med and p_iqr / abs(p_med) > spec["bound"] \
+            and not all(better(c, p) for c in change for p in parent):
+        verdict = "unresolved"
+    else:
+        verdict = "within bound"
     return {
-        "parent_median": p_med, "parent_quartiles": p_q, "parent_iqr": p_q[1] - p_q[0],
+        "parent_median": p_med, "parent_quartiles": p_q, "parent_iqr": p_iqr,
         "change_median": c_med, "change_quartiles": c_q, "median_ratio": ratio,
         "median_difference": c_med - p_med,
-        "difference_exceeds_parent_iqr": abs(c_med - p_med) > p_q[1] - p_q[0],
+        "difference_exceeds_parent_iqr": better_by > p_iqr,
         "pair_ratios": [c / p if p else None for p, c in zip(parent, change)],
-        "change_better_pairs": sum(better(c, p) for p, c in zip(parent, change)),
+        "change_better_pairs": better_pairs,
         "pairs": len(parent),
-        "verdict": "regressed" if worse_by is not None and worse_by > spec["bound"]
-        else "within bound",
+        "verdict": verdict,
     }
 
 
