@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from salpeter_hulthen import cli
+from salpeter_hulthen import cli, oracle
 from salpeter_hulthen.errors import ValidationError
 
 
@@ -342,6 +342,33 @@ def test_verify_salpeter_lists_a_formula_level_no_root_matches(tmp_path):
     assert -1e-8 < rows[0]["formula"] < 0.0
     assert rows[0]["abs_delta"] is None and rows[0]["rel_delta"] is None
 
+
+
+def test_verify_salpeter_matches_each_formula_level_to_one_root(tmp_path, monkeypatch):
+    # the oracle's roots are fixed here; the formula levels of this well at
+    # n <= 1 are one physical branch each, e0 < e1. Formula levels take
+    # their nearest unused root in ascending order, an exact tie goes to
+    # the lower root index, and a leftover root follows the matched rows
+    doc = {**BASE, "V0": 0.054, "alpha": 0.06}
+    found = []
+    monkeypatch.setattr(oracle, "salpeter_levels", lambda params, masses: list(found))
+
+    def matches(roots):
+        found[:] = roots
+        code, text = run(tmp_path, doc, "--command", "verify", "--n-max", "1")
+        assert code == 0
+        return [(row["n"], row["formula"], row["oracle"]) for row in json.loads(text)["rows"]]
+
+    (_, e0, _), (_, e1, _) = matches([])
+    assert e0 < e1 < -0.04
+    # -0.125 is the nearest root of both; e0 takes it, e1 the next-nearest
+    # -0.5, and -0.9 is left over
+    assert matches([-0.9, -0.5, -0.125]) == [(0, e0, -0.125), (1, e1, -0.5),
+                                              (None, None, -0.9)]
+    below, above = e0 - 2.0 ** -10, e0 + 2.0 ** -10
+    assert e0 - below == above - e0     # an exact tie for e0
+    assert matches([below, above]) == [(0, e0, below), (1, e1, above)]
+    assert matches([above, below]) == [(0, e0, above), (1, e1, below)]
 
 def test_count_command(tmp_path):
     code, text = run(tmp_path, BASE, "--command", "count")

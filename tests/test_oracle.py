@@ -1437,3 +1437,43 @@ def test_window_validation():
         oracle.salpeter_levels(p, MC1, window=(-2.0 * MC1.m_tilde - 0.1, -0.01))
     with pytest.raises(ValidationError):
         oracle.salpeter_levels(p, MC1, window=(-0.5, 0.0))
+
+
+# Known oracle defects, kept visible: each case fails today and names the
+# ROADMAP item whose fix turns it into a plain test (strict: an XPASS fails
+# the run).
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 4: RK4 at the default step misses a deep-well level")
+def test_deep_well_levels_match_a_fine_step_reference():
+    # the reference is RK4 at h/32 (h/16 agrees to rel 5e-5); the default
+    # step finds 2 roots, -1.38448 and -0.47831
+    reference = [-1.4933867753822452, -0.560628130306967, -0.0090404487094852]
+    roots = oracle.salpeter_levels(PotentialParams(250.0, 1.0, 0.0), MC1)
+    assert list(roots) == pytest.approx(reference, rel=1e-4)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 3: the uniform step and the q = 1 start scale "
+                          "with 1/alpha, not the decay length")
+def test_small_alpha_roots_are_closed_form_levels():
+    # the closed form has 30 physical levels from -0.30491751; the oracle
+    # finds one root, -3.2260e-4, which is none of them. Finding all 30 is
+    # ROADMAP item 6's scan-gap filling
+    p = PotentialParams(0.9e-3, 1e-3, 1.0)
+    levels = sorted(state.energy.real for n in range(40)
+                    for state in bound_states(p, MC1, n) if state.physical)
+    roots = oracle.salpeter_levels(p, MC1)
+    assert len(levels) == 30
+    assert roots[0] == pytest.approx(levels[0], rel=1e-6)
+    assert all(min(abs(e - r) for e in levels) <= 1e-6 * abs(r) for r in roots)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 3: the q = 1 start point 0.5/alpha is too far "
+                          "from the pole at small alpha")
+def test_q1_ground_level_at_small_alpha_matches_the_closed_form():
+    # the ground root is -0.27879744 against the closed form's -0.27891494,
+    # rel 4.2e-4
+    p = PotentialParams(0.054, 0.06, 1.0)
+    assert oracle.salpeter_levels(p, MC1)[0] == pytest.approx(_physical_levels(p)[0], rel=1e-6)

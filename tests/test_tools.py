@@ -32,3 +32,17 @@ def test_bench_pairs_verdicts(spec, parent, change, verdict, beyond_iqr):
     summary = bench_pairs._summary(spec, parent, change)
     assert summary["verdict"] == verdict
     assert summary["difference_exceeds_parent_iqr"] is beyond_iqr
+
+
+def test_bits_digest_prints_the_same_four_lines_twice(capsys):
+    spec = importlib.util.spec_from_file_location(
+        "bits_digest", Path(__file__).resolve().parent.parent / "tools" / "bits_digest.py")
+    bits_digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bits_digest)
+    runs = []
+    for _ in range(2):
+        assert bits_digest.main(["7"]) == 0
+        runs.append(capsys.readouterr().out.splitlines())
+    assert runs[0] == runs[1]
+    assert [line.split()[0] for line in runs[0]] == ["levels", "mismatch", "closed_forms", "cli"]
+    assert all(len(line.split()[1]) == 64 for line in runs[0])
