@@ -41,8 +41,8 @@ from .errors import (
     ValidationError,
 )
 from .potentials import MassConfig, PotentialParams, params_from_json
-from .spectra import (Branch, _aux_quotients, _auxiliaries, bound_states, classify_level,
-                      level_count, nonrelativistic_energy)
+from .spectra import (Branch, bound_states, classify_level, level_count, nonrelativistic_energy,
+                      spectral_auxiliaries)
 from .wavefunctions import assemble, evaluate_on_grid, normalization_constant
 
 # Highest accepted n_max: every command loops over n = 0..n_max, and the
@@ -185,8 +185,12 @@ def _array_text(items, nl: str):
 def _write_items(heads, values, nl: str, out: list) -> None:
     """Append each value after its head; nl is a newline plus the indent of the values' lines.
 
-    Finite floats and complex values, ints, bools, None and strings of
-    exactly those types are written here; every other value goes to _write.
+    The one value dispatcher: finite floats and complex values, ints, bools,
+    None and strings of exactly those types come first; a dict, list or
+    tuple writes its items through it again, a level deeper; numpy scalars
+    and arrays, non-finite values and str-mixin enums go last. No type is
+    both a container and a float or str, so the order of those checks
+    cannot change a byte.
     """
     complex_format = None
     for head, value in zip(heads, values):
@@ -204,52 +208,40 @@ def _write_items(heads, values, nl: str, out: list) -> None:
         elif kind is complex and cmath.isfinite(value):
             complex_format = complex_format or _complex_format(nl)
             out.append(head + complex_format % (value.imag, value.real))
+        elif isinstance(value, (dict, list, tuple)):
+            inner = nl + "  "
+            if not value:
+                out.append(head + ("{}" if isinstance(value, dict) else "[]"))
+            elif isinstance(value, dict):
+                keys = sorted(value)
+                item_heads = ["," + inner + _encode_str(str(key)) + ": " for key in keys]
+                item_heads[0] = head + "{" + item_heads[0][1:]
+                _write_items(item_heads, [value[key] for key in keys], inner, out)
+                out.append(nl + "}")
+            else:
+                text = _array_text(value, inner)
+                if text is None:
+                    _write_items([head + "[" + inner] + ["," + inner] * (len(value) - 1),
+                                 value, inner, out)
+                else:
+                    out.append(head + "[" + inner + text)
+                out.append(nl + "]")
+        elif isinstance(value, float):              # numpy.float64 included
+            out.append(head + _fmt_float(value))
+        elif isinstance(value, str):                # a str-mixin Enum writes str(), not its value
+            out.append(head + _encode_str(str(value)))
+        elif isinstance(value, (bool, np.bool_)):
+            out.append(head + ("true" if value else "false"))
+        elif isinstance(value, (int, np.integer)):
+            out.append(head + str(int(value)))
+        elif isinstance(value, np.floating):
+            out.append(head + _fmt_float(float(value)))
+        elif isinstance(value, (complex, np.complexfloating)):
+            _write_items([head], [{"im": float(value.imag), "re": float(value.real)}], nl, out)
+        elif isinstance(value, np.ndarray):
+            _write_items([head], [value.tolist()], nl, out)
         else:
-            out.append(head)
-            _write(value, nl, out)
-
-
-def _write(obj, nl: str, out: list) -> None:
-    """Append the tokens of obj to out; nl is a newline plus the indent of obj's own line."""
-    if isinstance(obj, float):              # numpy.float64 included
-        out.append(_fmt_float(obj))
-    elif isinstance(obj, str):
-        out.append(_encode_str(str(obj)))   # a str-mixin Enum writes str(), not its value
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        inner = nl + "  "
-        keys = sorted(obj)
-        heads = ["," + inner + _encode_str(str(key)) + ": " for key in keys]
-        heads[0] = "{" + heads[0][1:]
-        _write_items(heads, [obj[key] for key in keys], inner, out)
-        out.append(nl + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        inner = nl + "  "
-        text = _array_text(obj, inner)
-        if text is None:
-            _write_items(["[" + inner] + ["," + inner] * (len(obj) - 1), obj, inner, out)
-        else:
-            out.append("[" + inner + text)
-        out.append(nl + "]")
-    elif isinstance(obj, (bool, np.bool_)):
-        out.append("true" if obj else "false")
-    elif obj is None:
-        out.append("null")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, np.floating):
-        out.append(_fmt_float(float(obj)))
-    elif isinstance(obj, (complex, np.complexfloating)):
-        _write({"im": float(obj.imag), "re": float(obj.real)}, nl, out)
-    elif isinstance(obj, np.ndarray):
-        _write(obj.tolist(), nl, out)
-    else:
-        out.append(_encode_str(str(obj)))
+            out.append(head + _encode_str(str(value)))
 
 
 def dumps_canonical(obj, indent: int = 0) -> str:
@@ -259,14 +251,13 @@ def dumps_canonical(obj, indent: int = 0) -> str:
     every line after the first. Complex numbers become {"im", "re"} objects,
     non-finite floats the strings "nan", "inf" and "-inf", numpy scalars
     and arrays their Python values, and any other object its str().
-    The bytes do not depend on the path taken: a container writes its
-    float, complex, int, bool, None and str items itself, and a list,
-    tuple or 1-D array of finite floats, or of complex values with finite
-    parts, is formatted in one pass; numpy scalars, non-finite values,
-    str-mixin enums and mixed lists go value by value.
+    One dispatcher, `_write_items`, writes obj as the single item of an
+    empty head, and every container's items the same way; a list, tuple or
+    1-D array of finite floats, or of complex values with finite parts, is
+    formatted in one pass (`_array_text`).
     """
     out = []
-    _write(obj, "\n" + "  " * indent, out)
+    _write_items([""], [obj], "\n" + "  " * indent, out)
     return "".join(out)
 
 
@@ -312,17 +303,13 @@ def _level(params, masses, n):
 
 
 def _cmd_spectrum(config: RunConfig):
-    levels, errors, quotients = [], [], None
+    levels, errors = [], []
     for n in range(config.n_max + 1):
         entry, error = _level(config.params, config.masses, n)
         if error is not None:
             errors.append(error)
         else:
-            # a level that evaluates passed classify_level's check of these
-            # quotients, which depend on the parameters and masses alone
-            if quotients is None:
-                quotients = _aux_quotients(config.params, config.masses)
-            entry["aux"] = _aux_dict(_auxiliaries(config.params, config.masses, n, quotients))
+            entry["aux"] = _aux_dict(spectral_auxiliaries(config.params, config.masses, n))
         levels.append(entry)
     none_evaluates = len(errors) == len(levels)
     invalid = [exc for exc in errors if isinstance(exc, ValidationError)]
@@ -387,27 +374,20 @@ def _cmd_verify(config: RunConfig):
                             for branch, key in ((Branch.MINUS, "minus"), (Branch.PLUS, "plus"))
                             if entry["physical_" + key]]
         roots = oracle.salpeter_levels(config.params, config.masses)
-        used = set()
+        # each formula level, in ascending order, takes its nearest unused
+        # root; min keeps the first of a tie, the lowest root index
+        unused = list(range(len(roots)))
         for n, branch, e in sorted(formula, key=lambda t: t[2]):
-            best = None
-            for i, root in enumerate(roots):
-                if i in used:
-                    continue
-                if best is None or abs(root - e) < abs(roots[best] - e):
-                    best = i
-            if best is None:
-                rows.append({"n": n, "branch": branch, "formula": e, "oracle": None,
-                             "abs_delta": None, "rel_delta": None})
-                continue
-            used.add(best)
-            root = roots[best]
+            best = min(unused, key=lambda i: abs(roots[i] - e), default=None)
+            root = None if best is None else roots[best]
+            if best is not None:
+                unused.remove(best)
             rows.append({"n": n, "branch": branch, "formula": e, "oracle": root,
-                         "abs_delta": abs(e - root),
-                         "rel_delta": abs(e - root) / max(abs(e), 1e-300)})
-        for i, root in enumerate(roots):
-            if i not in used:
-                rows.append({"n": None, "branch": None, "formula": None,
-                             "oracle": root, "abs_delta": None, "rel_delta": None})
+                         "abs_delta": None if root is None else abs(e - root),
+                         "rel_delta": None if root is None
+                         else abs(e - root) / max(abs(e), 1e-300)})
+        rows += [{"n": None, "branch": None, "formula": None, "oracle": roots[i],
+                  "abs_delta": None, "rel_delta": None} for i in unused]
     return {"metadata": _metadata(config), "mode": config.mode, "rows": rows}, 0
 
 

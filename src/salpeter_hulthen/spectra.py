@@ -210,13 +210,8 @@ class SpectralAuxiliaries:
 
 def spectral_auxiliaries(params: PotentialParams, masses: MassConfig, n: int) -> SpectralAuxiliaries:
     """Snapshot of every auxiliary combination (complex square roots allowed)."""
-    return _auxiliaries(params, masses, n, _aux_quotients(params, masses))
-
-
-def _auxiliaries(params, masses, n, quotients) -> SpectralAuxiliaries:
-    """spectral_auxiliaries from quotients = `_aux_quotients(params, masses)`, already taken."""
     v0, alpha, q = params.v0, params.alpha, params.q
-    eps2_sq, beta, ratio = quotients
+    eps2_sq, beta, ratio = _aux_quotients(params, masses)
     b, big_c, big_d = _b_c_d(eps2_sq, q, n)
     return SpectralAuxiliaries(
         b=b, big_c=big_c, big_d=big_d, xi=_xi(v0, alpha, q, n, 1),
@@ -390,6 +385,7 @@ def nonrelativistic_energy(params: PotentialParams, mu: float, n: int,
     (set check_exists=False to evaluate the bare formula anyway).
     ComplexAlpha regime: the positive spectrum
     E_n = (1/(8 mu q^2 alpha^2)) [(2 mu V0 + q alpha^2 (n+1)^2)/(n+1)]^2.
+    Raises ValidationError where beta or E_n is not finite.
     """
     if n < 0:
         raise ValidationError("n must be nonnegative")
@@ -400,14 +396,21 @@ def nonrelativistic_energy(params: PotentialParams, mu: float, n: int,
         raise ValidationError("nonrelativistic form exists for Real or ComplexAlpha only")
     try:
         if params.regime is Regime.COMPLEX_ALPHA:
-            return float((2.0 * mu * v0 + q * alpha * alpha * (n + 1) ** 2) ** 2
-                         / (8.0 * mu * q * q * alpha * alpha * (n + 1) ** 2))
-        beta = 2.0 * mu * v0 / (q * alpha * alpha)
-        if check_exists and not (beta > 0 and (n + 1) < np.sqrt(beta)):
-            raise NoBoundStateError(f"level n = {n} fails n+1 < sqrt(beta) = {beta**0.5 if beta > 0 else float('nan'):.6g}")
-        return float(-(alpha * alpha / (8.0 * mu)) * ((n + 1) - beta / (n + 1)) ** 2)
+            energy = float((2.0 * mu * v0 + q * alpha * alpha * (n + 1) ** 2) ** 2
+                           / (8.0 * mu * q * q * alpha * alpha * (n + 1) ** 2))
+        else:
+            beta = 2.0 * mu * v0 / (q * alpha * alpha)
+            if not math.isfinite(beta):
+                raise OverflowError(f"beta = {beta}")
+            if check_exists and not (beta > 0 and (n + 1) < np.sqrt(beta)):
+                raise NoBoundStateError(f"level n = {n} fails n+1 < sqrt(beta) = {beta**0.5 if beta > 0 else float('nan'):.6g}")
+            energy = float(-(alpha * alpha / (8.0 * mu)) * ((n + 1) - beta / (n + 1)) ** 2)
+        if not math.isfinite(energy):
+            raise OverflowError(f"E = {energy}")
+        return energy
     except ArithmeticError as exc:
-        # alpha^2 underflows to 0, or a square overflows, at extreme accepted inputs
+        # alpha^2 underflows to 0, or a quotient or a square overflows (a float
+        # quotient or product to inf, without raising), at extreme accepted inputs
         raise ValidationError(f"nonrelativistic closed form leaves the float range: {exc}") from exc
 
 
@@ -419,6 +422,7 @@ def level_count(params: PotentialParams, m: float) -> int:
     (the larger admissible root). Returns 0 when the one-level inequality
     fails. Note this bounds where the energy radicand stays real, which can
     exceed the number of true eigenstates; the oracle is authoritative.
+    Raises ValidationError where the bound is not a finite number.
     """
     if params.regime is not Regime.REAL:
         raise ValidationError("level_count is defined for the Real regime")
@@ -435,12 +439,15 @@ def level_count(params: PotentialParams, m: float) -> int:
     if not admissible:
         return 0
     chi_sq = max(admissible)
-    edge = np.sqrt(chi_sq - v0 * v0)
-    low = np.sqrt(q * q * alpha * alpha - v0 * v0)
+    edge = math.sqrt(chi_sq - v0 * v0)
+    low = math.sqrt(q * q * alpha * alpha - v0 * v0)
     if q * alpha + low > edge:    # one-level inequality
         return 0
-    n_max = (edge - low) / (2.0 * q * alpha) - 0.5
-    return max(0, int(np.floor(n_max)) + 1)
+    # 2 q alpha underflows to 0 (a 0/0 bound) or near it (an infinite one)
+    n_max = (edge - low) / (2.0 * q * alpha) - 0.5 if q * alpha else math.nan
+    if not math.isfinite(n_max):
+        raise ValidationError(f"the level-count bound leaves the float range: {n_max}")
+    return max(0, math.floor(n_max) + 1)
 
 
 def quantization_residual(params: PotentialParams, masses: MassConfig, n: int, energy):

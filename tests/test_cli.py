@@ -1,4 +1,5 @@
 import contextlib
+import enum
 import hashlib
 import io
 import json
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from salpeter_hulthen import cli, oracle
 from salpeter_hulthen.errors import ValidationError
+from salpeter_hulthen.spectra import Branch
 
 
 BASE = {"V0": 0.9, "alpha": 1.0, "q": 1.0, "regime": "Real", "m1": 1.0, "m2": 1.0}
@@ -402,6 +404,30 @@ def test_count_writes_a_null_prediction_where_the_bound_fails(tmp_path, capsys, 
     assert payload["oracle_roots"] == pytest.approx(roots, rel=1e-12)
 
 
+
+@pytest.mark.parametrize("well, masses", [((1e-300, 1e-8, 5e-324), (1.0, 2.0)),
+                                          ((1e-300, 1e-300, 5e-324), (0.8, 2.0))])
+def test_count_refuses_a_bound_that_leaves_the_float_range(tmp_path, capsys, well, masses):
+    # 2 q alpha underflows to 0, so the bound is 0/0: it was a traceback, a
+    # bare ValueError from int(nan); now exit 2 with one JSON error
+    doc = {**BASE, "V0": well[0], "alpha": well[1], "q": well[2],
+           "m1": masses[0], "m2": masses[1]}
+    code, text = run(tmp_path, doc, "--command", "count")
+    assert code == 2 and text == ""
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "ValidationError" and "float range" in error["message"]
+
+
+@pytest.mark.parametrize("q", [5e-324, 1e-310])
+def test_verify_nonrelativistic_refuses_an_infinite_beta(tmp_path, capsys, q):
+    # beta = 2 mu V0 / (q alpha^2) overflows to inf: the formula was -inf,
+    # written as "-inf" with a "nan" rel_delta and exit 0
+    doc = {**BASE, "V0": 1.5, "q": q, "m1": 1000.0, "mode": "nonrelativistic"}
+    code, text = run(tmp_path, doc, "--command", "verify")
+    assert code == 2 and text == ""
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "ValidationError" and "float range" in error["message"]
+
 def test_scan_command(tmp_path):
     doc = {**BASE, "scan": {"param": "V0", "start": 0.85, "stop": 0.95, "points": 3}}
     code, text = run(tmp_path, doc, "--command", "scan", "--n-max", "0")
@@ -553,6 +579,22 @@ def test_writer_edge_values():
         "{", '  "a": {},', '  "b": [', '    "nan",', '    "-inf",', '    "inf",', "    -0,",
         "    4.9406564584124654e-324", "  ],", '  "c": [],', '  "n": -3,', '  "z": {',
         '    "im": -0,', '    "re": "nan"', "  },", '  "\\u00e9": 0.10000000149011612', "}"])
+
+
+
+def test_writer_top_level_scalars_and_str_of_other_objects():
+    # the branches no other writer test reaches: a top-level str, None or
+    # bool, a str subclass (written as its str(), not its value) and an
+    # object of no JSON type (its str()), nested and at the top
+    class Mode(str, enum.Enum):
+        FAST = "fast"
+
+    for obj in ("\u00e9\n", None, True, Mode.FAST, Branch.PLUS, 3 + 0j,
+                {"m": Mode.FAST, "b": [Branch.MINUS, Mode.FAST]}):
+        for indent in range(2):
+            assert cli.dumps_canonical(obj, indent) == _reference_dumps(obj, indent)
+    assert cli.dumps_canonical(Mode.FAST) == json.dumps(str(Mode.FAST))
+    assert cli.dumps_canonical(Branch.PLUS) == '"Branch.PLUS"'
 
 
 def test_writer_numpy_bools_and_arrays():

@@ -457,6 +457,25 @@ def test_level_count():
     assert level_count(PotentialParams(0.0, 1.0, 1.0), 1.0) == 0
 
 
+
+@pytest.mark.parametrize("v0, alpha, masses", [(1e-300, 1e-8, (1.0, 2.0)),
+                                               (1e-300, 1e-300, (0.8, 2.0))])
+def test_level_count_refuses_a_bound_that_leaves_the_float_range(v0, alpha, masses):
+    # at q = 5e-324, 2 q alpha underflows to 0 and the bound is 0/0
+    m = MassConfig(*masses).m_tilde / 2.0
+    with pytest.raises(ValidationError, match="float range"):
+        level_count(PotentialParams(v0, alpha, 5e-324), m)
+
+
+@pytest.mark.parametrize("q", [5e-324, 1e-310, 1e-200])
+@pytest.mark.parametrize("check_exists", [True, False])
+def test_nonrelativistic_energy_refuses_a_result_out_of_the_float_range(q, check_exists):
+    # beta = 2 mu V0 / (q alpha^2) overflows to inf at the two smaller q,
+    # where the result was -inf; at 1e-200 the square overflows
+    mu = MassConfig(1000.0, 1.0).mu
+    with pytest.raises(ValidationError, match="float range"):
+        nonrelativistic_energy(PotentialParams(1.5, 1.0, q), mu, 0, check_exists=check_exists)
+
 def test_branch_labels_and_pair_retention():
     mi, pl = bound_states(PotentialParams(0.9, 1.0, 1.0), MC1, 0)
     assert mi.branch is Branch.MINUS and pl.branch is Branch.PLUS
