@@ -40,7 +40,7 @@ from .errors import (
     SalpeterError,
     ValidationError,
 )
-from .potentials import MassConfig, PotentialParams, params_from_json
+from .potentials import JSON_FIELDS, MassConfig, PotentialParams, params_from_json
 from .spectra import (Branch, bound_states, classify_level, level_count, nonrelativistic_energy,
                       spectral_auxiliaries)
 from .wavefunctions import assemble, evaluate_on_grid, normalization_constant
@@ -69,7 +69,6 @@ OPTIONS = (
     ("tolerance", 1e-10, float, (0.0, math.inf)),
     ("format", "json", str, ("json", "csv")),
 )
-_PARAM_KEYS = ("V0", "alpha", "q", "regime", "m1", "m2")
 _SCAN_KEYS = {"param", "start", "stop", "points"}
 
 
@@ -103,13 +102,13 @@ def _number(value, name: str, low=-math.inf, high=math.inf, integral: bool = Fal
 
 def build_config(doc: dict, overrides: dict | None = None) -> RunConfig:
     """Validate the document, with the non-None overrides merged in, and produce a RunConfig."""
-    unknown = set(doc) - {*_PARAM_KEYS, *(row[0] for row in OPTIONS), "scan"}
+    unknown = set(doc) - {*JSON_FIELDS, *(row[0] for row in OPTIONS), "scan"}
     if unknown:
         raise ValidationError(f"unknown config fields: {sorted(unknown)}")
     merged = {key: default for key, default, *_ in OPTIONS}
     merged.update(doc)
     merged.update((key, value) for key, value in (overrides or {}).items() if value is not None)
-    params, masses = params_from_json({key: merged.get(key) for key in _PARAM_KEYS})
+    params, masses = params_from_json({key: merged.get(key) for key in JSON_FIELDS})
     options = {}
     for key, _, kind, accepted in OPTIONS:
         value = merged[key]

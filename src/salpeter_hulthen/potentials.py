@@ -126,7 +126,8 @@ class MassConfig:
         return self.m1 == self.m2
 
 
-_JSON_FIELDS = ("V0", "alpha", "q", "regime", "m1", "m2")
+# the keys of a parameter document, which params_from_json and the CLI accept
+JSON_FIELDS = ("V0", "alpha", "q", "regime", "m1", "m2")
 
 
 def params_from_json(doc: dict):
@@ -134,10 +135,10 @@ def params_from_json(doc: dict):
 
     Field names are fixed; unknown fields are rejected.
     """
-    unknown = set(doc) - set(_JSON_FIELDS)
+    unknown = set(doc) - set(JSON_FIELDS)
     if unknown:
         raise ValidationError(f"unknown fields: {sorted(unknown)}")
-    missing = set(_JSON_FIELDS) - set(doc)
+    missing = set(JSON_FIELDS) - set(doc)
     if missing:
         raise ValidationError(f"missing fields: {sorted(missing)}")
     try:

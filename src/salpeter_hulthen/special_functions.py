@@ -150,6 +150,16 @@ class JacobiPoly:
         return npoly.polyder(self.coeffs, m=order)
 
 
+def linear_rebase(coeffs, linear) -> np.ndarray:
+    """Monomial coefficients in z of sum_k coeffs[k] * L(z)^k, for L(z) = linear[0] + linear[1] z."""
+    out = np.zeros(len(coeffs), dtype=complex)
+    power = np.array([1.0 + 0j])
+    for c in coeffs:
+        out[: power.size] += c * power
+        power = npoly.polymul(power, linear)
+    return out
+
+
 def _rising(x, m) -> complex:
     out = 1.0 + 0j
     for i in range(m):
@@ -171,13 +181,7 @@ def jacobi_coefficients(n: int, rho, nu) -> JacobiPoly:
         dtype=complex,
     )
     # compose with u(z) = (z - 1)/2
-    u_poly = np.array([-0.5, 0.5], dtype=complex)
-    coeffs_z = np.zeros(n + 1, dtype=complex)
-    power = np.array([1.0 + 0j])
-    for r in range(n + 1):
-        coeffs_z[: power.size] += coeffs_u[r] * power
-        power = npoly.polymul(power, u_poly)
-    return JacobiPoly(n, rho, nu, coeffs_z)
+    return JacobiPoly(n, rho, nu, linear_rebase(coeffs_u, np.array([-0.5, 0.5], dtype=complex)))
 
 
 def jacobi_eval(n: int, rho, nu, z) -> complex:

@@ -45,6 +45,8 @@ class EnergyPair(NamedTuple):
 
 
 _SMALLEST_SAFE_DIVISOR = 2.0 ** -1023   # numpy's 1/den cannot overflow where |den| exceeds it
+# nor num/den where |num|/2, which cannot overflow, is below this times min(|den|, 1)
+_LARGE_HALF_NUMERATOR = 2.0 ** 1020
 
 
 def _csqrt(x):
@@ -102,26 +104,29 @@ def _b_c_d(eps2_sq, q, n):
 
 
 def _quotient(num, den):
-    """num/den, which numpy's complex division forms as num times 1/den.
+    """num/den as numpy divides, but with no overflow that the operands do not call for.
 
-    1/den overflows where den is subnormal (4e-318 / 2e-318 gives inf + nan
-    i). Where the quotient is not finite but both operands are, it is taken
-    with both scaled by one exact power of two, 2^min(-e, 1023) for |den| =
-    f 2^e with f in [1/2, 1); a finite quotient is never redone, so it keeps
-    its bits. Where the operands show that 1/den overflows, the direct
-    quotient, which cannot be finite, is not formed at all, so no
-    RuntimeWarning is raised: |den| above 2^-1023 rules that out at once,
-    and below it the divisor that numpy inverts is formed as numpy forms it
-    (`_smith_divisor`).
+    numpy's complex division is Smith's: for den = c + d i with |c| >= |d|
+    (c and d swap roles otherwise) and num = a + b i it forms r = d/c, then
+    (a + b r, b - a r) times 1/(c + d r). So it overflows where 1/(c + d r)
+    does (a subnormal den) or where a sum does (|a| or |b| near the float
+    maximum), though the true quotient can be finite. There, and wherever
+    else the direct quotient of finite operands would not be finite, the
+    quotient is taken with both operands scaled by one exact power of two,
+    2^min(-e, 1023) for |den| = f 2^e with f in [1/2, 1). Whether that is
+    so is found before dividing, so no RuntimeWarning is raised: a |den| of
+    at most 2^-1023, or a |num| of at least 2^1021 min(|den|, 1), calls for
+    numpy's steps to be retraced in Python floats
+    (`_numpy_quotient_is_finite`); any other pair is divided at once. A
+    finite direct quotient keeps its bits.
     """
-    if abs(den) <= _SMALLEST_SAFE_DIVISOR and den != 0 and cmath.isfinite(num) \
-            and not math.isfinite(1.0 / _smith_divisor(den)):
+    size = abs(den)
+    if (size <= _SMALLEST_SAFE_DIVISOR
+            or abs(num * 0.5) >= _LARGE_HALF_NUMERATOR * (size if size < 1.0 else 1.0)) \
+            and den != 0 and cmath.isfinite(num) and cmath.isfinite(den) \
+            and not _numpy_quotient_is_finite(num, den):
         return _scaled_quotient(num, den)
-    quotient = num / den
-    if not cmath.isfinite(quotient) and den != 0 and cmath.isfinite(num) \
-            and cmath.isfinite(den):
-        quotient = _scaled_quotient(num, den)
-    return quotient
+    return num / den
 
 
 def _scaled_quotient(num, den):
@@ -130,14 +135,19 @@ def _scaled_quotient(num, den):
     return (num * scale) / (den * scale)
 
 
-def _smith_divisor(den):
-    """c + d (d/c) for den = c + d i with |c| >= |d|, else d + c (c/d): numpy divides by its inverse.
+def _numpy_quotient_is_finite(num, den):
+    """Whether numpy's complex num/den is finite, found with its steps in Python floats.
 
-    In Python floats, which round alike and do not warn; den is finite and
-    nonzero.
+    Python floats round alike and do not warn. Where |c| < |d| the roles
+    swap; the real sum a r + b is then b + a r, and the imaginary one is
+    negated, which keeps its finiteness. den is finite and nonzero.
     """
-    c, d = float(den.real), float(den.imag)
-    return c + d * (d / c) if abs(c) >= abs(d) else d + c * (c / d)
+    a, b, c, d = float(num.real), float(num.imag), float(den.real), float(den.imag)
+    if abs(c) < abs(d):
+        a, b, c, d = b, a, d, c
+    r = d / c
+    scale = 1.0 / (c + d * r)
+    return math.isfinite((a + b * r) * scale) and math.isfinite((b - a * r) * scale)
 
 
 def _xi_pair(x, v0, q, m):
@@ -155,39 +165,24 @@ def _xi_pair(x, v0, q, m):
         raise ValidationError(f"equal-mass closed form leaves the float range: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class DimensionlessParams:
-    """The coupling combinations entering the reduced equation.
+def dimensionless(params: PotentialParams, masses: MassConfig, energy):
+    """(a, eps^2, eps1, eps2^2, eps3, q): the reduced equation's scale, couplings and q at energy.
 
-    eps carries the energy; eps1, eps2_sq, eps3 the three potential
-    couplings (not independent: eps2_sq = eps1^2 * alpha^2 / (4 mu m_tilde)).
-    The _nr pair belongs to the nonrelativistic reduction.
+    At the effective parameters, a = alpha^2/(2 mu) is the scale, eps^2 =
+    -(E + E^2/(2 m_tilde))/a carries the energy, and eps1 = V0/a, eps2^2 =
+    V0^2/(2 m_tilde a) and eps3 = V0 E/(m_tilde a) are the potential
+    couplings (not independent: eps2^2 = eps1^2 alpha^2/(4 mu m_tilde)); q
+    rides along so that the verdict path reads the parameters once. In
+    Python complex arithmetic, which rounds as numpy's scalars do but does
+    not warn where a quotient overflows (a subnormal a). A plain tuple, the
+    cheapest record on the verdict path; each caller takes the square root
+    of eps^2 itself.
     """
-
-    eps: complex
-    eps1: complex
-    eps2_sq: complex
-    eps3: complex
-    eps_nr_sq: complex
-    eps1_nr: complex
-
-
-def dimensionless(params: PotentialParams, masses: MassConfig, energy) -> DimensionlessParams:
-    v0, alpha, _ = params.effective()
-    mu, mt = masses.mu, masses.m_tilde
-    pref = 2.0 * mu / (alpha * alpha)
+    v0, alpha, q = params.effective()
+    mt = masses.m_tilde
+    a = alpha * alpha / (2.0 * masses.mu)
     e = complex(energy)
-    eps_sq = -pref * (e + e * e / (2.0 * mt))
-    eps1 = pref * v0
-    eps2_sq = pref * v0 * v0 / (2.0 * mt)
-    eps3 = pref * v0 * e / mt
-    check = eps1 * eps1 * alpha * alpha / (4.0 * mu * mt)
-    if abs(check - eps2_sq) > 1e-12 * (1.0 + abs(eps2_sq)):
-        raise ValidationError("inconsistent dimensionless couplings")
-    return DimensionlessParams(
-        eps=_csqrt(eps_sq), eps1=eps1, eps2_sq=eps2_sq, eps3=eps3,
-        eps_nr_sq=pref * e, eps1_nr=eps1,
-    )
+    return a, -(e + e * e / (2.0 * mt)) / a, v0 / a, v0 * v0 / (2.0 * mt * a), v0 * e / (mt * a), q
 
 
 @dataclass(frozen=True)
@@ -457,14 +452,8 @@ def quantization_residual(params: PotentialParams, masses: MassConfig, n: int, e
     with a vanishing unsquared residual (principal eps) carries a genuine
     polynomial solution. Returns (residual, eps).
     """
-    v0, alpha, q = params.effective()
-    mu, mt = masses.mu, masses.m_tilde
-    a = alpha * alpha / (2.0 * mu)
-    e = complex(energy)
-    eps = complex(_csqrt(-(e + e * e / (2.0 * mt)) / a))
-    eps1 = v0 / a
-    eps2_sq = v0 * v0 / (2.0 * mt * a)
-    eps3 = v0 * e / (mt * a)
+    _, eps_sq, eps1, eps2_sq, eps3, q = dimensionless(params, masses, energy)
+    eps = complex(_csqrt(eps_sq))
     # in Python complex arithmetic, which rounds as numpy's scalars do but
     # does not warn where eps overflows (a subnormal a)
     big_c, big_d = (complex(z) for z in _b_c_d(eps2_sq, q, n)[1:])

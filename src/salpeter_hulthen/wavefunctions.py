@@ -21,11 +21,9 @@ from .errors import (
     RegimeMismatchError,
     ValidationError,
 )
-from .potentials import MassConfig, PotentialParams, Regime
-from .special_functions import JacobiPoly, beta_fn, gamma_fn, gauss_2f1
-from .spectra import BoundState
-
-POLE_TOL = 1e-10
+from .potentials import POLE_TOL, MassConfig, PotentialParams, Regime
+from .special_functions import JacobiPoly, beta_fn, gamma_fn, gauss_2f1, linear_rebase
+from .spectra import BoundState, dimensionless
 
 
 @dataclass(frozen=True)
@@ -44,7 +42,6 @@ class WaveFunction:
     energy: complex
     params: PotentialParams
     masses: MassConfig
-    nu_phase: int | None = None
 
     def with_norm(self, norm):
         return replace(self, norm=complex(norm))
@@ -83,18 +80,7 @@ def rodrigues_polynomial(n: int, eps, b_over_q, q) -> JacobiPoly:
             coeffs_s[n - j + t] += factor * math.comb(j, t) * (-q) ** t
     # rebase from s to z = 1 - 2 q s, i.e. s = (1 - z)/(2 q)
     s_of_z = np.array([1.0 / (2.0 * q), -1.0 / (2.0 * q)], dtype=complex)
-    coeffs_z = np.zeros(n + 1, dtype=complex)
-    power = np.array([1.0 + 0j])
-    for k in range(n + 1):
-        coeffs_z[: power.size] += coeffs_s[k] * power
-        power = npoly.polymul(power, s_of_z)
-    return JacobiPoly(n, 2 * eps, w, coeffs_z)
-
-
-def _eps2_sq_effective(params, masses):
-    v0, alpha, _ = params.effective()
-    a_eff = alpha * alpha / (2.0 * masses.mu)
-    return v0 * v0 / (2.0 * masses.m_tilde * a_eff), a_eff
+    return JacobiPoly(n, 2 * eps, w, linear_rebase(coeffs_s, s_of_z))
 
 
 def assemble(params: PotentialParams, masses: MassConfig, state: BoundState) -> WaveFunction:
@@ -122,19 +108,17 @@ def assemble(params: PotentialParams, masses: MassConfig, state: BoundState) -> 
                             regime=regime, kinematics="nonrelativistic", energy=e,
                             params=params, masses=masses)
 
-    eps2_eff, a_eff = _eps2_sq_effective(params, masses)
-    _, alpha_eff, q_eff = params.effective()
-    eps_val = np.sqrt(-(e + e * e / (2.0 * mt)) / a_eff + 0j)
-    b_eff = np.sqrt(q_eff * q_eff - 4.0 * eps2_eff + 0j)
+    _, eps_sq, _, eps2_sq, _, q_eff = dimensionless(params, masses, e)
+    b_eff = np.sqrt(q_eff * q_eff - 4.0 * eps2_sq + 0j)
     if regime in (Regime.COMPLEX_ALPHA, Regime.ALL_COMPLEX):
         # these regimes carry the exponent i*eps with eps^2 = (2 mu/alpha^2)(E + E^2/2mt)
         eps_exp = 1j * np.sqrt((2.0 * mu / (alpha * alpha)) * (e + e * e / (2.0 * mt)) + 0j)
     else:
-        eps_exp = eps_val
+        eps_exp = np.sqrt(eps_sq + 0j)
     edge = (b_eff + q_eff) / (2.0 * q_eff)
     jac = rodrigues_polynomial(n, eps_exp, b_eff / q_eff, q_eff)
     return WaveFunction(n=n, eps_exponent=complex(eps_exp), edge_exponent=complex(edge),
-                        jacobi=jac, norm=1.0 + 0j, s_rate=complex(alpha_eff),
+                        jacobi=jac, norm=1.0 + 0j, s_rate=complex(params.effective()[1]),
                         q_eff=complex(q_eff), regime=regime, kinematics="salpeter",
                         energy=e, params=params, masses=masses)
 

@@ -371,6 +371,32 @@ def test_subnormal_v0_gives_a_finite_pair(regime):
     np.testing.assert_allclose([e.real for e in pair], [-4.0, 0.0], rtol=0, atol=1e-12)
 
 
+def test_quotient_retries_a_smith_sum_overflow_without_a_warning():
+    # numpy divides (1.5e308 + 1.5e308 i) by 2 + 2 i through the Smith sum
+    # a + b (d/c) = 3e308, which overflows though the quotient is 7.5e307;
+    # the scaled quotient is taken without a direct one first, so no
+    # RuntimeWarning is raised (no np.errstate here)
+    for num in (1.5e308 + 1.5e308j, np.complex128(1.5e308 + 1.5e308j)):
+        got = spectra._quotient(num, 2 + 2j)
+        assert (got.real.hex(), got.imag.hex()) == ("0x1.ab36d48e1acf0p+1022", "0x0.0p+0")
+    # where |Im den| > |Re den| numpy swaps the roles of the parts: its sum
+    # a (c/d) + b overflows for this num, and not for 1e308, whose direct
+    # quotient is kept
+    for num, want in [(1.5e308 + 1.5e308j, ("0x1.005419221015dp+1023", "-0x1.55c576d815727p+1021")),
+                      (1e308 + 0j, ("0x1.c7b1f3cac7434p+1020", "-0x1.c7b1f3cac7434p+1021"))]:
+        got = spectra._quotient(np.complex128(num), 1 + 2j)
+        assert (got.real.hex(), got.imag.hex()) == want
+    # a level whose lift/xi meets the same overflow: the pair keeps the bits
+    # it had when the direct quotient was formed first and its warning ignored
+    p = PotentialParams(3.53339825325425e76, 5.1438295777389765e76, 0.5, Regime.COMPLEX_V0_Q)
+    pair, verdicts = spectra.classify_level(p, MassConfig.equal(5.912103503523457e76), 2)
+    assert [(e.real.hex(), e.imag.hex()) for e in pair] == [
+        ("-0x1.1660c43904bc0p+256", "0x1.2fa1bcf4cb541p+255"),
+        ("-0x1.60df736eeb310p+254", "-0x1.2fa1bcf4cb541p+255")]
+    assert pair.minus == -1.259139435038663e77 + 6.86682798130561e76j
+    assert verdicts == (False, False)
+
+
 def _classification_bits(call):
     """float.hex of both energies and the two verdicts, or the error type and message."""
     try:
@@ -502,12 +528,14 @@ def test_complex_regime_requires_equal_masses():
 
 def test_dimensionless_consistency():
     p = PotentialParams(0.9, 1.0, 1.0)
-    d = spectra.dimensionless(p, MC1, -0.1)
-    a = 1.0 / (2 * MC1.mu)
-    assert d.eps1 == pytest.approx(0.9 / a, rel=1e-14)
-    assert d.eps2_sq == pytest.approx(d.eps1**2 * 1.0 / (4 * MC1.mu * MC1.m_tilde), rel=1e-12)
-    assert d.eps.imag == pytest.approx(0.0, abs=1e-14)
-    assert d.eps.real >= 0
+    a, eps_sq, eps1, eps2_sq, eps3, q = spectra.dimensionless(p, MC1, -0.1)
+    assert a == 1.0 / (2 * MC1.mu) and q == 1.0
+    assert eps1 == pytest.approx(0.9 / a, rel=1e-14)
+    assert eps2_sq == pytest.approx(eps1**2 * 1.0 / (4 * MC1.mu * MC1.m_tilde), rel=1e-12)
+    assert eps3 == pytest.approx(0.9 * -0.1 / (MC1.m_tilde * a), rel=1e-14)
+    eps = np.sqrt(eps_sq)
+    assert eps.imag == pytest.approx(0.0, abs=1e-14)
+    assert eps.real >= 0
 
 
 @pytest.mark.parametrize("params, masses", [

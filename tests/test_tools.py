@@ -1,4 +1,7 @@
 import importlib.util
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -46,3 +49,35 @@ def test_bits_digest_prints_the_same_four_lines_twice(capsys):
     assert runs[0] == runs[1]
     assert [line.split()[0] for line in runs[0]] == ["levels", "mismatch", "closed_forms", "cli"]
     assert all(len(line.split()[1]) == 64 for line in runs[0])
+
+
+def _repo_files(root):
+    """{path: mtime_ns} of every file under root outside .git."""
+    return {path: path.stat().st_mtime_ns for path in root.rglob("*")
+            if path.is_file() and ".git" not in path.relative_to(root).parts}
+
+
+def test_line_trace_lists_the_statements_a_run_never_reaches(tmp_path):
+    root = Path(__file__).resolve().parent.parent
+    (tmp_path / "test_throwaway.py").write_text(
+        "from salpeter_hulthen.potentials import PotentialParams, short_range_expansion\n\n\n"
+        "def test_one_call():\n"
+        "    assert short_range_expansion(PotentialParams(1.0, 1.0, 0.5), 0.1, 1) == -2.0 + 0.4\n")
+    before = _repo_files(root)
+    proc = subprocess.run([sys.executable, str(root / "tools" / "line_trace.py"),
+                           str(tmp_path / "test_throwaway.py")],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert _repo_files(root) == before
+    lines = proc.stdout.splitlines()
+    listed = [line for line in lines if line.startswith("src/salpeter_hulthen/")]
+    assert listed and all(re.fullmatch(r"src/salpeter_hulthen/\w+\.py:\d+: \S.*", line)
+                          for line in listed)
+    sources = [line.split(": ", 1)[1] for line in listed if "/potentials.py:" in line]
+    # the order check's raise never ran; its test and the imports did
+    assert 'raise ValidationError("order must be 0 or 1")' in sources
+    assert "if order not in (0, 1):" not in sources
+    assert not any(source.startswith(("import ", "from ", "def ")) for source in sources)
+    counts = dict(reversed(line.split()) for line in lines if re.fullmatch(r" *\d+  \S+", line))
+    assert int(counts["potentials.py"]) == len(sources)
+    assert lines[-1].endswith("total statements never run")
