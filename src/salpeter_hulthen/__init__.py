@@ -2,7 +2,7 @@
 generalized Hulthen potential family, cross-validated against an
 independent numerical eigenvalue oracle."""
 
-from . import errors, nu_engine, oracle, potentials, special_functions, spectra, wavefunctions
+from . import errors, oracle, potentials, special_functions, spectra, wavefunctions
 from .potentials import (
     DegenerateForm,
     MassConfig,
@@ -35,8 +35,7 @@ from .wavefunctions import WaveFunction, assemble, evaluate_on_grid, normalizati
 __version__ = "0.1.0"
 
 __all__ = [
-    "errors", "nu_engine", "oracle", "potentials", "special_functions",
-    "spectra", "wavefunctions",
+    "errors", "oracle", "potentials", "special_functions", "spectra", "wavefunctions",
     "DegenerateForm", "MassConfig", "PotentialParams", "Regime", "SymmetryVerdict",
     "check_pt_symmetry", "degenerate_form", "evaluate", "params_from_json",
     "short_range_expansion",

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all subpackages."""
+"""Exception hierarchy of the package: every error it raises is a SalpeterError."""
 
 
 class SalpeterError(Exception):
@@ -19,26 +19,6 @@ class PoleOnGridError(SalpeterError):
 
 class DegenerateShiftError(SalpeterError):
     """Short-range expansion undefined at q = 1 (shift term diverges)."""
-
-
-class DegenerateRadicandError(SalpeterError):
-    """The pi-radicand is s-independent, so every k is admissible."""
-
-
-class NotPerfectSquareError(SalpeterError):
-    """The supplied k does not make the radicand a perfect square."""
-
-
-class AdmissibilityFailureError(SalpeterError):
-    """No branch satisfies the negative-derivative condition on tau."""
-
-
-class AmbiguousBranchError(SalpeterError):
-    """Several admissible branches remain after all tie-breaks."""
-
-
-class UnsupportedSigmaShapeError(SalpeterError):
-    """sigma(s) is not of the form s or s*(1-q*s)."""
 
 
 class NoBoundStateError(SalpeterError):

@@ -1,10 +1,11 @@
 """Jacobi polynomials with complex parameters, Gauss 2F1, and the Beta function.
 
 Everything here works over complex parameters, which the orthodox library
-routines do not cover. 2F1 and 1F1 share one power-series loop. 2F1 is
-summed exactly for any z when it terminates, takes Gauss's theorem at
-z = 1 and the direct series for |z| < 1; any other z is refused at once with
-NonConvergentError. Gamma itself is delegated to scipy's complex
+routines do not cover. A Jacobi polynomial is held by its monomial
+coefficients (`JacobiPoly`), which `linear_rebase` carries onto a linear map
+of z. 2F1 is summed exactly for any z when it terminates, takes Gauss's
+theorem at z = 1 and the direct series for |z| < 1; any other z is refused
+at once with NonConvergentError. Gamma itself is delegated to scipy's complex
 implementation (Lanczos-class accuracy, better than 1e-12 on the strip the
 normalization integrals need). scipy.special is imported on first use: it
 is most of the package's import time, and only the wavefunction
@@ -12,7 +13,6 @@ normalization needs it.
 """
 
 import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,13 +121,6 @@ def gauss_2f1(a, b, c, z) -> complex:
     return _hyp_series((a, b), c, z)
 
 
-def kummer_1f1(a, c, z) -> complex:
-    """Confluent 1F1(a; c; z) by the direct series, which converges for every z."""
-    if _nonpos_int_order(c) is not None:
-        raise ParameterPoleError(f"1F1 parameter pole: c = {complex(c)}")
-    return _hyp_series((a,), c, z)
-
-
 @dataclass(frozen=True)
 class JacobiPoly:
     """Degree-n Jacobi polynomial P_n^(rho, nu) in the monomial basis of z."""
@@ -158,125 +151,3 @@ def linear_rebase(coeffs, linear) -> np.ndarray:
         out[: power.size] += c * power
         power = npoly.polymul(power, linear)
     return out
-
-
-def _rising(x, m) -> complex:
-    out = 1.0 + 0j
-    for i in range(m):
-        out *= x + i
-    return out
-
-
-def jacobi_coefficients(n: int, rho, nu) -> JacobiPoly:
-    """Pole-free monomial coefficients from the Pochhammer expansion.
-
-    P_n(z) = sum_r rise(rho+1+r, n-r) * rise(n+rho+nu+1, r) / (r! (n-r)!) * u^r
-    with u = (z-1)/2.
-    """
-    rho, nu = complex(rho), complex(nu)
-    coeffs_u = np.array(
-        [_rising(rho + 1 + r, n - r) * _rising(n + rho + nu + 1.0, r)
-         / (math.factorial(r) * math.factorial(n - r))
-         for r in range(n + 1)],
-        dtype=complex,
-    )
-    # compose with u(z) = (z - 1)/2
-    return JacobiPoly(n, rho, nu, linear_rebase(coeffs_u, np.array([-0.5, 0.5], dtype=complex)))
-
-
-def jacobi_eval(n: int, rho, nu, z) -> complex:
-    """P_n^(rho, nu)(z) by the three-term recurrence.
-
-    Falls back to the closed-form coefficients when a recurrence denominator
-    degenerates (possible for special complex parameter combinations).
-    """
-    if n < 0:
-        raise ValidationError("n must be nonnegative")
-    rho, nu, z = complex(rho), complex(nu), complex(z)
-    if n == 0:
-        return 1.0 + 0j
-    p_prev = 1.0 + 0j
-    p_cur = (rho - nu) / 2.0 + (rho + nu + 2.0) * z / 2.0
-    for k in range(2, n + 1):
-        c1 = 2.0 * k * (k + rho + nu) * (2.0 * k + rho + nu - 2.0)
-        if abs(c1) < 1e-12 * (1.0 + abs(rho) + abs(nu)) ** 3:
-            return complex(jacobi_coefficients(n, rho, nu)(z))
-        c2 = (2.0 * k + rho + nu - 1.0) * (rho * rho - nu * nu)
-        c3 = (2.0 * k + rho + nu - 2.0) * (2.0 * k + rho + nu - 1.0) * (2.0 * k + rho + nu)
-        c4 = 2.0 * (k + rho - 1.0) * (k + nu - 1.0) * (2.0 * k + rho + nu)
-        p_next = ((c2 + c3 * z) * p_cur - c4 * p_prev) / c1
-        p_prev, p_cur = p_cur, p_next
-    return p_cur
-
-
-def jacobi_binomial_form(n: int, rho, nu, z) -> complex:
-    """Binomial-sum expansion 2^-n sum_p (-1)^(n-p) C(n+rho,p) C(n+nu,n-p) (1-z)^(n-p) (1+z)^p.
-
-    The generalized binomials are evaluated through rising-factorial
-    products, which is the same Gamma-quotient rewritten without the
-    cancellation error of two large Gamma values.
-    """
-    rho, nu, z = complex(rho), complex(nu), complex(z)
-    total = 0j
-    for p in range(n + 1):
-        binom1 = _rising(n + rho - p + 1, p) / math.factorial(p)
-        binom2 = _rising(nu + p + 1, n - p) / math.factorial(n - p)
-        total += (-1.0) ** (n - p) * binom1 * binom2 * (1.0 - z) ** (n - p) * (1.0 + z) ** p
-    return total * 2.0 ** (-n)
-
-
-def jacobi_gamma_form(n: int, rho, nu, z) -> complex:
-    """Gamma-ratio expansion in powers of (z-1)/2.
-
-    Raises ParameterPole when an argument of the defining Gamma quotients
-    hits a nonpositive integer; away from those the quotients are evaluated
-    as rising factorials for precision.
-    """
-    rho, nu, z = complex(rho), complex(nu), complex(z)
-    for arg in (n + rho + 1, n + rho + nu + 1, rho + 1):
-        if _nonpos_int_order(arg) is not None:
-            raise ParameterPoleError(f"Gamma pole at {arg}")
-    for r in range(n + 1):
-        if _nonpos_int_order(r + rho + 1) is not None \
-                or _nonpos_int_order(n + rho + nu + r + 1) is not None:
-            raise ParameterPoleError("Gamma pole inside the expansion")
-    # Gamma(n+rho+1)/Gamma(rho+1) = (rho+1)_n;
-    # Gamma(n+rho+nu+r+1)/Gamma(n+rho+nu+1) = (n+rho+nu+1)_r;
-    # Gamma(rho+1)/Gamma(r+rho+1) = 1/(rho+1)_r
-    pref = _rising(rho + 1, n) / math.factorial(n)
-    total = 0j
-    for r in range(n + 1):
-        total += (math.comb(n, r) * _rising(n + rho + nu + 1, r)
-                  / _rising(rho + 1, r) * ((z - 1.0) / 2.0) ** r)
-    return pref * total
-
-
-def jacobi_closed_form(n: int, rho, nu, z) -> complex:
-    """Gamma-ratio form, falling back to the binomial sum on parameter poles."""
-    try:
-        return jacobi_gamma_form(n, rho, nu, z)
-    except ParameterPoleError:
-        return jacobi_binomial_form(n, rho, nu, z)
-
-
-def jacobi_shifted_sum_forms(n: int, eps, b_over_q, q, s):
-    """The two explicit expansions of P_n^(2 eps, b/q)(1 - 2 q s).
-
-    Returns the pair (mixed-power sum over p, plain-power sum over r); both
-    must agree with jacobi_eval at z = 1 - 2 q s.
-    """
-    eps, w, q, s = complex(eps), complex(b_over_q), complex(q), complex(s)
-    sum_p = 0j
-    for p in range(n + 1):
-        sum_p += ((-1.0) ** p * q ** (n - p)
-                  / (math.factorial(p) * math.factorial(n - p)
-                     * gamma_fn(p + w + 1) * gamma_fn(n + 2 * eps - p + 1))
-                  * s ** (n - p) * (1.0 - q * s) ** p)
-    v_mixed = (-1.0) ** n * gamma_fn(n + 2 * eps + 1) * gamma_fn(n + w + 1) * sum_p
-    sum_r = 0j
-    for r in range(n + 1):
-        sum_r += ((-1.0) ** r * q ** r * gamma_fn(n + 2 * eps + w + r + 1)
-                  / (math.factorial(r) * math.factorial(n - r) * gamma_fn(2 * eps + r + 1))
-                  * s ** r)
-    v_plain = gamma_fn(n + 2 * eps + 1) / gamma_fn(n + 2 * eps + w + 1) * sum_r
-    return v_mixed, v_plain

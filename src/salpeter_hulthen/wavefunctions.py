@@ -165,21 +165,33 @@ def norm_integral_closed(n: int, rho, nu, q_eff, p: int, r: int) -> complex:
     return f * beta_fn(a0, 1.0)
 
 
+def _shifted_sum_terms(n: int, rho, nu, q):
+    """The terms (t_p, u_r), p, r = 0..n, of the two sums for P_n^(rho, nu)(1 - 2 q s).
+
+    P_n(1 - 2 q s) = (-1)^n Gamma(n+rho+1) Gamma(n+nu+1) sum_p t_p s^(n-p) (1 - q s)^p
+                   = Gamma(n+rho+1) / Gamma(n+rho+nu+1) sum_r u_r s^r.
+    """
+    t_p = [((-1.0) ** p * q ** (n - p)
+            / (math.factorial(p) * math.factorial(n - p)
+               * gamma_fn(p + nu + 1) * gamma_fn(n + rho - p + 1)))
+           for p in range(n + 1)]
+    u_r = [((-1.0) ** r * q ** r * gamma_fn(n + rho + nu + r + 1)
+            / (math.factorial(r) * math.factorial(n - r) * gamma_fn(rho + r + 1)))
+           for r in range(n + 1)]
+    return t_p, u_r
+
+
 def normalization_sum(n: int, rho, nu, q_eff) -> complex:
     """The double sum over (p, r) for int_0^1 weight * P^2 ds in closed form."""
     rho, nu, q_eff = complex(rho), complex(nu), complex(q_eff)
     try:
         pref = ((-1.0) ** n * gamma_fn(n + nu + 1) * gamma_fn(n + rho + 1) ** 2
                 / gamma_fn(n + rho + nu + 1))
+        t_p, u_r = _shifted_sum_terms(n, rho, nu, q_eff)
         total = 0j
         for p in range(n + 1):
-            t_p = ((-1.0) ** p * q_eff ** (n - p)
-                   / (math.factorial(p) * math.factorial(n - p)
-                      * gamma_fn(p + nu + 1) * gamma_fn(n + rho - p + 1)))
             for r in range(n + 1):
-                u_r = ((-1.0) ** r * q_eff ** r * gamma_fn(n + rho + nu + r + 1)
-                       / (math.factorial(r) * math.factorial(n - r) * gamma_fn(rho + r + 1)))
-                total += t_p * u_r * norm_integral_closed(n, rho, nu, q_eff, p, r)
+                total += t_p[p] * u_r[r] * norm_integral_closed(n, rho, nu, q_eff, p, r)
     except ArithmeticError as exc:
         # a Gamma value under- or overflows at extreme parameters
         raise ConvergenceViolationError(f"normalization sum leaves the float range: {exc}") from exc
@@ -199,27 +211,6 @@ def normalization_constant(wf: WaveFunction) -> complex:
             raise NormSquaredNegativeError(f"norm-square {s_sum} is not positive")
         return 1.0 / np.sqrt(s_sum.real)
     return 1.0 / np.sqrt(s_sum)
-
-
-def pt_norm_phase(wf: WaveFunction, tol: float = 1e-10):
-    """PT inner product int_0^1 conj(psi(-s)) psi(s) ds and its sign nu.
-
-    Powers of -s use the principal branch. On the real s-segment the literal
-    integrand generally keeps a residual imaginary part; nu is read from the
-    sign of the real part and the full complex integral is returned alongside
-    for inspection.
-    """
-    from scipy.integrate import quad   # 0.1 s to import; used only here
-
-    def integrand(s):
-        return np.conj(psi_of_s(wf, -s)) * psi_of_s(wf, s)
-
-    re = quad(lambda s: integrand(s).real, 0.0, 1.0, epsabs=tol, epsrel=tol, limit=200)[0]
-    im = quad(lambda s: integrand(s).imag, 0.0, 1.0, epsabs=tol, epsrel=tol, limit=200)[0]
-    value = complex(re, im)
-    if value.real == 0.0:
-        return None, value
-    return (1 if value.real > 0 else -1), value
 
 
 def ode_residual(wf: WaveFunction, xs):
@@ -263,11 +254,3 @@ def ode_residual(wf: WaveFunction, xs):
     res = psi_xx + g * psi
     scale = np.abs(psi_xx) + np.abs(g) * np.abs(psi) + 1e-300
     return np.abs(res) / scale
-
-
-def count_nodes(values) -> int:
-    """Interior sign changes of Re(psi), with a noise floor."""
-    re = np.asarray(values).real
-    floor = 1e-9 * np.max(np.abs(re)) if np.max(np.abs(re)) > 0 else 0.0
-    kept = re[np.abs(re) > floor]
-    return int(np.sum(np.sign(kept[1:]) * np.sign(kept[:-1]) < 0))

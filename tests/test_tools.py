@@ -51,6 +51,28 @@ def test_bits_digest_prints_the_same_four_lines_twice(capsys):
     assert all(len(line.split()[1]) == 64 for line in runs[0])
 
 
+def test_code_lines_sums_each_directory_and_both(capsys):
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location("code_lines", root / "tools" / "code_lines.py")
+    code_lines = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(code_lines)
+    package, reference = root / "src" / "salpeter_hulthen", root / "tests" / "reference"
+    code_lines.main([str(package), str(reference)])
+    rows = [line.split(maxsplit=2) for line in capsys.readouterr().out.splitlines()]
+    ends = [i for i, row in enumerate(rows) if row[2].endswith("(code, lines)")]
+    assert [rows[i][2] for i in ends] == [f"{package}/ (code, lines)",
+                                         f"{reference}/ (code, lines)", "total (code, lines)"]
+    first, second, last = ends
+    assert [row[2] for row in rows[first + 1:second]] == sorted(
+        path.name for path in reference.glob("*.py"))
+    assert "nu_engine.py" not in [row[2] for row in rows[:first]]
+    counts = [[int(row[0]), int(row[1])] for row in rows]
+    # each directory's sum line adds up its files; the total adds up both sums
+    for start, end in ((0, first), (first + 1, second)):
+        assert [sum(column) for column in zip(*counts[start:end])] == counts[end]
+    assert [a + b for a, b in zip(counts[first], counts[second])] == counts[last]
+
+
 def _repo_files(root):
     """{path: mtime_ns} of every file under root outside .git."""
     return {path: path.stat().st_mtime_ns for path in root.rglob("*")

