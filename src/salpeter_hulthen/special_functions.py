@@ -5,14 +5,14 @@ routines do not cover. A Jacobi polynomial is held by its monomial
 coefficients (`JacobiPoly`), which `linear_rebase` carries onto a linear map
 of z. 2F1 is summed exactly for any z when it terminates, takes Gauss's
 theorem at z = 1 and the direct series for |z| < 1; any other z is refused
-at once with NonConvergentError. Gamma itself is delegated to scipy's complex
-implementation (Lanczos-class accuracy, better than 1e-12 on the strip the
-normalization integrals need). scipy.special is imported on first use: it
-is most of the package's import time, and only the wavefunction
-normalization needs it.
+at once with NonConvergentError. Gamma is a complex Lanczos sum (g = 7,
+n = 9, reflection below Re z = 1/2), within 6e-14 relative error of mpmath
+on the strip the normalization integrals need; `gamma_ladder` extends one
+evaluation to Gamma(z + k) by the recurrence. Nothing here imports scipy.
 """
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,12 +44,61 @@ def _nonpos_int_order(z) -> int | None:
     return -r
 
 
+# Lanczos sum with g = 7: Gamma(z) = sqrt(2 pi) A(z) t^(z - 1/2) e^(-t), with
+# t = z + g - 1/2 and A(z) = 1 + sum_i c_i / (z + i), i = 0..7. The c_i were
+# refitted in 40-digit arithmetic (Lawson-weighted least squares) to the relative
+# error on the line Re z = 1/2, with the constant term fixed at 1 so that the
+# error vanishes as |z| grows. By the maximum-modulus principle that bounds the
+# approximation error by 3.5e-14 on all of Re z >= 1/2; the classical g = 7 set
+# has the constant term 1 - 1.9e-13, and that much error far from the origin.
+_LANCZOS_G = 7.0
+_LANCZOS_COEFFS = (676.5203681219624, -1259.139216724116, 771.323428791919,
+                   -176.61502922130038, 12.507343413261415, -0.13857126578253492,
+                   1.0097139741430741e-05, 1.202513784333582e-07)
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+
+def _lanczos_gamma(z: complex) -> complex:
+    """Gamma(z) off the poles; OverflowError where |Gamma(z)| leaves the float range."""
+    if z.real < 0.5:
+        # Gamma(z) Gamma(1 - z) = pi / sin(pi z), with the sine taken at
+        # z - k, k the nearest integer, which keeps it exact near the poles
+        k = round(z.real)
+        sine = cmath.sin(math.pi * (z - k))
+        out = (-math.pi if k % 2 else math.pi) / (sine * _lanczos_gamma(1.0 - z))
+    else:
+        series = 1.0
+        for i, c in enumerate(_LANCZOS_COEFFS):
+            series += c / (z + i)
+        t = z + (_LANCZOS_G - 0.5)
+        # the power and the exponential in one exp, so that neither overflows
+        # before Gamma itself does
+        out = _SQRT_2PI * series * cmath.exp((z - 0.5) * cmath.log(t) - t)
+    if not cmath.isfinite(out):
+        raise OverflowError(f"Gamma({z}) overflows")
+    return out
+
+
 def gamma_fn(z) -> complex:
     """Gamma of a complex argument; raises on nonpositive-integer poles."""
     if _nonpos_int_order(z) is not None:
         raise ParameterPoleError(f"Gamma pole at {z}")
-    from scipy.special import gamma
-    return complex(gamma(complex(z)))
+    return _lanczos_gamma(complex(z))
+
+
+def gamma_ladder(z, m: int) -> list[complex]:
+    """[Gamma(z), Gamma(z + 1), ..., Gamma(z + m)] from one Lanczos evaluation.
+
+    The rungs above the first come from Gamma(z + 1) = z Gamma(z); a top rung
+    past the float range raises OverflowError, as Gamma itself does.
+    """
+    z = complex(z)
+    rungs = [gamma_fn(z)]
+    for k in range(m):
+        rungs.append((z + k) * rungs[-1])
+    if not cmath.isfinite(rungs[-1]):
+        raise OverflowError(f"Gamma({z + m}) overflows")
+    return rungs
 
 
 def beta_fn(x, y) -> complex:
@@ -61,6 +110,11 @@ def beta_fn(x, y) -> complex:
     if y == 1:
         return 1.0 / x
     return gamma_fn(x) * gamma_fn(y) / gamma_fn(x + y)
+
+
+def _rgamma(z: complex) -> complex:
+    """1/Gamma(z), exactly 0 at the nonpositive integers."""
+    return 0j if _nonpos_int_order(z) is not None else 1.0 / _lanczos_gamma(z)
 
 
 def _hyp_series(numer, c, z) -> complex:
@@ -114,8 +168,7 @@ def gauss_2f1(a, b, c, z) -> complex:
         if abs(z - 1.0) <= 1e-14:
             if not (c - a - b).real > 0:
                 raise NonConvergentError("Gauss value at z = 1 needs Re(c-a-b) > 0")
-            from scipy.special import rgamma
-            return complex(gamma_fn(c) * gamma_fn(c - a - b) * rgamma(c - a) * rgamma(c - b))
+            return gamma_fn(c) * gamma_fn(c - a - b) * _rgamma(c - a) * _rgamma(c - b)
         if not abs(z) < 1.0:
             raise NonConvergentError(f"|z| = {abs(z):.6g} >= 1 for a non-terminating 2F1 series")
     return _hyp_series((a, b), c, z)

@@ -22,7 +22,7 @@ from .errors import (
     ValidationError,
 )
 from .potentials import POLE_TOL, MassConfig, PotentialParams, Regime
-from .special_functions import JacobiPoly, beta_fn, gamma_fn, gauss_2f1, linear_rebase
+from .special_functions import JacobiPoly, beta_fn, gamma_ladder, gauss_2f1, linear_rebase
 from .spectra import BoundState, dimensionless
 
 
@@ -170,24 +170,29 @@ def _shifted_sum_terms(n: int, rho, nu, q):
 
     P_n(1 - 2 q s) = (-1)^n Gamma(n+rho+1) Gamma(n+nu+1) sum_p t_p s^(n-p) (1 - q s)^p
                    = Gamma(n+rho+1) / Gamma(n+rho+nu+1) sum_r u_r s^r.
+    Every Gamma comes from three ladders, Gamma(nu+1+k), Gamma(rho+1+k) and
+    Gamma(n+rho+nu+1+k) for k = 0..n, so the whole costs three Lanczos
+    evaluations. Returns t_p, u_r and the prefactors' Gammas
+    (Gamma(n+nu+1), Gamma(n+rho+1), Gamma(n+rho+nu+1)).
     """
+    g_nu = gamma_ladder(nu + 1, n)
+    g_rho = gamma_ladder(rho + 1, n)
+    g_top = gamma_ladder(n + rho + nu + 1, n)
     t_p = [((-1.0) ** p * q ** (n - p)
-            / (math.factorial(p) * math.factorial(n - p)
-               * gamma_fn(p + nu + 1) * gamma_fn(n + rho - p + 1)))
+            / (math.factorial(p) * math.factorial(n - p) * g_nu[p] * g_rho[n - p]))
            for p in range(n + 1)]
-    u_r = [((-1.0) ** r * q ** r * gamma_fn(n + rho + nu + r + 1)
-            / (math.factorial(r) * math.factorial(n - r) * gamma_fn(rho + r + 1)))
+    u_r = [((-1.0) ** r * q ** r * g_top[r]
+            / (math.factorial(r) * math.factorial(n - r) * g_rho[r]))
            for r in range(n + 1)]
-    return t_p, u_r
+    return t_p, u_r, (g_nu[n], g_rho[n], g_top[0])
 
 
 def normalization_sum(n: int, rho, nu, q_eff) -> complex:
     """The double sum over (p, r) for int_0^1 weight * P^2 ds in closed form."""
     rho, nu, q_eff = complex(rho), complex(nu), complex(q_eff)
     try:
-        pref = ((-1.0) ** n * gamma_fn(n + nu + 1) * gamma_fn(n + rho + 1) ** 2
-                / gamma_fn(n + rho + nu + 1))
-        t_p, u_r = _shifted_sum_terms(n, rho, nu, q_eff)
+        t_p, u_r, (g_nu, g_rho, g_top) = _shifted_sum_terms(n, rho, nu, q_eff)
+        pref = (-1.0) ** n * g_nu * g_rho ** 2 / g_top
         total = 0j
         for p in range(n + 1):
             for r in range(n + 1):

@@ -13,7 +13,7 @@ import numpy as np
 
 from salpeter_hulthen.errors import ParameterPoleError, ValidationError
 from salpeter_hulthen.special_functions import (JacobiPoly, _hyp_series, _nonpos_int_order,
-                                                gamma_fn, linear_rebase)
+                                                linear_rebase)
 from salpeter_hulthen.wavefunctions import _shifted_sum_terms
 
 
@@ -130,13 +130,13 @@ def jacobi_shifted_sum_forms(n: int, eps, b_over_q, q, s):
     must agree with jacobi_eval at z = 1 - 2 q s.
     """
     eps, w, q, s = complex(eps), complex(b_over_q), complex(q), complex(s)
-    t_p, u_r = _shifted_sum_terms(n, 2 * eps, w, q)
+    t_p, u_r, (g_nu, g_rho, g_top) = _shifted_sum_terms(n, 2 * eps, w, q)
     sum_p = 0j
     for p in range(n + 1):
         sum_p += t_p[p] * s ** (n - p) * (1.0 - q * s) ** p
-    v_mixed = (-1.0) ** n * gamma_fn(n + 2 * eps + 1) * gamma_fn(n + w + 1) * sum_p
+    v_mixed = (-1.0) ** n * g_rho * g_nu * sum_p
     sum_r = 0j
     for r in range(n + 1):
         sum_r += u_r[r] * s ** r
-    v_plain = gamma_fn(n + 2 * eps + 1) / gamma_fn(n + 2 * eps + w + 1) * sum_r
+    v_plain = g_rho / g_top * sum_r
     return v_mixed, v_plain

@@ -46,6 +46,40 @@ def test_gamma_pole():
     assert gamma_fn(0.5) == pytest.approx(np.sqrt(np.pi), rel=1e-13)
 
 
+def test_gamma_against_mpmath():
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(1964)
+    strip = [complex(rng.uniform(-6.0, 25.0), rng.uniform(-8.0, 8.0)) for _ in range(3000)]
+    # reflection side, Re z < 1/2, far off the real axis
+    reflected = [complex(rng.uniform(-6.0, 0.5), rng.uniform(-40.0, 40.0)) for _ in range(500)]
+    worst = 0.0
+    for z in strip + reflected:
+        ref = complex(mp.gamma(mp.mpc(z.real, z.imag)))
+        worst = max(worst, abs(gamma_fn(z) - ref) / abs(ref))
+    assert worst <= 1e-13
+    for pole in (0.0, -1.0, -7.0, complex(-3.0, 1e-14)):
+        with pytest.raises(ParameterPoleError):
+            gamma_fn(pole)
+    # past the float range Gamma raises rather than return inf
+    for z in (171.7, 200.0, complex(180.0, 3.0)):
+        with pytest.raises(ArithmeticError):
+            gamma_fn(z)
+    assert gamma_fn(171.5) == pytest.approx(float(mp.gamma(171.5)), rel=1e-13)
+
+
+def test_gamma_ladder_rungs_match_gamma():
+    for z in (0.3 + 0.2j, -2.5 + 0.1j, 4.0, 1.0 + 24.4j):
+        rungs = special_functions.gamma_ladder(z, 6)
+        assert len(rungs) == 7
+        for k, rung in enumerate(rungs):
+            assert rung == pytest.approx(gamma_fn(z + k), rel=1e-13)
+    assert special_functions.gamma_ladder(2.5, 0) == [gamma_fn(2.5)]
+    with pytest.raises(ArithmeticError):
+        special_functions.gamma_ladder(168.0, 5)
+    with pytest.raises(ParameterPoleError):
+        special_functions.gamma_ladder(-2.0, 4)
+
+
 def test_2f1_at_zero():
     assert gauss_2f1(0.3 + 0.1j, 1.2, 2.0, 0.0) == 1.0
 
@@ -59,6 +93,17 @@ def test_2f1_gauss_theorem():
     assert gauss_2f1(1.0, 1.0, 3.0, 1.0) == pytest.approx(2.0, rel=1e-12)
     with pytest.raises(NonConvergentError):
         gauss_2f1(2.0, 1.5, 3.0, 1.0)   # Re(c-a-b) < 0
+
+
+def test_2f1_gauss_theorem_at_a_denominator_pole():
+    # Gauss's value Gamma(c) Gamma(c-a-b) / (Gamma(c-a) Gamma(c-b)) is 0 where
+    # c - b or c - a is a nonpositive integer: the reciprocal Gamma vanishes
+    # there, where dividing by Gamma would raise a pole error
+    mp = pytest.importorskip("mpmath")
+    assert complex(mp.hyp2f1(-2.3, 1.5, 0.5, 1.0)) == 0
+    assert gauss_2f1(-2.3, 1.5, 0.5, 1.0) == 0j         # c - b = -1
+    assert gauss_2f1(0.5, -1.5, 0.5, 1.0) == 0j         # c - a = 0
+    assert gauss_2f1(1.25 + 0.5j, -2.5, 1.25 + 0.5j, 1.0) == 0j
 
 
 def test_2f1_terminating_exact():

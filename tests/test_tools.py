@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import re
 import subprocess
 import sys
@@ -103,3 +104,26 @@ def test_line_trace_lists_the_statements_a_run_never_reaches(tmp_path):
     counts = dict(reversed(line.split()) for line in lines if re.fullmatch(r" *\d+  \S+", line))
     assert int(counts["potentials.py"]) == len(sources)
     assert lines[-1].endswith("total statements never run")
+
+
+def test_cli_times_prints_one_json_line_and_writes_nothing_in_the_repo():
+    root = Path(__file__).resolve().parent.parent
+    before = _repo_files(root)
+    proc = subprocess.run([sys.executable, str(root / "tools" / "cli_times.py"), "1", "spectrum"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert _repo_files(root) == before
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 1
+    report = json.loads(lines[0])
+    assert report["runs"] == 1
+    assert report["config"] == {"V0": 0.9, "alpha": 1.0, "q": 1.0, "regime": "Real",
+                                "m1": 1.0, "m2": 1.0}
+    assert list(report["commands"]) == ["spectrum"]
+    timing = report["commands"]["spectrum"]
+    assert 0 < timing["best_s"] == timing["median_s"]
+    assert set(report["machine"]) == {"nproc", "python", "numpy", "scipy", "numba_importable"}
+    # a command it does not know is refused before anything runs
+    refused = subprocess.run([sys.executable, str(root / "tools" / "cli_times.py"), "1", "scan"],
+                             capture_output=True, text=True, timeout=60)
+    assert refused.returncode == 2 and refused.stdout == ""

@@ -17,7 +17,8 @@ from salpeter_hulthen.errors import (
     SalpeterError,
     ValidationError,
 )
-from salpeter_hulthen.special_functions import beta_fn
+from salpeter_hulthen import special_functions
+from salpeter_hulthen.special_functions import beta_fn, gamma_fn
 
 MC1 = MassConfig.equal(1.0)
 DEEP = PotentialParams(0.057, 0.06, 1.0)   # four genuine levels at q = 1
@@ -287,6 +288,38 @@ def test_normalization_convergence_violation():
         wfp.normalization_constant(wf)
 
 
+@pytest.mark.parametrize("q_eff", [0.5, 0.3 + 0.2j])
+def test_normalization_makes_three_gamma_evaluations(monkeypatch, q_eff):
+    # every Gamma of the double sum comes from three ladders, one Lanczos
+    # evaluation each; at q_eff != 1 the 2F1 factors are series and Beta(a, 1)
+    # is 1/a, so no other Gamma is evaluated
+    calls = []
+
+    def counting(z):
+        calls.append(z)
+        return gamma_fn(z)
+
+    monkeypatch.setattr(special_functions, "gamma_fn", counting)
+    for n in range(6):
+        calls.clear()
+        value = wfp.normalization_sum(n, 1.3 + 0.4j, 0.7 - 0.2j, q_eff)
+        assert len(calls) == 3, n
+        assert np.isfinite(value)
+
+
+def test_normalization_sum_names_a_gamma_overflow():
+    # Gamma(rho + 1) = Gamma(201) overflows: the Lanczos Gamma raises an
+    # OverflowError, which the sum reports as its own error
+    with pytest.raises(OverflowError):
+        special_functions.gamma_ladder(201.0, 1)
+    with pytest.raises(ConvergenceViolationError, match="leaves the float range"):
+        wfp.normalization_sum(1, 200.0, 0.5, 0.5)
+    # ... and so does a ladder whose first rung, Gamma(169), is finite and
+    # whose top rung, Gamma(172), is not
+    with pytest.raises(ConvergenceViolationError, match="leaves the float range"):
+        wfp.normalization_sum(3, 150.0, 15.0, 0.5)
+
+
 def test_float_range_failures_raise_documented_errors():
     # each of these raised a raw OverflowError or ZeroDivisionError
     with pytest.raises(ValidationError):
@@ -364,8 +397,12 @@ def _wavefunction_bits(params, masses, state):
 # before the reduced equation's couplings were given one home in spectra: a
 # refactor of assemble, rodrigues_polynomial, jacobi_coefficients or
 # quantization_residual must leave every bit of it (zero signs included) as
-# it was
-PINNED_WAVEFUNCTION_SHA256 = "7d4dad214b93fbac02139b6af06be450d39e7ff248aa26e7296f71bde2bcd320"
+# it was. Re-pinned when Gamma became the package's own Lanczos sum, taken
+# from three Gamma ladders per normalization: 564 of the 3,360 state lines
+# moved, all in the normalization constant (at most 1.3e-6 relative, in sums
+# that were already that far off mpmath), and two lines read
+# ConvergenceViolationError where an inf Gamma gave NormSquaredNegativeError
+PINNED_WAVEFUNCTION_SHA256 = "c8088f486f9c5e6f3dacb8dff03a13616d5216ebae96ff63ee7b99805516e0d3"
 
 
 def test_wavefunction_bits_are_pinned():
